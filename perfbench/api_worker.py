@@ -4,7 +4,9 @@
     python api_worker.py layers  --seed N --overhead-rounds K --spans SPANS.json --out OUT.json
 
 ``measure`` times rounds of the api-compute operations after its own set-up
-(import, input generation, FFT-plan warm-up).  ``layers`` times each layer's
+(import, input generation, FFT-plan warm-up).  Right before each call it
+times a fixed numpy.fft pair (``Reference``) and keeps the ratio of the two,
+which follows the machine's speed (README.md, "Machine speed").  ``layers`` times each layer's
 public functions one by one, with spans, for the traced run; with
 ``--overhead-rounds`` it also runs untraced and traced rounds in turn, whose
 difference is the tracing overhead.
@@ -31,7 +33,7 @@ import numpy as np
 
 import checks
 import inputs
-from harness import median, per_op_wall
+from harness import API_REFERENCE_S, median, per_op_wall
 from spans import Tracer, duration, instrument
 
 
@@ -107,24 +109,47 @@ def warm_up(pk, d: Data) -> None:
     pk.awt(d.w)
 
 
+class Reference:
+    """A numpy.fft forward and inverse pair on a fixed 2^20-point complex array.
+
+    It owes nothing to phasekit and works on arrays of the size of the
+    api-compute calls, so a slower or busier processor slows it as it slows
+    them.  Calling it returns its wall time in seconds."""
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.x = rng.standard_normal(2 ** 20) + 1j * rng.standard_normal(2 ** 20)
+        self()
+
+    def __call__(self) -> float:
+        start = time.perf_counter()
+        np.fft.ifft(np.fft.fft(self.x))
+        return time.perf_counter() - start
+
+
 def digest(y) -> str:
     return hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
 
 
 class Runner:
-    """Times each call, then accepts a verified digest or checks in full."""
+    """Times each call and the reference before it, then accepts a verified
+    digest or checks the output in full."""
 
-    def __init__(self, ops: dict, verified: dict):
+    def __init__(self, ops: dict, verified: dict, reference: Reference):
         self.ops = ops
+        self.reference = reference
         self.verified = {name: set(v) for name, v in verified.items()}
         self.problems: list[str] = []
         self.attempted = 0
         self.failed = 0
 
-    def round(self, latencies: dict) -> float:
+    def round(self, latencies: dict, ratios: dict) -> float:
+        """One call of each operation; `latencies` gets each call's seconds
+        and `ratios` each call's time over the reference timed before it."""
         start = time.perf_counter()
         for name, (call, check) in self.ops.items():
             self.attempted += 1
+            ref = self.reference()
             t0 = time.perf_counter()
             try:
                 y = call()
@@ -132,7 +157,9 @@ class Runner:
                 self.failed += 1
                 print(f"api-compute {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 continue
-            latencies.setdefault(name, []).append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            latencies.setdefault(name, []).append(elapsed)
+            ratios.setdefault(name, []).append(elapsed / ref)
             key = digest(y)
             if key in self.verified.get(name, ()):
                 continue
@@ -154,14 +181,18 @@ def set_up(seed: int):
 
 def measure(args) -> tuple[dict, Runner]:
     pk, d, setup_s = set_up(args.seed)
+    reference = Reference()
+    setup_refs = [reference() for _ in range(5)]
     with open(args.verified) as fh:
-        runner = Runner(operations(pk, d), json.load(fh))
+        runner = Runner(operations(pk, d), json.load(fh), reference)
     latencies: dict = {}
+    ratios: dict = {}
     walls = []
     start = time.perf_counter()
     while not walls or time.perf_counter() - start + median(walls) <= args.seconds:
-        walls.append(runner.round(latencies))
-    return {"setup_s": setup_s, "latencies": latencies, "round_walls": walls}, runner
+        walls.append(runner.round(latencies, ratios))
+    return {"setup_s": setup_s, "setup_ratio": setup_s / median(setup_refs),
+            "latencies": latencies, "ratios": ratios, "round_walls": walls}, runner
 
 
 def probe(tracer: Tracer, name: str, call, reps: int = 3) -> float:
@@ -175,17 +206,18 @@ def probe(tracer: Tracer, name: str, call, reps: int = 3) -> float:
 
 def layers(args) -> tuple[dict, Runner]:
     pk, d, _ = set_up(args.seed)
-    runner = Runner(operations(pk, d), {})
+    runner = Runner(operations(pk, d), {}, Reference())
     tracer = Tracer()
     result = {}
     if args.overhead_rounds:
+        # compared at the reference speed, like the end-to-end wall_s
         plain, traced = {}, {}
         for _ in range(args.overhead_rounds):
-            runner.round(plain)
+            runner.round({}, plain)
             undo = instrument(tracer, op="api-compute")
-            runner.round(traced)
+            runner.round({}, traced)
             undo()
-        result["trace.overhead_s"] = per_op_wall(traced) - per_op_wall(plain)
+        result["trace.overhead_s"] = (per_op_wall(traced) - per_op_wall(plain)) * API_REFERENCE_S
     instrument(tracer, op="layer-probes")
     timed = functools.partial(probe, tracer)
     x, xp = d.x, d.x_prime

@@ -21,7 +21,7 @@ import numpy as np
 
 import checks
 import inputs
-from harness import BENCH_DIR, PYTHON, WORK, Launcher, median, op_geomean_ms, per_op_wall
+from harness import BENCH_DIR, PYTHON, REFERENCE_S, WORK, Launcher, median, op_geomean_ms, per_op_wall
 from spans import duration
 
 PHASEKIT = [PYTHON, "-m", "phasekit"]
@@ -131,8 +131,9 @@ class Runner:
     later run must produce byte-identical output files and standard output.
     """
 
-    def __init__(self, launcher: Launcher, digests: dict | None = None):
+    def __init__(self, launcher: Launcher, digests: dict | None = None, references: bool = True):
         self.launcher = launcher
+        self.references = references   # time reference.py before each process
         self.digests: dict[str, str] = {} if digests is None else digests
         self.problems: list[str] = []
         self.attempted = 0
@@ -140,6 +141,7 @@ class Runner:
         self.latencies: dict[str, list[float]] = {}
         self.rss_kb: dict[str, list[int]] = {}
         self.starts: list[float] = []
+        self.start_ratios: list[float] = []   # each --version over the reference before it
         self.traced: dict[str, list[dict]] = {}
 
     def invoke(self, op: Op, workload: str, traced: bool = False) -> None:
@@ -161,6 +163,9 @@ class Runner:
             argv = [PYTHON, str(BENCH_DIR / "shim.py"), str(spans_path), op_id] + op.args
         else:
             argv = PHASEKIT + op.args
+        if self.references and op.kind != "hostile":
+            # machine speed right before each timed process (README.md, "Machine speed")
+            ref = self.launcher.reference()
         reply = self.launcher.run(argv, stdout, stderr)
         rc, err = reply["rc"], stderr.read_text(errors="replace")
         if op.kind == "hostile":
@@ -176,7 +181,8 @@ class Runner:
             return
         if op.kind == "probe":
             self.starts.append(reply["wall_s"])
-            self.launcher.reference()
+            if self.references:
+                self.start_ratios.append(reply["wall_s"] / ref)
             return
         if op.kind == "op":
             self.latencies.setdefault(op_id, []).append(reply["wall_s"])
@@ -212,7 +218,7 @@ def end_to_end(runner: Runner) -> dict:
         "wall_s": (per_op_wall(runner.latencies), "s"),
         "op_geomean_ms": (op_geomean_ms(runner.latencies), "ms"),
         "peak_rss_mb": (max(median(v) for v in runner.rss_kb.values()) / 1024, "MB"),
-        "cli_start_ms": (median(runner.starts) * 1e3, "ms"),
+        "cli_start_ms": (median(runner.start_ratios) * REFERENCE_S * 1e3, "ms"),
     }
 
 

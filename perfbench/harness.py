@@ -18,6 +18,9 @@ REFERENCE = [PYTHON, str(BENCH_DIR / "reference.py")]
 # Fresh-process times are reported at the machine speed where reference.py
 # takes this long (its median on the 2-core machine the figures come from).
 REFERENCE_S = 0.185
+# In-process api-compute times are reported at the machine speed where
+# api_worker.Reference (a 2^20-point numpy.fft pair) takes this long.
+API_REFERENCE_S = 0.095
 
 
 def child_env() -> dict:
@@ -51,7 +54,7 @@ class Launcher:
             raise RuntimeError("launcher exited")
         return json.loads(reply)
 
-    def reference(self) -> None:
+    def reference(self) -> float:
         """Time one run of reference.py (see README.md, "Machine speed")."""
         logs = WORK / "logs"
         logs.mkdir(exist_ok=True)
@@ -59,6 +62,7 @@ class Launcher:
         if reply["rc"] != 0:
             raise RuntimeError(f"reference task exited {reply['rc']}")
         self.refs.append(reply["wall_s"])
+        return reply["wall_s"]
 
     def close(self) -> None:
         self.proc.stdin.close()

@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import sys
 import time
 
 import cli_bench
-from harness import (BENCH_DIR, PYTHON, REFERENCE_S, ROOT, WORK, Launcher, median, op_geomean_ms,
-                     per_op_wall, percentile_line)
+from harness import (API_REFERENCE_S, BENCH_DIR, PYTHON, REFERENCE_S, ROOT, WORK, Launcher, median,
+                     op_geomean_ms, per_op_wall, percentile_line)
 
-SETUPS = 3          # set-up is repeated and its median reported
+SETUPS = 5          # CLI set-up is repeated and its median reported
 API_WORKERS = 3     # api-compute splits its time over this many fresh processes
 WORKLOADS = ("cli-record", "cli-wide", "api-compute")
 
@@ -36,7 +37,8 @@ class Result:
         self.attempted = 0
         self.failed = 0
         self.notes: list[str] = []
-        self.scaled: set[str] = set()   # metrics reported at the reference speed
+        self.scaled: set[str] = set()   # metrics to report at the reference.py speed
+        self.raw: dict[str, float] = {}  # raw values of metrics scaled before emit
 
     def add_runner(self, runner) -> None:
         self.problems += runner.problems
@@ -52,17 +54,18 @@ class Result:
         """Print the notes and every metric, then the JSON result as the last line.
 
         The metrics named in `scaled` are reported at the speed where
-        reference.py takes REFERENCE_S; the raw value is printed beside each."""
-        speed = REFERENCE_S / median(refs) if refs else 1.0
+        reference.py takes REFERENCE_S on average; the raw value is printed
+        beside each."""
+        speed = REFERENCE_S / statistics.fmean(refs) if refs else 1.0
         for note in self.notes:
             print(note)
-        if self.scaled:
-            print(f"reference task: median {median(refs) * 1e3:.1f} ms over {len(refs)} runs; "
+        if refs:
+            print(f"reference task: mean {statistics.fmean(refs) * 1e3:.1f} ms over {len(refs)} runs; "
                   f"{', '.join(sorted(self.scaled))} scaled by {speed:.4f}")
         scaled = {}
         for name, (value, unit) in self.metrics.items():
             scaled[name] = value * speed if name in self.scaled else value
-            print(f"{name:36s} {scaled[name]:14.4f} {unit:6s} (raw {value:.4f})")
+            print(f"{name:36s} {scaled[name]:14.4f} {unit:6s} (raw {self.raw.get(name, value):.4f})")
         for problem in self.problems:
             print(f"INCORRECT {problem}", file=sys.stderr)
         print(json.dumps({
@@ -76,8 +79,12 @@ def log_paths(name: str):
     return logs / f"{name}.out", logs / f"{name}.err"
 
 
-def version_wall(launcher: Launcher) -> float:
-    return launcher.run(cli_bench.PHASEKIT + ["--version"], *log_paths("version"))["wall_s"]
+def version_ratio(launcher: Launcher) -> tuple[float, float]:
+    """Wall time of one `--version`, and that time over the reference run
+    right before it."""
+    ref = launcher.reference()
+    wall = launcher.run(cli_bench.PHASEKIT + ["--version"], *log_paths("version"))["wall_s"]
+    return wall, wall / ref
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +107,9 @@ def run_cli(launcher: Launcher, workload: str, seed: int, seconds: float, result
     result.metrics["setup_s"] = (median(setups), "s")
     for name, value in cli_bench.end_to_end(runner).items():
         result.metrics[name] = value
+    result.raw["cli_start_ms"] = median(runner.starts) * 1e3
     # every timed step here is a fresh interpreter, like reference.py
-    result.scaled = {"setup_s", "wall_s", "op_geomean_ms", "cli_start_ms"}
+    result.scaled = {"setup_s", "wall_s", "op_geomean_ms"}
 
 
 def run_worker(launcher: Launcher, name: str, args: list[str]) -> dict:
@@ -123,9 +131,7 @@ def run_api(launcher: Launcher, seed: int, seconds: float, result: Result) -> No
     verified: dict = {}
     workers, starts = [], []
     for i in range(API_WORKERS):
-        for _ in range(2):
-            starts.append(version_wall(launcher))
-            launcher.reference()
+        starts += [version_ratio(launcher) for _ in range(2)]
         verified_path.write_text(json.dumps(verified))
         w = run_worker(launcher, f"measure{i}", ["measure", "--seed", str(seed),
                                                  "--seconds", str(seconds / API_WORKERS),
@@ -134,22 +140,29 @@ def run_api(launcher: Launcher, seed: int, seconds: float, result: Result) -> No
         workers.append(w)
         result.add_worker(w)
     latencies: dict[str, list[float]] = {}
+    ratios: dict[str, list[float]] = {}
     for w in workers:
         for op, values in w["latencies"].items():
             latencies.setdefault(op, []).extend(values)
+        for op, values in w["ratios"].items():
+            ratios.setdefault(op, []).extend(values)
     pooled = [v for vs in latencies.values() for v in vs]
     result.notes.append(f"api-compute: {sum(len(w['round_walls']) for w in workers)} rounds in "
                         f"{API_WORKERS} workers; call latency {percentile_line(pooled)}")
+    # in-process times are reported at the speed where the in-process
+    # reference (api_worker.Reference) takes API_REFERENCE_S: each call is
+    # divided by the reference timed right before it
+    result.raw = {"setup_s": median([w["setup_s"] for w in workers]),
+                  "wall_s": per_op_wall(latencies),
+                  "op_geomean_ms": op_geomean_ms(latencies)}
     result.metrics.update({
-        "setup_s": (median([w["setup_s"] for w in workers]), "s"),
-        "wall_s": (per_op_wall(latencies), "s"),
-        "op_geomean_ms": (op_geomean_ms(latencies), "ms"),
+        "setup_s": (median([w["setup_ratio"] for w in workers]) * API_REFERENCE_S, "s"),
+        "wall_s": (per_op_wall(ratios) * API_REFERENCE_S, "s"),
+        "op_geomean_ms": (op_geomean_ms(ratios) * API_REFERENCE_S, "ms"),
         "peak_rss_mb": (median([w["maxrss_kb"] for w in workers]) / 1024, "MB"),
-        "cli_start_ms": (median(starts) * 1e3, "ms"),
+        "cli_start_ms": (median([ratio for _, ratio in starts]) * REFERENCE_S * 1e3, "ms"),
     })
-    # reference.py does not follow in-process FFT work (scaling widened the
-    # wall_s spread from 0.12 to 0.24 over ten seeds); only the CLI probe is scaled
-    result.scaled = {"cli_start_ms"}
+    result.raw["cli_start_ms"] = median([wall for wall, _ in starts]) * 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +190,13 @@ def import_probes(launcher: Launcher) -> dict:
 def run_trace(launcher: Launcher, workload: str, seed: int, result: Result) -> None:
     data = cli_bench.set_up(launcher, seed, ["cli-record", "cli-wide"])
     digests: dict = {}
-    plain = cli_bench.Runner(launcher, digests)
-    traced = cli_bench.Runner(launcher, digests)
+    # per-layer metrics are raw, so no reference runs between processes
+    plain = cli_bench.Runner(launcher, digests, references=False)
+    traced = cli_bench.Runner(launcher, digests, references=False)
     if workload in cli_bench.OPS:
         ops = cli_bench.OPS[workload](data)
-        for _ in range(2):
-            plain.round(ops, workload)
-            traced.round(ops, workload, traced=True)
+        plain.round(ops, workload)
+        traced.round(ops, workload, traced=True)
     for other, make_ops in cli_bench.OPS.items():
         if other != workload:
             traced.round(make_ops(data), other, traced=True)
@@ -191,7 +204,7 @@ def run_trace(launcher: Launcher, workload: str, seed: int, result: Result) -> N
     result.add_runner(traced)
     layer_spans = WORK / "trace" / "layers.json"
     layers = run_worker(launcher, "layers", ["layers", "--seed", str(seed), "--spans", str(layer_spans),
-                                             "--overhead-rounds", "2" if workload == "api-compute" else "0"])
+                                             "--overhead-rounds", "1" if workload == "api-compute" else "0"])
     result.add_worker(layers)
     if workload in cli_bench.OPS:
         own = {k: v for k, v in traced.latencies.items() if k.startswith(workload + "/")}
