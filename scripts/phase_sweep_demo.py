@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Sweep a phase shift over a signal and compare the four shifting routes.
+"""Phase-shift a test tone by three routes and compare them.
 
 Writes one CSV with the DFT-based, DCT-based, and wavelet-based phase
-transforms of a chirp-free test tone side by side, plus the kernel route
-(direct circular convolution with the sampled phase-shift kernel) for one
-alpha, as a quick visual sanity check of their agreement in the interior.
+transforms of a pure test tone for one alpha, side by side with the
+analytically shifted tone, and prints each route's interior relative L2
+error, as a quick sanity check of their agreement in the interior.
 """
 import argparse
 

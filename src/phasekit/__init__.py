@@ -22,7 +22,6 @@ from .spectral import (
     gfr_synthesize,
 )
 from .phase import (
-    EdgeBinConvention,
     PhaseProfile,
     pt_kernel,
     pt_dft,
@@ -62,7 +61,7 @@ __all__ = [
     "ModulationSpec", "Image",
     "dft", "idft", "dct2_forward", "dct2_inverse", "dft2d", "idft2d",
     "analytic_signal", "harmonic_series", "gfr_synthesize",
-    "EdgeBinConvention", "PhaseProfile", "pt_kernel", "pt_dft", "hilbert",
+    "PhaseProfile", "pt_kernel", "pt_dft", "hilbert",
     "fcqt", "pt_dct",
     "DelaySpec", "DifferintegrationOrder", "KernelScaling",
     "frac_delay_dft", "frac_delay_dct", "frac_differintegrate",

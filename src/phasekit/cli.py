@@ -22,7 +22,7 @@ from . import io as pkio
 from . import repro
 from .fractional import KernelScaling, DifferintegrationOrder, frac_delay_dct, frac_delay_dft, frac_differintegrate
 from .image import pt2d
-from .phase import EdgeBinConvention, PhaseProfile, pt_dct, pt_dft
+from .phase import PhaseProfile, pt_dct, pt_dft
 from .spectral import ModulationSpec, FourierSeriesCoeffs, gfr_synthesize
 from .wavelet import MorseWavelet, ScaleGrid, wavelet_analytic_signal
 
@@ -40,10 +40,6 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for I/O problems and uses 3 for argument problems
     def error(self, message):
         self.exit(ARG_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _edge(name: str) -> EdgeBinConvention:
-    return EdgeBinConvention.ROTATION if name == "rotation" else EdgeBinConvention.COSINE
 
 
 def _load_signal(path):
@@ -101,15 +97,14 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 def cmd_pt(args) -> int:
     sig = _load_signal(args.input)
-    edge = _edge(args.edge)
 
     def transform(alpha: float) -> np.ndarray:
         profile = PhaseProfile.constant(alpha)
         if args.basis == "dct":
             return pt_dct(sig, profile).samples
-        return pt_dft(sig, profile, edge).samples
+        return pt_dft(sig, profile).samples
 
-    header = _header(args, input=args.input, basis=args.basis, edge=args.edge,
+    header = _header(args, input=args.input, basis=args.basis,
                      sample_rate=pkio.format_float(sig.sample_rate))
     if args.alpha_sweep:
         alphas = _parse_sweep(args.alpha_sweep)
@@ -126,7 +121,7 @@ def cmd_pt(args) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(IO_ERROR, f"cannot read per-bin phases: {exc}")
         profile = PhaseProfile.per_bin(cols[-1])
-        out = pt_dct(sig, profile) if args.basis == "dct" else pt_dft(sig, profile, edge)
+        out = pt_dct(sig, profile) if args.basis == "dct" else pt_dft(sig, profile)
         _check_finite(out.samples)
         _write(_out_path(args, "pt"), dict(header, alpha_per_bin=args.alpha_per_bin),
                ["t", "original", "transformed"], [sig.times, sig.samples, out.samples])
@@ -187,10 +182,10 @@ def cmd_wpt(args) -> int:
 
 def cmd_image_pt(args) -> int:
     img = _load_image(args.input)
-    out = pt2d(img, args.alpha, _edge(args.line))
+    out = pt2d(img, args.alpha)
     _check_finite(out.pixels)
     header = _header(args, input=args.input, alpha=pkio.format_float(args.alpha),
-                     line=args.line, rows=str(img.rows), cols=str(img.cols))
+                     rows=str(img.rows), cols=str(img.cols))
     path = Path(args.output) if args.output else _out_path(args, "pt2d")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -266,8 +261,6 @@ def build_parser() -> _Parser:
     pt.add_argument("--alpha-per-bin", help="CSV file of per-bin phases")
     pt.add_argument("--alpha-sweep", help="start:step:stop phase sweep (radians)")
     pt.add_argument("--basis", choices=("dft", "dct"), default="dft")
-    pt.add_argument("--edge", choices=("cosine", "rotation"), default="cosine",
-                    help="DC/Nyquist bin treatment")
     pt.set_defaults(func=cmd_pt)
 
     delay = commands.add_parser("delay", help="fractionally delay a signal")
@@ -300,8 +293,6 @@ def build_parser() -> _Parser:
     image_pt.add_argument("-o", "--output", help="output CSV grid")
     image_pt.add_argument("--config", help="key=value file supplying flag defaults")
     image_pt.add_argument("--alpha", type=float, required=True)
-    image_pt.add_argument("--line", choices=("cosine", "rotation"), default="cosine",
-                          help="treatment of the zero-frequency-sum line")
     image_pt.add_argument("--preview", help="also write a rescaled PGM preview here")
     image_pt.set_defaults(func=cmd_image_pt)
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import rgamma
 
 from .phase import PhaseProfile, pt_dct
-from .spectral import Signal, as_signal, dft, idft
+from .spectral import Signal, apply_gain, as_signal
 
 
 class KernelScaling(enum.Enum):
@@ -71,10 +71,10 @@ class DifferintegrationOrder:
 def frac_delay_dft(signal, delay) -> Signal:
     """Delay a real signal by a (possibly fractional) number of samples.
 
-    Applies H[0] = 1, H[k] = 2 exp(-j 2 pi k n_k / N) on positive bins
-    below Nyquist, H[N/2] = exp(-j pi n_k) for even N, zero on negative
-    bins, then takes the real part of the inverse DFT.  Integer delays
-    reduce to exact circular shifts.
+    Applies the gain exp(-j 2 pi k n_k / N) to bins k = 0..N//2 (n_0 = 0)
+    through :func:`phasekit.spectral.apply_gain`, so the Nyquist bin of an
+    even N is scaled by cos(pi n_k).  Integer delays reduce to exact
+    circular shifts.
 
     Parameters
     ----------
@@ -85,23 +85,10 @@ def frac_delay_dft(signal, delay) -> Signal:
     if not isinstance(delay, DelaySpec):
         delay = DelaySpec(delay)
     sig = as_signal(signal)
-    x = sig.samples
-    n = x.size
-    half = n // 2
-    n_k = delay.per_bin(n)
-    mask = np.zeros(n, dtype=complex)
-    mask[0] = 1.0
-    if n % 2 == 0:
-        k = np.arange(1, half)
-        mask[1:half] = 2.0 * np.exp(-2j * np.pi * k * n_k[:half - 1] / n)
-        if half >= 1:
-            mask[half] = np.exp(-1j * np.pi * n_k[half - 1])
-    else:
-        k = np.arange(1, half + 1)
-        mask[1:half + 1] = 2.0 * np.exp(-2j * np.pi * k * n_k / n)
-    spectrum = dft(sig)
-    out = idft(replace(spectrum, bins=spectrum.bins * mask))
-    return Signal(out.real, sig.sample_rate)
+    n = len(sig)
+    n_k = np.concatenate(([0.0], delay.per_bin(n)))
+    gain = np.exp(-2j * np.pi * np.arange(n // 2 + 1) * n_k / n)
+    return Signal(apply_gain(sig.samples, gain), sig.sample_rate)
 
 
 def frac_delay_dct(signal, n0: float) -> Signal:
@@ -119,8 +106,8 @@ def frac_delay_dct(signal, n0: float) -> Signal:
 def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
     """Fractional derivative (mu > 0) or integral (mu < 0) of a real signal.
 
-    The oscillatory part multiplies positive bins by
-    2 (2 pi k / N)^mu e^{j mu pi/2} (Nyquist: pi^mu e^{j mu pi/2}, DC: 0)
+    The oscillatory part applies the gain (2 pi k / N)^mu e^{j mu pi/2} to
+    bins k = 1..N//2 (DC: 0) through :func:`phasekit.spectral.apply_gain`,
     and PHYSICAL scaling adds a sample_rate^mu factor so the bin gain is
     omega_k^mu in rad/s.  The mean a0 contributes
     a0 (n / sample_rate)^{-mu} / Gamma(1 - mu), evaluated with the
@@ -136,21 +123,12 @@ def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
     sig = as_signal(signal)
     x = sig.samples
     n = x.size
-    half = n // 2
-    gain = float(sig.sample_rate) ** mu if order.scaling is KernelScaling.PHYSICAL else 1.0
+    scale = float(sig.sample_rate) ** mu if order.scaling is KernelScaling.PHYSICAL else 1.0
 
-    mask = np.zeros(n, dtype=complex)
-    rotation = np.exp(1j * mu * np.pi / 2.0)
-    if n % 2 == 0:
-        k = np.arange(1, half)
-        mask[1:half] = 2.0 * (2.0 * np.pi * k / n) ** mu * rotation * gain
-        if half >= 1:
-            mask[half] = np.pi ** mu * rotation * gain
-    else:
-        k = np.arange(1, half + 1)
-        mask[1:half + 1] = 2.0 * (2.0 * np.pi * k / n) ** mu * rotation * gain
-    spectrum = dft(sig)
-    out = idft(replace(spectrum, bins=spectrum.bins * mask)).real
+    gain = np.zeros(n // 2 + 1, dtype=complex)
+    k = np.arange(1, n // 2 + 1)
+    gain[1:] = (2.0 * np.pi * k / n) ** mu * np.exp(1j * mu * np.pi / 2.0) * scale
+    out = apply_gain(x, gain)
 
     if include_dc_term:
         a0 = float(np.mean(x))

@@ -5,7 +5,7 @@ above it receive e^{-j alpha}, bins below it the conjugate, which is the
 unique splitting consistent with treating the higher-frequency factor of a
 separable product as the carrier.  Bins *on* the line (DC included) and the
 Nyquist rows/columns of even dimensions, whose frequency sign is ambiguous,
-follow the same edge-bin convention as the 1-D transform.
+are scaled by cos(alpha), like the DC and Nyquist bins of the 1-D transform.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .phase import EdgeBinConvention
 from .spectral import Image, dft2d, idft2d
 
 
@@ -41,11 +40,9 @@ class HalfPlaneMask:
     """Frequency-domain 2-D phase-transform multiplier."""
 
     values: np.ndarray
-    line_convention: EdgeBinConvention
 
     @classmethod
-    def build(cls, rows: int, cols: int, alpha: float,
-              line_convention: EdgeBinConvention = EdgeBinConvention.COSINE) -> "HalfPlaneMask":
+    def build(cls, rows: int, cols: int, alpha: float) -> "HalfPlaneMask":
         if rows < 1 or cols < 1:
             raise ValueError("mask dimensions must be >= 1")
         if not np.isfinite(alpha):
@@ -54,22 +51,18 @@ class HalfPlaneMask:
         values = np.empty((rows, cols), dtype=complex)
         values[total > 0] = np.exp(-1j * alpha)
         values[total < 0] = np.exp(1j * alpha)
-        if line_convention is EdgeBinConvention.ROTATION:
-            values[on_line] = np.exp(-1j * alpha)
-        else:
-            values[on_line] = np.cos(alpha)
-        return cls(values, line_convention)
+        values[on_line] = np.cos(alpha)
+        return cls(values)
 
 
-def pt2d(image, alpha: float,
-         line_convention: EdgeBinConvention = EdgeBinConvention.COSINE) -> Image:
+def pt2d(image, alpha: float) -> Image:
     """Phase transform of a real image.
 
     Returns Re(idft2d(dft2d(g) * H)) with H the half-plane mask, which for
     any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
-    mask = HalfPlaneMask.build(img.rows, img.cols, alpha, line_convention)
+    mask = HalfPlaneMask.build(img.rows, img.cols, alpha)
     return idft2d(dft2d(img) * mask.values)
 
 

@@ -103,6 +103,8 @@ def read_wav(path) -> Signal:
         size = struct.unpack_from("<I", raw, pos + 4)[0]
         body = raw[pos + 8:pos + 8 + size]
         if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise ValueError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             data = body

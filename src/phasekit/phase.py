@@ -5,28 +5,15 @@ frequencies of a signal and +alpha to the negative ones; the Hilbert
 transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
 extension), which differ whenever those extensions disagree.
-
-The DC bin and, for even lengths, the Nyquist bin cannot carry a complex
-rotation in a real output; their treatment is an explicit convention:
-``COSINE`` multiplies them by cos(alpha) (the default), ``ROTATION`` applies
-the full e^{-j alpha} so the complex analytic output keeps their energy.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import Signal, as_signal, dft, idft, dct2_forward
-
-
-class EdgeBinConvention(enum.Enum):
-    """Treatment of the DC/Nyquist bins (and the 2-D zero-sum line)."""
-
-    COSINE = "cosine"
-    ROTATION = "rotation"
+from .spectral import Signal, apply_gain, as_signal, dct2_forward
 
 
 @dataclass(frozen=True)
@@ -122,34 +109,14 @@ def pt_kernel(alpha: float, n: int) -> Signal:
     return Signal(kernel)
 
 
-def _dft_pt_mask(alphas: np.ndarray, n: int, edge: EdgeBinConvention) -> np.ndarray:
-    """Frequency-domain PT multiplier over all N DFT bins."""
-    def edge_value(a):
-        if edge is EdgeBinConvention.ROTATION:
-            return np.exp(-1j * a)
-        return np.cos(a) + 0j
-
-    half = n // 2
-    mask = np.zeros(n, dtype=complex)
-    mask[0] = edge_value(alphas[0])
-    if n % 2 == 0:
-        mask[1:half] = 2.0 * np.exp(-1j * alphas[1:half])
-        if half >= 1:
-            mask[half] = edge_value(alphas[half])
-    else:
-        mask[1:half + 1] = 2.0 * np.exp(-1j * alphas[1:half + 1])
-    return mask
-
-
-def pt_dft(signal, profile: PhaseProfile,
-           edge: EdgeBinConvention = EdgeBinConvention.COSINE) -> Signal:
+def pt_dft(signal, profile: PhaseProfile) -> Signal:
     """Phase transform of a real signal via the DFT.
 
-    Multiplies the spectrum by 2 e^{-j alpha_k} on strictly positive
-    frequencies below Nyquist, zeroes the negative-frequency bins, treats
-    DC/Nyquist per ``edge``, and returns the real part of the inverse
-    transform.  Negative frequencies receive the conjugate shift
-    implicitly, so the output is real by construction.
+    Applies the gain e^{-j alpha_k} to the non-negative frequency bins;
+    negative frequencies receive the conjugate shift implicitly, so the
+    output is real by construction.  The DC bin and the Nyquist bin of an
+    even length are real, so a real output can only scale them by
+    cos(alpha_k).
 
     Parameters
     ----------
@@ -157,23 +124,15 @@ def pt_dft(signal, profile: PhaseProfile,
         Real input samples.
     profile : PhaseProfile
         Phase per non-negative bin.
-    edge : EdgeBinConvention
-        DC/Nyquist handling; COSINE reproduces the scalar cos(alpha)
-        behaviour of a constant's phase shift, ROTATION preserves edge-bin
-        energy in the complex representation.
     """
     sig = as_signal(signal)
-    n = len(sig)
-    alphas = profile.bin_phases(n, basis="dft")
-    mask = _dft_pt_mask(alphas, n, edge)
-    spectrum = dft(sig)
-    shifted = idft(replace(spectrum, bins=spectrum.bins * mask))
-    return Signal(shifted.real, sig.sample_rate)
+    alphas = profile.bin_phases(len(sig), basis="dft")
+    return Signal(apply_gain(sig.samples, np.exp(-1j * alphas)), sig.sample_rate)
 
 
 def hilbert(signal) -> Signal:
     """Hilbert transform: the pi/2 phase transform (zero-mean output)."""
-    return pt_dft(signal, PhaseProfile.constant(np.pi / 2.0), EdgeBinConvention.COSINE)
+    return pt_dft(signal, PhaseProfile.constant(np.pi / 2.0))
 
 
 def _sine_resynthesis(coeffs: np.ndarray) -> np.ndarray:

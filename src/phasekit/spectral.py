@@ -2,11 +2,12 @@
 
 This module owns the transform conventions used everywhere else in the
 package.  The discrete Fourier transform places the 1/N factor on the
-*forward* transform, so the inverse is a bare exponential sum; every
-frequency-domain kernel in :mod:`phasekit.phase`, :mod:`phasekit.fractional`
-and :mod:`phasekit.image` is written against that placement.  Spectra carry
-their normalization tag so a mismatched inverse is detectable instead of
-silently wrong.
+*forward* transform, so the inverse is a bare exponential sum.  Spectra
+carry their normalization tag so a mismatched inverse is detectable instead
+of silently wrong.  Every 1-D frequency-domain gain in the package (phase
+transforms, fractional delay and differintegration, the wavelet multiplier)
+is applied through :func:`apply_gain`, the one place that decides how a
+positive-frequency gain acts on a real signal.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -268,25 +269,39 @@ def idft2d(grid: np.ndarray) -> Image:
     return Image(np.real(_fft.ifft2(grid)) * grid.size)
 
 
+def apply_gain(x, gain) -> np.ndarray:
+    """Apply a positive-frequency gain to real samples along the last axis.
+
+    Returns irfft(rfft(x) * gain, N) for the gain given on bins 0..N//2
+    (broadcast against the leading axes of x).  This equals
+    Re(ifft(H X)) for the one-sided multiplier H that is gain on DC, twice
+    the gain on bins strictly between DC and Nyquist, gain on the Nyquist bin
+    of an even N, and zero on negative frequencies: the inverse real
+    transform keeps only the real part of the DC and Nyquist products, which
+    is all a real output can carry.
+
+    Raises
+    ------
+    FloatingPointError
+        If the result is not finite (the input spectrum or the gain
+        overflowed).
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _fft.irfft(_fft.rfft(x) * gain, x.shape[-1])
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("spectral gain produced non-finite values")
+    return out
+
+
 def analytic_signal(signal) -> np.ndarray:
     """Analytic signal z with Re(z) = x and one-sided spectrum.
 
-    Positive-frequency bins are doubled, DC and Nyquist are kept as-is, and
-    negative-frequency bins are zeroed, so Im(z) is the Hilbert transform
-    of x and the DC component stays on the real part.
+    Im(z) is the Hilbert transform of x (the -j gain on positive
+    frequencies), so the DC and Nyquist components stay on the real part.
     """
-    sig = as_signal(signal)
-    x = sig.samples
-    n = x.size
-    half = n // 2
-    gain = np.zeros(n)
-    gain[0] = 1.0
-    if n % 2 == 0:
-        gain[1:half] = 2.0
-        gain[half] = 1.0
-    else:
-        gain[1:half + 1] = 2.0
-    return _fft.ifft(_fft.fft(x) * gain)
+    x = as_signal(signal).samples
+    return x + 1j * apply_gain(x, -1j)
 
 
 def harmonic_series(signal, n_harmonics: int) -> FourierSeriesCoeffs:

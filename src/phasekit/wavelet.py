@@ -5,26 +5,33 @@ construction (its spectrum vanishes for omega <= 0).  Phase shifting in
 coefficient space is a plain rotation W -> W e^{-j alpha}, and the signal
 is brought back with the single-integral inverse: a log-scale quadrature of
 the coefficients against the delta-wavelet pairing constant
-C = integral of Psi(omega)/omega over omega > 0.
+C = integral of Psi(omega)/omega over omega > 0 = A Gamma(beta/gamma)/gamma.
 
 Notes
 -----
 Coefficients carry the sqrt(s) unit-energy daughter normalization, so the
 single-integral inverse integrates W(s, t) s^{-3/2} ds, i.e. the log-scale
-weights below include a 1/sqrt(s) factor.  Dropping that factor (a common
-slip when the transform is written with sqrt(s) up front) mis-weights low
+weights include a 1/sqrt(s) factor.  Dropping that factor (a common slip
+when the transform is written with sqrt(s) up front) mis-weights low
 frequencies by sqrt(omega) and does not reconstruct.
+
+The inverse is linear in the coefficients, and each coefficient row is a
+spectral multiplier, so analysis followed by the inverse collapses into the
+single multiplier R(omega) = (2/C) sum_j dln(s_j) Psi(s_j omega): the
+1/sqrt(s) weight cancels the sqrt(s) daughter normalization.  The analytic
+signal is computed through R without forming the scale-by-time
+coefficients; :func:`awt` remains for callers who want the scalogram.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.integrate import quad
 
-from .spectral import Signal, as_signal
+from .spectral import Signal, analytic_signal, apply_gain, as_signal
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,14 @@ class Scalogram:
             raise ValueError("coefficient rows must match the scale grid")
 
 
+def _warn_aliased(grid: ScaleGrid, spec: MorseWavelet) -> None:
+    aliased = int(np.sum(grid.scales * np.pi < spec.peak_omega))
+    if aliased:
+        warnings.warn(
+            f"{aliased} scale(s) place the wavelet peak above Nyquist",
+            RuntimeWarning, stacklevel=3)
+
+
 def awt(signal, grid: ScaleGrid | None = None,
         spec: MorseWavelet | None = None) -> Scalogram:
     """Analytic wavelet transform of a real signal.
@@ -152,12 +167,7 @@ def awt(signal, grid: ScaleGrid | None = None,
     grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
     x = sig.samples
     n = x.size
-
-    aliased = int(np.sum(grid.scales * np.pi < spec.peak_omega))
-    if aliased:
-        warnings.warn(
-            f"{aliased} scale(s) place the wavelet peak above Nyquist",
-            RuntimeWarning, stacklevel=2)
+    _warn_aliased(grid, spec)
 
     padded = np.pad(x, n, mode="symmetric") if n > 1 else x
     n_pad = padded.size
@@ -173,23 +183,16 @@ def awt(signal, grid: ScaleGrid | None = None,
     return Scalogram(coeffs, grid, spec, sig.sample_rate)
 
 
-def admissibility_integral(spectrum_fn) -> float:
-    """Integral of spectrum(omega)/omega over omega > 0 by adaptive quadrature."""
-    value, abserr = quad(lambda w: spectrum_fn(w) / w, 0.0, np.inf, limit=400)
-    if not np.isfinite(value) or value <= 0 or abserr > 1e-8 * abs(value):
-        raise ValueError("admissibility integral did not converge")
-    return value
-
-
 def cpsi_delta(spec: MorseWavelet) -> float:
     """Delta-pairing reconstruction constant of the wavelet.
 
     This is the admissibility-type integral of Psi(omega)/omega over the
     positive axis, finite for every beta > 0 since Psi ~ omega^beta kills
-    the 1/omega pole.
+    the 1/omega pole.  Substituting v = omega^gamma gives the closed form
+    A Gamma(beta/gamma) / gamma, evaluated in log space.
     """
-    return admissibility_integral(
-        lambda w: float(morse_spectrum(spec, np.array([w]))[0]))
+    r = spec.beta / spec.gamma
+    return math.exp(spec.log_amplitude + math.lgamma(r)) / spec.gamma
 
 
 def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
@@ -197,7 +200,9 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
                             residual_warn: float = 0.05) -> np.ndarray:
     """Analytic signal from the single-integral inverse wavelet transform.
 
-    z[n] = (2 / C) sum_j W[j, n] s_j^{-1/2} dln(s_j)
+    z[n] = (2 / C) sum_j W[j, n] s_j^{-1/2} dln(s_j), computed as the
+    one-sided multiplier R(omega) = (2 / C) sum_j dln(s_j) Psi(s_j omega)
+    on the same reflected extension :func:`awt` uses, then trimmed.
 
     Re(z) approximates the input; Im(z) is the wavelet quadrature.  A
     RuntimeWarning reports the relative reconstruction residual when it
@@ -207,12 +212,26 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
     sig = as_signal(signal)
     spec = spec if spec is not None else MorseWavelet()
     grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
-    sgram = awt(sig, grid, spec)
-    weights = grid.log_weights() / np.sqrt(grid.scales)
-    z = (2.0 / cpsi_delta(spec)) * (weights @ sgram.coeffs)
-    norm = float(np.linalg.norm(sig.samples))
+    x = sig.samples
+    n = x.size
+    _warn_aliased(grid, spec)
+
+    padded = np.pad(x, n, mode="symmetric") if n > 1 else x
+    omega = 2.0 * np.pi * _fft.rfftfreq(padded.size)
+    response = np.zeros_like(omega)
+    for scale, weight in zip(grid.scales, grid.log_weights()):
+        response += weight * morse_spectrum(spec, scale * omega)
+    if padded.size % 2 == 0:
+        response[-1] = 0.0  # the Nyquist bin is a negative frequency for awt
+    response *= 2.0 / cpsi_delta(spec)
+    # R vanishes at DC, at Nyquist and below, so ifft(R X) is the analytic
+    # signal of its real part, which is the gain R/2 on the real transform
+    z = analytic_signal(apply_gain(padded, response / 2.0))
+    if n > 1:
+        z = z[n:2 * n]
+    norm = float(np.linalg.norm(x))
     if norm > 0:
-        residual = float(np.linalg.norm(z.real - sig.samples)) / norm
+        residual = float(np.linalg.norm(z.real - x)) / norm
         if residual > residual_warn:
             warnings.warn(
                 f"wavelet reconstruction residual {residual:.3g} exceeds "

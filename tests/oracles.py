@@ -5,6 +5,7 @@ deliberately avoiding the library's fast paths (and scipy.fft), so each test
 compares two genuinely different routes to the same quantity.
 """
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 
@@ -151,6 +152,14 @@ def morse_cpsi_closed_form(beta, gamma):
     r = beta / gamma
     log_a = np.log(2.0) - r * np.log(r) + r
     return float(np.exp(log_a) * gamma_fn(r) / gamma)
+
+
+def admissibility_integral(spectrum_fn) -> float:
+    """Integral of spectrum(omega)/omega over omega > 0 by adaptive quadrature."""
+    value, abserr = quad(lambda w: spectrum_fn(w) / w, 0.0, np.inf, limit=400)
+    if not np.isfinite(value) or value <= 0 or abserr > 1e-8 * abs(value):
+        raise ValueError("admissibility integral did not converge")
+    return value
 
 
 def zero_mean_zero_nyquist(x):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import json
+import struct
 import subprocess
 import sys
 
@@ -83,7 +84,6 @@ class TestPtCommand:
         assert header["command"] == "pt"
         assert header["alpha"] == "0.25"
         assert header["basis"] == "dft"
-        assert header["edge"] == "cosine"
 
     def test_byte_identical_reruns(self, gauss_csv, tmp_path):
         a = tmp_path / "a.csv"
@@ -135,6 +135,19 @@ class TestDifferintCommand:
         code = main(["differint", str(gauss_csv), "--order", "400",
                      "-o", str(tmp_path / "x.csv")])
         assert code == 4
+
+
+class TestWptCommand:
+    def test_gamma_four_runs(self, tmp_path):
+        t = np.arange(600) / 100.0
+        pkio.write_columns_csv(tmp_path / "tone.csv", {}, ["t", "value"],
+                               [t, np.cos(2 * np.pi * 2.0 * t)])
+        out = tmp_path / "wpt.csv"
+        assert main(["wpt", str(tmp_path / "tone.csv"), "--alpha", "0.5",
+                     "--gamma", "4", "-o", str(out)]) == 0
+        header, _, cols = pkio.read_columns_csv(out)
+        assert header["gamma"] == "4"
+        assert np.all(np.isfinite(cols[2]))
 
 
 class TestImagePtCommand:
@@ -217,6 +230,29 @@ class TestErrorPaths:
     def test_non_finite_alpha_is_argument_error(self, gauss_csv, tmp_path):
         assert main(["pt", str(gauss_csv), "--alpha", "nan",
                      "-o", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5"], ["delay", "--samples", "0.5"]])
+    def test_overflowing_samples_are_numeric_failure(self, command, tmp_path, capsys):
+        # finite samples whose spectrum overflows
+        path = tmp_path / "huge.csv"
+        x = np.where(np.arange(64) % 2 == 0, 1e308, -1e308)
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), x])
+        out = tmp_path / "out.csv"
+        assert main([command[0], str(path), *command[1:], "-o", str(out)]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_wav_is_io_error_without_traceback(self, tmp_path):
+        # the fmt chunk announces 16 bytes but holds 6
+        path = tmp_path / "short.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 18) + b"WAVE"
+                         + b"fmt " + struct.pack("<I", 16) + bytes(6))
+        assert path.stat().st_size == 26
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", str(path),
+                               "--alpha", "0.5", "-o", str(tmp_path / "x.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 class TestConfigAndEnvironment:

@@ -49,13 +49,6 @@ class TestPt2d:
             slow = pt2d_direct(img, alpha)
             assert np.max(np.abs(fast - slow)) < 1e-8
 
-    def test_rotation_line_convention_matches_oracle(self):
-        rng = np.random.default_rng(5)
-        img = rng.standard_normal((12, 10))
-        fast = pk.pt2d(img, 0.9, pk.EdgeBinConvention.ROTATION).pixels
-        slow = pt2d_direct(img, 0.9, line="rotation")
-        assert np.max(np.abs(fast - slow)) < 1e-10
-
     def test_separable_products_follow_the_higher_frequency(self):
         rows = cols = 64
         m, n = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")

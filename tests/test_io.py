@@ -1,6 +1,10 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasekit.io as pkio
 from phasekit import Image, Signal
@@ -81,6 +85,23 @@ class TestWav:
     def test_rejects_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             pkio.write_wav(tmp_path / "x.wav", Signal(np.zeros(4)), encoding="mp3")
+
+    @given(raw=st.one_of(
+        st.binary(max_size=64),
+        # RIFF/WAVE containers of short chunks whose sizes may lie
+        st.lists(st.tuples(st.sampled_from([b"fmt ", b"data", b"LIST"]),
+                           st.integers(0, 64), st.binary(max_size=40)),
+                 max_size=3).map(lambda chunks: b"RIFF\0\0\0\0WAVE" + b"".join(
+                     name + struct.pack("<I", size) + body for name, size, body in chunks))))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_give_a_signal_or_value_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("wav") / "any.wav"
+        path.write_bytes(raw)
+        try:
+            sig = pkio.read_wav(path)
+        except (ValueError, OSError):
+            return
+        assert isinstance(sig, Signal)
 
 
 class TestPgm:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
-from phasekit.phase import _dft_pt_mask
 from phasekit.repro import example1_signal, example2_signal
 from oracles import circular_convolve, fcqt_direct, pt_dct_direct, zero_mean_zero_nyquist
 
@@ -50,22 +49,8 @@ class TestPtDft:
 
     def test_gaussian_sweep_closes_at_two_pi(self):
         sig = example1_signal()
-        for alpha in np.arange(41) * np.pi / 20:
-            out = pk.pt_dft(sig, pk.PhaseProfile.constant(alpha))
-            if alpha == 0.0:
-                continue
         closed = pk.pt_dft(sig, pk.PhaseProfile.constant(2 * np.pi))
         assert np.max(np.abs(closed.samples - sig.samples)) < 1e-9
-
-    def test_rotation_convention_keeps_edge_bins_complex(self):
-        x = np.full(8, 2.0)
-        out = pk.pt_dft(x, pk.PhaseProfile.constant(np.pi / 2),
-                        pk.EdgeBinConvention.ROTATION)
-        # real projection of a fully rotated DC bin
-        assert np.allclose(out.samples, 0.0, atol=1e-12)
-        z = pk.idft(pk.Spectrum(pk.dft(x).bins * _dft_pt_mask(
-            np.full(5, np.pi / 2), 8, pk.EdgeBinConvention.ROTATION)))
-        assert np.allclose(z.imag, -2.0, atol=1e-12)  # energy moved to Im
 
     def test_per_bin_profile_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -97,16 +82,15 @@ class TestHilbert:
             assert abs(np.dot(x, pk.hilbert(x).samples)) < 1e-9
 
     def test_matches_circular_kernel_convolution(self):
-        # self-consistency: spectral path == convolution with the periodized
-        # kernel, i.e. the idft of the effective two-sided mask.  Acting on a
-        # real signal, the one-sided doubled mask H is equivalent to its
-        # conjugate-symmetric completion (H[k] + conj(H[N-k])) / 2.
+        # spectral path == convolution with the periodized kernel, i.e. the
+        # idft of the two-sided Hilbert mask -j sign(k), built here from the
+        # signed bin frequencies rather than from the library's gain
         rng = np.random.default_rng(2)
         n = 24
         x = rng.standard_normal(n)
-        mask = _dft_pt_mask(np.full(n // 2 + 1, np.pi / 2), n,
-                            pk.EdgeBinConvention.COSINE)
-        two_sided = (mask + np.conj(np.roll(mask[::-1], 1))) / 2.0
+        k = np.fft.fftfreq(n, d=1.0 / n)  # signed integer frequencies
+        two_sided = -1j * np.sign(k)
+        two_sided[k == -(n // 2)] = 0.0  # the even-length Nyquist bin is real
         kernel = np.fft.ifft(two_sided)
         assert np.max(np.abs(kernel.imag)) < 1e-12
         conv = circular_convolve(x, kernel.real)
@@ -174,18 +158,16 @@ class TestPtDct:
 
 
 class TestPtProperties:
-    @pytest.mark.parametrize("edge", [pk.EdgeBinConvention.COSINE,
-                                      pk.EdgeBinConvention.ROTATION])
-    def test_composition_and_inversion(self, edge):
+    def test_composition_and_inversion(self):
         rng = np.random.default_rng(6)
         for n in (64, 101):
             x = random_clean_signal(rng, n)
             a1, a2 = rng.uniform(0, 2 * np.pi, 2)
-            once = pk.pt_dft(x, pk.PhaseProfile.constant(a1), edge)
-            twice = pk.pt_dft(once, pk.PhaseProfile.constant(a2), edge)
-            direct = pk.pt_dft(x, pk.PhaseProfile.constant(a1 + a2), edge)
+            once = pk.pt_dft(x, pk.PhaseProfile.constant(a1))
+            twice = pk.pt_dft(once, pk.PhaseProfile.constant(a2))
+            direct = pk.pt_dft(x, pk.PhaseProfile.constant(a1 + a2))
             assert np.max(np.abs(twice.samples - direct.samples)) < 1e-9
-            back = pk.pt_dft(once, pk.PhaseProfile.constant(-a1), edge)
+            back = pk.pt_dft(once, pk.PhaseProfile.constant(-a1))
             assert np.max(np.abs(back.samples - x)) < 1e-9
 
     @given(alpha=st.floats(min_value=-10.0, max_value=10.0))

@@ -1,11 +1,15 @@
 """Tests for the analytic wavelet transform and wavelet phase transforms."""
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
 
 import phasekit as pk
 from phasekit.repro import example5_signal, interior, rel_l2
-from oracles import morse_cpsi_closed_form
+from oracles import admissibility_integral, morse_cpsi_closed_form
 
 # value pinned from the adaptive-quadrature run for beta=20, gamma=3 and
 # cross-checked against the closed form A Gamma(beta/gamma) / gamma
@@ -116,7 +120,6 @@ class TestCpsiDelta:
         assert value == pytest.approx(CPSI_MORSE_20_3, rel=1e-12)
 
     def test_scaling_the_spectrum_scales_the_constant(self):
-        from phasekit.wavelet import admissibility_integral
         spec = pk.MorseWavelet(20.0, 3.0)
         base = pk.cpsi_delta(spec)
         doubled = admissibility_integral(
@@ -131,9 +134,46 @@ class TestCpsiDelta:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_divergent_integrand_is_rejected(self):
-        from phasekit.wavelet import admissibility_integral
         with pytest.raises(ValueError):
             admissibility_integral(lambda w: 1.0)  # integral of 1/w diverges
+
+    def test_matches_quadrature_and_closed_form_on_a_parameter_grid(self):
+        converged = 0
+        for beta in (1, 2, 5, 10, 20, 30, 40, 50, 60, 80, 100):
+            for gamma in (1, 2, 3, 4, 6):
+                spec = pk.MorseWavelet(beta, gamma)
+                value = pk.cpsi_delta(spec)
+                assert value == pytest.approx(morse_cpsi_closed_form(beta, gamma), rel=1e-12)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        reference = admissibility_integral(
+                            lambda w: float(pk.morse_spectrum(spec, np.array([w]))[0]))
+                except ValueError:
+                    continue  # adaptive quadrature fails on some peaked integrands
+                converged += 1
+                assert value == pytest.approx(reference, rel=1e-10)
+        assert converged >= 30
+
+
+class TestSingleMultiplier:
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_matches_scale_by_time_inverse(self, n):
+        # the single-integral inverse summed over the awt coefficient rows
+        t = np.arange(n)
+        x = np.cos(2 * np.pi * t / 40.0) + 0.5 * np.sin(2 * np.pi * t / 97.0 + 0.3)
+        spec = pk.MorseWavelet()
+        grid = pk.ScaleGrid.default(n, spec)
+        weights = grid.log_weights() / np.sqrt(grid.scales)
+        rows = (2.0 / pk.cpsi_delta(spec)) * (weights @ pk.awt(x, grid, spec).coeffs)
+        z = pk.wavelet_analytic_signal(x, grid, spec)
+        assert np.max(np.abs(z - rows)) < 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        code = "import sys, phasekit; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestWpt:
