@@ -28,6 +28,7 @@ from .phase import (
     hilbert,
     fcqt,
     pt_dct,
+    pt_sweep,
 )
 from .fractional import (
     DelaySpec,
@@ -62,7 +63,7 @@ __all__ = [
     "dft", "idft", "dct2_forward", "dct2_inverse", "dft2d", "idft2d",
     "analytic_signal", "harmonic_series", "gfr_synthesize",
     "PhaseProfile", "pt_kernel", "pt_dft", "hilbert",
-    "fcqt", "pt_dct",
+    "fcqt", "pt_dct", "pt_sweep",
     "DelaySpec", "DifferintegrationOrder", "KernelScaling",
     "frac_delay_dft", "frac_delay_dct", "frac_differintegrate",
     "MorseWavelet", "ScaleGrid", "Scalogram", "morse_spectrum", "awt",

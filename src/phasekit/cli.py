@@ -22,11 +22,12 @@ from . import io as pkio
 from . import repro
 from .fractional import KernelScaling, DifferintegrationOrder, frac_delay_dct, frac_delay_dft, frac_differintegrate
 from .image import pt2d
-from .phase import PhaseProfile, pt_dct, pt_dft
+from .phase import PhaseProfile, pt_dct, pt_dft, pt_sweep
 from .spectral import ModulationSpec, FourierSeriesCoeffs, gfr_synthesize
 from .wavelet import MorseWavelet, ScaleGrid, wavelet_analytic_signal
 
 IO_ERROR, ARG_ERROR, NUMERIC_ERROR = 2, 3, 4
+MAX_SWEEP_STEPS = 4096  # --alpha-sweep columns; ~100x the 41-step sweeps in use
 
 
 class CliError(Exception):
@@ -42,18 +43,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ARG_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load_signal(path):
+def _read(read, path, what: str):
     try:
-        return pkio.read_any_signal(path)
+        return read(path)
     except (OSError, ValueError) as exc:
-        raise CliError(IO_ERROR, f"cannot read signal from {path}: {exc}")
-
-
-def _load_image(path):
-    try:
-        return pkio.read_image(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(IO_ERROR, f"cannot read image from {path}: {exc}")
+        raise CliError(IO_ERROR, f"cannot read {what} from {path}: {exc}")
 
 
 def _out_path(args, suffix: str) -> Path:
@@ -76,10 +70,10 @@ def _header(args, **params) -> dict:
     return head
 
 
-def _write(path, header, names, columns):
+def _write(path, write, *args):
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        pkio.write_columns_csv(path, header, names, columns)
+        write(path, *args)
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot write {path}: {exc}")
 
@@ -89,54 +83,44 @@ def _parse_sweep(text: str) -> np.ndarray:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError:
         raise CliError(ARG_ERROR, f"sweep must be start:step:stop, got {text!r}")
+    if not np.all(np.isfinite([start, step, stop])):
+        raise CliError(ARG_ERROR, f"sweep bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise CliError(ARG_ERROR, "sweep needs step > 0 and stop >= start")
-    count = int(np.floor((stop - start) / step + 1e-12)) + 1
-    return start + step * np.arange(count)
+    steps = np.floor((stop - start) / step + 1e-12)
+    if not steps < MAX_SWEEP_STEPS:  # also an infinite quotient
+        raise CliError(ARG_ERROR, f"sweep {text!r} has more than {MAX_SWEEP_STEPS} steps")
+    return start + step * np.arange(int(steps) + 1)
 
 
 def cmd_pt(args) -> int:
-    sig = _load_signal(args.input)
-
-    def transform(alpha: float) -> np.ndarray:
-        profile = PhaseProfile.constant(alpha)
-        if args.basis == "dct":
-            return pt_dct(sig, profile).samples
-        return pt_dft(sig, profile).samples
-
+    sig = _read(pkio.read_any_signal, args.input, "signal")
     header = _header(args, input=args.input, basis=args.basis,
                      sample_rate=pkio.format_float(sig.sample_rate))
+    transform = pt_dct if args.basis == "dct" else pt_dft
+    names = ["t", "original", "transformed"]
     if args.alpha_sweep:
         alphas = _parse_sweep(args.alpha_sweep)
-        columns = [transform(a) for a in alphas]
-        _check_finite(*columns)
-        names = ["t", "original"] + [f"alpha_{a:.6f}" for a in alphas]
-        path = _out_path(args, "pt_sweep")
-        _write(path, dict(header, alpha_sweep=args.alpha_sweep),
-               names, [sig.times, sig.samples] + columns)
-        return 0
-    if args.alpha_per_bin:
-        try:
-            _, _, cols = pkio.read_columns_csv(args.alpha_per_bin)
-        except (OSError, ValueError) as exc:
-            raise CliError(IO_ERROR, f"cannot read per-bin phases: {exc}")
-        profile = PhaseProfile.per_bin(cols[-1])
-        out = pt_dct(sig, profile) if args.basis == "dct" else pt_dft(sig, profile)
-        _check_finite(out.samples)
-        _write(_out_path(args, "pt"), dict(header, alpha_per_bin=args.alpha_per_bin),
-               ["t", "original", "transformed"], [sig.times, sig.samples, out.samples])
-        return 0
-    if args.alpha is None:
+        header["alpha_sweep"] = args.alpha_sweep
+        names[2:] = [f"alpha_{a:.6f}" for a in alphas]
+        columns = pt_sweep(sig, alphas, args.basis)
+    elif args.alpha_per_bin:
+        _, _, cols = _read(pkio.read_columns_csv, args.alpha_per_bin, "per-bin phases")
+        header["alpha_per_bin"] = args.alpha_per_bin
+        columns = [transform(sig, PhaseProfile.per_bin(cols[-1])).samples]
+    elif args.alpha is not None:
+        header["alpha"] = pkio.format_float(args.alpha)
+        columns = [transform(sig, PhaseProfile.constant(args.alpha)).samples]
+    else:
         raise CliError(ARG_ERROR, "one of --alpha, --alpha-per-bin, --alpha-sweep is required")
-    out = transform(args.alpha)
-    _check_finite(out)
-    _write(_out_path(args, "pt"), dict(header, alpha=pkio.format_float(args.alpha)),
-           ["t", "original", "transformed"], [sig.times, sig.samples, out])
+    _check_finite(columns)
+    _write(_out_path(args, "pt_sweep" if args.alpha_sweep else "pt"), pkio.write_columns_csv,
+           header, names, [sig.times, sig.samples, *columns])
     return 0
 
 
 def cmd_delay(args) -> int:
-    sig = _load_signal(args.input)
+    sig = _read(pkio.read_any_signal, args.input, "signal")
     if args.basis == "dct":
         out = frac_delay_dct(sig, args.samples)
     else:
@@ -145,13 +129,13 @@ def cmd_delay(args) -> int:
     header = _header(args, input=args.input, basis=args.basis,
                      samples=pkio.format_float(args.samples),
                      sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "delay"), header,
+    _write(_out_path(args, "delay"), pkio.write_columns_csv, header,
            ["t", "original", "delayed"], [sig.times, sig.samples, out.samples])
     return 0
 
 
 def cmd_differint(args) -> int:
-    sig = _load_signal(args.input)
+    sig = _read(pkio.read_any_signal, args.input, "signal")
     scaling = KernelScaling.NORMALIZED if args.scaling == "normalized" else KernelScaling.PHYSICAL
     order = DifferintegrationOrder(args.order, scaling)
     out = frac_differintegrate(sig, order, include_dc_term=not args.no_dc_term)
@@ -159,13 +143,13 @@ def cmd_differint(args) -> int:
     header = _header(args, input=args.input, order=pkio.format_float(args.order),
                      scaling=args.scaling, dc_term=str(not args.no_dc_term).lower(),
                      sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "differint"), header,
+    _write(_out_path(args, "differint"), pkio.write_columns_csv, header,
            ["t", "original", "transformed"], [sig.times, sig.samples, out.samples])
     return 0
 
 
 def cmd_wpt(args) -> int:
-    sig = _load_signal(args.input)
+    sig = _read(pkio.read_any_signal, args.input, "signal")
     spec = MorseWavelet(args.beta, args.gamma)
     grid = ScaleGrid.default(len(sig), spec, voices_per_octave=args.voices)
     z = wavelet_analytic_signal(sig, grid, spec)
@@ -175,25 +159,20 @@ def cmd_wpt(args) -> int:
                      beta=pkio.format_float(args.beta), gamma=pkio.format_float(args.gamma),
                      voices=str(args.voices),
                      sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "wpt"), header,
+    _write(_out_path(args, "wpt"), pkio.write_columns_csv, header,
            ["t", "original", "transformed"], [sig.times, sig.samples, out])
     return 0
 
 
 def cmd_image_pt(args) -> int:
-    img = _load_image(args.input)
+    img = _read(pkio.read_image, args.input, "image")
     out = pt2d(img, args.alpha)
     _check_finite(out.pixels)
     header = _header(args, input=args.input, alpha=pkio.format_float(args.alpha),
                      rows=str(img.rows), cols=str(img.cols))
-    path = Path(args.output) if args.output else _out_path(args, "pt2d")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        pkio.write_grid_csv(path, header, out.pixels)
-        if args.preview:
-            pkio.write_pgm(args.preview, pkio.pgm_preview(out.pixels))
-    except OSError as exc:
-        raise CliError(IO_ERROR, f"cannot write output: {exc}")
+    _write(_out_path(args, "pt2d"), pkio.write_grid_csv, header, out.pixels)
+    if args.preview:
+        _write(args.preview, pkio.write_pgm, pkio.pgm_preview(out.pixels))
     return 0
 
 
@@ -223,7 +202,7 @@ def cmd_synth(args) -> int:
                      bias=pkio.format_float(args.bias),
                      rate=pkio.format_float(args.rate),
                      duration=pkio.format_float(args.duration))
-    _write(_out_path(args, f"synth_{args.case}"), header,
+    _write(_out_path(args, f"synth_{args.case}"), pkio.write_columns_csv, header,
            ["t", "value"], [t, out.samples])
     return 0
 

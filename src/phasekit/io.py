@@ -1,10 +1,14 @@
-"""File formats for the command-line tools: column CSV, mono WAV, binary PGM.
+"""File formats for the command-line tools: CSV, mono WAV, binary PGM.
 
-All writers are deterministic: fixed 17-significant-digit decimal floats,
-'.' radix, '\\n' line endings, no timestamps.
+Column files and grid files share one CSV codec: '# key = value' header
+lines, an optional row of column names, then comma-separated numbers,
+written by ``np.savetxt`` as '%.17g' (round-trippable, '.' radix, '\\n'
+line endings, no timestamps) and parsed by ``np.loadtxt``, so numbers take
+its syntax.  All writers are deterministic.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 
@@ -18,51 +22,61 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
+    """Write phasekit's CSV layout: '# key = value' lines, an optional names
+    row, then one '%.17g' row per row of ``rows``."""
+    with open(path, "w", newline="\n") as fh:
+        for key, value in header.items():
+            fh.write(f"# {key} = {value}\n")
+        if names is not None:
+            fh.write(",".join(names) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+
+
+def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
+    """Parse phasekit's CSV layout into (header, names or None, 2-D data); the
+    first non-comment row is the names row unless it parses as numbers."""
+    header = {}
+
+    def rows(fh):
+        for line in fh:
+            body = line.strip()
+            if body.startswith("#"):
+                key, eq, value = body.lstrip("#").partition("=")
+                if eq:
+                    header[key.strip()] = value.strip()
+            elif body:
+                yield body
+
+    with open(path, "r", newline="") as fh:
+        lines = rows(fh)
+        first = next(lines, None)
+        names = None
+        if first is not None:
+            try:
+                np.loadtxt([first], delimiter=",")
+            except ValueError:
+                names = [p.strip() for p in first.split(",")]
+                first = next(lines, None)
+        if first is None:
+            raise ValueError(f"no data rows in {path}")
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    return header, names, data
+
+
 def write_columns_csv(path, header: dict, names: list[str], columns: list[np.ndarray]) -> None:
     """Write named columns with a '#'-comment metadata header."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len(names) != len(columns) or not columns:
         raise ValueError("need one name per column")
-    length = columns[0].size
-    if any(c.size != length for c in columns):
+    if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must share one length")
-    with open(path, "w", newline="\n") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key} = {value}\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(format_float(c[i]) for c in columns) + "\n")
+    _write_csv(path, header, names, np.column_stack(columns))
 
 
 def read_columns_csv(path):
     """Read a column CSV; returns (header dict, names, list of arrays)."""
-    header = {}
-    names = None
-    rows = []
-    with open(path, "r", newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if names is None:
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    names = parts
-                    continue
-                names = [f"col{i}" for i in range(len(parts))]
-                continue
-            rows.append([float(p) for p in parts])
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    data = np.asarray(rows, dtype=float)
+    header, names, data = _read_csv(path)
     if names is None or len(names) != data.shape[1]:
         names = [f"col{i}" for i in range(data.shape[1])]
     return header, names, [data[:, i] for i in range(data.shape[1])]
@@ -126,7 +140,6 @@ def read_wav(path) -> Signal:
 def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
     """Write a mono WAV file as 16-bit PCM or 32-bit float."""
     x = signal.samples
-    rate = int(round(signal.sample_rate))
     if encoding == "pcm16":
         clipped = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
         payload = clipped.tobytes()
@@ -137,6 +150,10 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
     else:
         raise ValueError(f"unknown WAV encoding {encoding!r}")
     block = bits // 8
+    rate = int(signal.sample_rate)
+    if rate != signal.sample_rate or rate * block > 0xFFFFFFFF:
+        raise ValueError(f"WAV sample rate {signal.sample_rate!r} is not a whole number "
+                         "of Hz that fits the header")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
@@ -169,13 +186,15 @@ def read_pgm(path) -> Image:
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: bad size {width}x{height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
-    pixels = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    if pixels.size != count:
+    if count * dtype.itemsize > len(raw) - pos:
         raise ValueError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return Image(pixels.reshape(height, width).astype(float))
 
 
@@ -204,26 +223,15 @@ def pgm_preview(pixels: np.ndarray, maxval: int = 255) -> np.ndarray:
 
 def write_grid_csv(path, header: dict, pixels: np.ndarray) -> None:
     """Write a 2-D grid as full-precision CSV rows with a comment header."""
-    pixels = np.asarray(pixels, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key} = {value}\n")
-        for row in pixels:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    _write_csv(path, header, None, np.asarray(pixels, dtype=float))
 
 
 def read_grid_csv(path) -> Image:
     """Read a CSV grid (comment lines ignored) as an Image."""
-    rows = []
-    with open(path, "r", newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(p) for p in line.split(",")])
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    return Image(np.asarray(rows, dtype=float))
+    _, names, data = _read_csv(path)
+    if names is not None:
+        raise ValueError(f"{path}: non-numeric row {','.join(names)!r}")
+    return Image(data)
 
 
 def read_image(path) -> Image:

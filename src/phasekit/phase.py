@@ -178,3 +178,21 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     in_phase = _fft.idct(bins * np.cos(alphas), type=2, norm="ortho")
     quadrature = _sine_resynthesis(bins * np.sin(alphas))
     return Signal(in_phase + quadrature, sig.sample_rate)
+
+
+def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
+    """Constant phase transforms for each of ``alphas``, one row per alpha.
+
+    By linearity y(alpha) = cos(alpha) x + sin(alpha) q, where the
+    quadrature q is :func:`hilbert` on the DFT basis and :func:`fcqt` on the
+    DCT basis, so the whole sweep costs one transform.
+    """
+    sig = as_signal(signal)
+    if basis == "dft":
+        quadrature = hilbert(sig).samples
+    elif basis == "dct":
+        quadrature = fcqt(sig).samples
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    return np.cos(alphas) * sig.samples + np.sin(alphas) * quadrature

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io as pkio
 from .fractional import frac_delay_dft, frac_differintegrate
-from .phase import PhaseProfile, hilbert, pt_dct, pt_dft
+from .phase import hilbert, pt_sweep
 from .spectral import Signal
 from .wavelet import wavelet_analytic_signal
 
@@ -80,22 +80,11 @@ def rel_l2(estimate: np.ndarray, truth: np.ndarray, window: slice | None = None)
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
 
 
-def _sweep(signal: Signal, alphas: np.ndarray, basis: str) -> list[np.ndarray]:
-    columns = []
-    for alpha in alphas:
-        profile = PhaseProfile.constant(alpha)
-        if basis == "dft":
-            columns.append(pt_dft(signal, profile).samples)
-        else:
-            columns.append(pt_dct(signal, profile).samples)
-    return columns
-
-
 def _write_sweep(path, signal: Signal, alphas, columns, meta: dict) -> None:
     t = midpoint_times(len(signal), signal.sample_rate) if meta.get("grid") == "midpoint" \
         else signal.times
     names = ["t"] + [f"alpha_{a:.6f}" for a in alphas]
-    pkio.write_columns_csv(path, meta, names, [t] + columns)
+    pkio.write_columns_csv(path, meta, names, [t, *columns])
 
 
 def _write_summary(directory: Path, metrics: dict) -> None:
@@ -109,15 +98,15 @@ def run_example_1(outdir, header: dict) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
     sig = example1_signal()
     alphas = np.arange(41) * np.pi / 20.0
-    dft_cols = _sweep(sig, alphas, "dft")
-    dct_cols = _sweep(sig, alphas, "dct")
+    dft_cols = pt_sweep(sig, alphas, "dft")
+    dct_cols = pt_sweep(sig, alphas, "dct")
     meta = dict(header, signal="exp(-(t-2.5)^2)", sample_rate="1000",
                 alpha_step="pi/20", grid="midpoint")
     _write_sweep(directory / "phase_sweep_dft.csv", sig, alphas, dft_cols,
                  dict(meta, basis="dft"))
     _write_sweep(directory / "phase_sweep_dct.csv", sig, alphas, dct_cols,
                  dict(meta, basis="dct"))
-    gap = max(float(np.max(np.abs(d - c))) for d, c in zip(dft_cols, dct_cols))
+    gap = float(np.max(np.abs(dft_cols - dct_cols)))
     metrics = {
         "max_abs_closure_2pi": float(np.max(np.abs(dft_cols[-1] - sig.samples))),
         "max_abs_negation_pi": float(np.max(np.abs(dft_cols[20] + sig.samples))),
@@ -132,15 +121,15 @@ def run_example_2(outdir, header: dict) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
     sig = example2_signal()
     alphas = np.arange(21) * np.pi / 10.0
-    dft_cols = _sweep(sig, alphas, "dft")
-    dct_cols = _sweep(sig, alphas, "dct")
+    dft_cols = pt_sweep(sig, alphas, "dft")
+    dct_cols = pt_sweep(sig, alphas, "dct")
     meta = dict(header, signal="sin(2*pi*t)", sample_rate="1000",
                 alpha_step="pi/10", grid="midpoint")
     _write_sweep(directory / "phase_sweep_dft.csv", sig, alphas, dft_cols,
                  dict(meta, basis="dft"))
     _write_sweep(directory / "phase_sweep_dct.csv", sig, alphas, dct_cols,
                  dict(meta, basis="dct"))
-    gap = max(float(np.max(np.abs(d - c))) for d, c in zip(dft_cols, dct_cols))
+    gap = float(np.max(np.abs(dft_cols - dct_cols)))
     metrics = {"max_abs_dft_dct_gap": gap}
     _write_summary(directory, metrics)
     return metrics

@@ -94,6 +94,19 @@ def signed_frequency(k, n):
     return k if k <= n // 2 else k - n
 
 
+def pt_dft_direct(x, alpha):
+    """O(N^2) constant phase transform: e^{-j alpha sign(f)} on the DFT bins,
+    cos(alpha) on the DC bin and the Nyquist bin of an even length."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    freqs = np.array([signed_frequency(k, n) for k in range(n)])
+    mask = np.exp(-1j * alpha * np.sign(freqs))
+    mask[freqs == 0] = np.cos(alpha)
+    if n % 2 == 0:
+        mask[n // 2] = np.cos(alpha)
+    return idft_direct(dft_direct(x) * mask).real
+
+
 def pt2d_direct(g, alpha, line="cosine"):
     """Brute-force 2-D phase transform: direct transforms, per-bin mask."""
     g = np.asarray(g, dtype=float)
@@ -160,6 +173,16 @@ def admissibility_integral(spectrum_fn) -> float:
     if not np.isfinite(value) or value <= 0 or abserr > 1e-8 * abs(value):
         raise ValueError("admissibility integral did not converge")
     return value
+
+
+def csv_bytes(header, names, rows):
+    """phasekit's CSV layout formatted one value at a time with Python's
+    '%.17g': '# key = value' lines, an optional names row, then the rows."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    if names is not None:
+        lines.append(",".join(names))
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in np.asarray(rows, dtype=float)]
+    return "".join(line + "\n" for line in lines).encode("ascii")
 
 
 def zero_mean_zero_nyquist(x):

@@ -3,13 +3,17 @@ import json
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasekit as pk
 import phasekit.io as pkio
-from phasekit.cli import main
+from phasekit.cli import MAX_SWEEP_STEPS, main
+from test_io import CSV_BYTES, PGM_BYTES
 
 
 @pytest.fixture()
@@ -220,8 +224,40 @@ class TestErrorPaths:
         bad.write_text("x,y\nfoo,bar\n")
         assert main(["pt", str(bad), "--alpha", "0"]) == 2
 
-    def test_bad_sweep_spec_is_argument_error(self, gauss_csv):
-        assert main(["pt", str(gauss_csv), "--alpha-sweep", "0:-1:5"]) == 3
+    def test_bad_sweep_spec_is_argument_error(self, gauss_csv, tmp_path):
+        out = tmp_path / "x.csv"
+        for spec in ("0:-1:5", "0:1:inf", "nan:1:2", "0:inf:5", "-inf:1:0", "-1e308:1e-300:1e308"):
+            assert main(["pt", str(gauss_csv), "--alpha-sweep", spec, "-o", str(out)]) == 3
+        assert not out.exists()
+
+    def test_sweep_step_cap_is_checked_before_allocating(self, gauss_csv, tmp_path):
+        # 0:1e-9:6.28 would be about 6e9 columns
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            code = main(["pt", str(gauss_csv), "--alpha-sweep", "0:1e-9:6.28", "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4e6
+        assert not out.exists()
+
+    def test_sweep_cap_is_inclusive(self, gauss_csv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["pt", str(gauss_csv), "--alpha-sweep", f"0:1:{MAX_SWEEP_STEPS}",
+                     "-o", str(out)]) == 3
+        assert main(["pt", str(gauss_csv), "--alpha-sweep", f"0:1:{MAX_SWEEP_STEPS - 1}",
+                     "-o", str(out)]) == 0
+        _, names, _ = pkio.read_columns_csv(out)
+        assert len(names) == 2 + MAX_SWEEP_STEPS
+
+    @pytest.mark.parametrize("head", [b"P5 99999999999 99999999999 255\n", b"P5\n-2 -2\n255\n"])
+    def test_hostile_pgm_size_is_io_error(self, tmp_path, head):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(head + bytes(16))
+        assert main(["image-pt", str(path), "--alpha", "0.5",
+                     "-o", str(tmp_path / "x.csv")]) == 2
 
     def test_unknown_flag_is_argument_error(self, gauss_csv, capsys):
         assert main(["pt", str(gauss_csv), "--frobnicate"]) == 3
@@ -231,7 +267,8 @@ class TestErrorPaths:
         assert main(["pt", str(gauss_csv), "--alpha", "nan",
                      "-o", str(tmp_path / "x.csv")]) == 3
 
-    @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5"], ["delay", "--samples", "0.5"]])
+    @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5"], ["delay", "--samples", "0.5"],
+                                         ["pt", "--alpha-sweep", "0:0.5:3"]])
     def test_overflowing_samples_are_numeric_failure(self, command, tmp_path, capsys):
         # finite samples whose spectrum overflows
         path = tmp_path / "huge.csv"
@@ -253,6 +290,27 @@ class TestErrorPaths:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+class TestArbitraryInput:
+    """Any input file ends in exit 0, 2, 3 or 4: never a traceback."""
+
+    @given(raw=CSV_BYTES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_pt_exits_within_contract(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("pt") / "any.csv"
+        path.write_bytes(raw)
+        code = main(["pt", str(path), "--alpha", "0.5", "-o", str(path.with_name("out.csv"))])
+        assert code in (0, 2, 3, 4)
+
+    @given(raw=CSV_BYTES | PGM_BYTES, suffix=st.sampled_from([".csv", ".pgm"]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_image_pt_exits_within_contract(self, tmp_path_factory, raw, suffix):
+        path = tmp_path_factory.mktemp("image") / f"any{suffix}"
+        path.write_bytes(raw)
+        code = main(["image-pt", str(path), "--alpha", "0.5",
+                     "-o", str(path.with_name("out.csv"))])
+        assert code in (0, 2, 3, 4)
 
 
 class TestConfigAndEnvironment:

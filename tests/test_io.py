@@ -8,6 +8,72 @@ from hypothesis import strategies as st
 
 import phasekit.io as pkio
 from phasekit import Image, Signal
+from oracles import csv_bytes
+
+# values whose '%.17g' text is easy to get wrong: signed zero, the smallest
+# subnormal, the largest finite doubles, integers, and 0.1
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 0.1])
+
+CSV_TOKENS = ["0", "1", "-2.5", " 0.1 ", "1e308", "-1e308", "5e-324", "1e999", "nan",
+              "inf", "t", "value", "", " ", "1_000", "\uff11\uff12", "0x1", "# k = v", "\x00"]
+# arbitrary bytes, and comma-separated lines of number-like and hostile tokens
+CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=4).map(",".join),
+             max_size=12).map(lambda lines: "\n".join(lines).encode("utf-8")))
+_PGM_SIZE = st.one_of(st.integers(-3, 8), st.integers(-3, 2 ** 70))
+# arbitrary bytes, and P5 headers of any size and maxval over a short payload
+PGM_BYTES = st.one_of(
+    st.binary(max_size=100),
+    st.tuples(_PGM_SIZE, _PGM_SIZE, st.integers(-1, 70000), st.binary(max_size=64)).map(
+        lambda f: b"P5\n%d %d\n%d\n" % f[:3] + f[3]))
+
+
+def bit_pattern(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def edge_case_grid(rng, shape):
+    """Random values over the full exponent range, led by EDGE_VALUES."""
+    grid = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    grid.flat[:EDGE_VALUES.size] = EDGE_VALUES
+    grid.flat[-shape[1]:] = rng.integers(-10 ** 6, 10 ** 6, shape[1])
+    return grid
+
+
+class TestCsvCodec:
+    @pytest.mark.parametrize("rows, cols", [(40, 2), (30, 43)])
+    def test_column_bytes_match_per_value_reference(self, tmp_path, rows, cols):
+        data = edge_case_grid(np.random.default_rng(cols), (rows, cols))
+        header = {"tool": "phasekit test", "alpha": "0.5"}
+        names = [f"c{i}" for i in range(cols)]
+        path = tmp_path / "cols.csv"
+        pkio.write_columns_csv(path, header, names, list(data.T))
+        assert path.read_bytes() == csv_bytes(header, names, data)
+        back_header, back_names, back = pkio.read_columns_csv(path)
+        assert (back_header, back_names) == (header, names)
+        assert np.array_equal(bit_pattern(np.column_stack(back)), bit_pattern(data))
+
+    def test_grid_bytes_match_per_value_reference(self, tmp_path):
+        data = edge_case_grid(np.random.default_rng(7), (17, 23))
+        path = tmp_path / "grid.csv"
+        pkio.write_grid_csv(path, {"rows": "17"}, data)
+        assert path.read_bytes() == csv_bytes({"rows": "17"}, None, data)
+        assert np.array_equal(bit_pattern(pkio.read_grid_csv(path).pixels), bit_pattern(data))
+
+    @given(raw=CSV_BYTES)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_arbitrary_bytes_give_a_value_or_value_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("csv") / "any.csv"
+        path.write_bytes(raw)
+        for read, kind in ((pkio.read_signal_csv, Signal), (pkio.read_grid_csv, Image)):
+            try:
+                value = read(path)
+            except (ValueError, OSError):
+                continue
+            assert isinstance(value, kind)
+
 
 
 class TestColumnsCsv:
@@ -34,10 +100,13 @@ class TestColumnsCsv:
 
     def test_headerless_numeric_file(self, tmp_path):
         path = tmp_path / "plain.csv"
-        path.write_text("0.0,1.0\n0.1,2.0\n0.2,3.0\n")
-        sig = pkio.read_signal_csv(path)
-        assert np.allclose(sig.samples, [1.0, 2.0, 3.0])
-        assert sig.sample_rate == pytest.approx(10.0)
+        for text in ("0.0,1.0\n0.1,2.0\n0.2,3.0\n",
+                     # CRLF, blank and whitespace lines, padded fields, late comment
+                     "\r\n0.0, 1.0\r\n  \r\n0.1 ,2.0\r\n# k = v\r\n0.2,3.0"):
+            path.write_text(text, newline="")
+            sig = pkio.read_signal_csv(path)
+            assert np.allclose(sig.samples, [1.0, 2.0, 3.0])
+            assert sig.sample_rate == pytest.approx(10.0)
 
     def test_rejects_non_uniform_time(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -47,9 +116,17 @@ class TestColumnsCsv:
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("# nothing here\n")
+        for text in ("# nothing here\n", "# names only\nt,value\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                pkio.read_columns_csv(path)
+
+    @pytest.mark.parametrize("field", ["1_000", "\uff11\uff12", "0x1", ""])
+    def test_rejects_numbers_outside_loadtxt_syntax(self, tmp_path, field):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"t,value\n0,1\n1,{field}\n")
         with pytest.raises(ValueError):
-            pkio.read_columns_csv(path)
+            pkio.read_signal_csv(path)
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -85,6 +162,16 @@ class TestWav:
     def test_rejects_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             pkio.write_wav(tmp_path / "x.wav", Signal(np.zeros(4)), encoding="mp3")
+
+    # the byte-rate field, rate * bytes per sample, is also an unsigned 32-bit word
+    @pytest.mark.parametrize("encoding, rate", [("float32", 8000.5), ("pcm16", 2.0 ** 32),
+                                                ("float32", 2.0 ** 30)])
+    def test_rejects_rate_the_header_cannot_hold(self, tmp_path, encoding, rate):
+        with pytest.raises(ValueError, match="whole number of Hz that fits"):
+            pkio.write_wav(tmp_path / "x.wav", Signal(np.zeros(4), rate), encoding=encoding)
+        assert not (tmp_path / "x.wav").exists()
+        pkio.write_wav(tmp_path / "ok.wav", Signal(np.zeros(4), 2.0 ** 30 - 1), encoding="float32")
+        assert pkio.read_wav(tmp_path / "ok.wav").sample_rate == 2.0 ** 30 - 1
 
     @given(raw=st.one_of(
         st.binary(max_size=64),
@@ -129,9 +216,30 @@ class TestPgm:
 
     def test_rejects_truncated_data(self, tmp_path):
         path = tmp_path / "t.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-        with pytest.raises(ValueError):
+        for raw in (b"P5\n4 4\n255\n" + bytes(3), b"P5\n2 2\n65535\n" + bytes(7),
+                    # a size whose pixel count overflows a C size
+                    b"P5 99999999999 99999999999 255\n" + bytes(16)):
+            path.write_bytes(raw)
+            with pytest.raises(ValueError):
+                pkio.read_pgm(path)
+
+    @pytest.mark.parametrize("size", [b"-2 -2", b"-4 1", b"0 4", b"4 0"])
+    def test_rejects_non_positive_size(self, tmp_path, size):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+        with pytest.raises(ValueError, match="bad size"):
             pkio.read_pgm(path)
+
+    @given(raw=PGM_BYTES)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_arbitrary_bytes_give_an_image_or_value_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("pgm") / "any.pgm"
+        path.write_bytes(raw)
+        try:
+            img = pkio.read_pgm(path)
+        except (ValueError, OSError):
+            return
+        assert isinstance(img, Image)
 
     def test_rejects_out_of_range_pixels(self, tmp_path):
         with pytest.raises(ValueError):
@@ -149,11 +257,19 @@ class TestPgm:
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        pixels = rng.standard_normal((6, 4))
         path = tmp_path / "grid.csv"
-        pkio.write_grid_csv(path, {"rows": "6"}, pixels)
-        back = pkio.read_grid_csv(path)
-        assert np.array_equal(back.pixels, pixels)
+        for pixels in (rng.standard_normal((6, 4)), rng.standard_normal((1, 5)),
+                       rng.standard_normal((5, 1))):
+            pkio.write_grid_csv(path, {"rows": str(len(pixels))}, pixels)
+            back = pkio.read_grid_csv(path)
+            assert np.array_equal(back.pixels, pixels)
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "1,2\nx,3\n"])
+    def test_rejects_text_row(self, tmp_path, text):
+        path = tmp_path / "text.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            pkio.read_grid_csv(path)
 
     def test_read_image_dispatch(self, tmp_path):
         pixels = np.arange(6, dtype=float).reshape(2, 3)

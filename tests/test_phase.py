@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import phasekit as pk
 from phasekit.repro import example1_signal, example2_signal
-from oracles import circular_convolve, fcqt_direct, pt_dct_direct, zero_mean_zero_nyquist
+from oracles import (circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direct,
+                     zero_mean_zero_nyquist)
 
 
 def random_clean_signal(rng, n):
@@ -155,6 +156,34 @@ class TestPtDct:
             b = pk.pt_dct(sig, pk.PhaseProfile.constant(alpha)).samples
             gap = max(gap, float(np.max(np.abs(a - b))))
         assert gap > 0.1
+
+
+class TestPtSweep:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    def test_matches_direct_summation_on_both_bases(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        alphas = np.arange(41) * np.pi / 20
+        dft = pk.pt_sweep(x, alphas, "dft")
+        dct = pk.pt_sweep(x, alphas, "dct")
+        assert dft.shape == dct.shape == (41, n)
+        for alpha, a, b in zip(alphas, dft, dct):
+            assert np.max(np.abs(a - pt_dft_direct(x, alpha))) < 1e-12
+            assert np.max(np.abs(b - pt_dct_direct(x, np.full(n, alpha)))) < 1e-12
+
+    @pytest.mark.parametrize("basis, transform", [("dft", pk.pt_dft), ("dct", pk.pt_dct)])
+    def test_matches_per_alpha_transforms(self, basis, transform):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(4099) * 1e3
+        alphas = np.linspace(-7.0, 7.0, 29)
+        sweep = pk.pt_sweep(pk.Signal(x, 50.0), alphas, basis)
+        for alpha, row in zip(alphas, sweep):
+            want = transform(x, pk.PhaseProfile.constant(alpha)).samples
+            assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    def test_rejects_unknown_basis(self):
+        with pytest.raises(ValueError):
+            pk.pt_sweep(np.ones(8), [0.0], "dst")
 
 
 class TestPtProperties:
