@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .spectral import (
     Signal,
     Spectrum,
-    Normalization,
     FourierSeriesCoeffs,
     ModulationSpec,
     Image,
@@ -31,7 +30,6 @@ from .phase import (
     pt_sweep,
 )
 from .fractional import (
-    DelaySpec,
     DifferintegrationOrder,
     KernelScaling,
     frac_delay_dft,
@@ -58,13 +56,13 @@ from .image import (
 
 __all__ = [
     "__version__",
-    "Signal", "Spectrum", "Normalization", "FourierSeriesCoeffs",
+    "Signal", "Spectrum", "FourierSeriesCoeffs",
     "ModulationSpec", "Image",
     "dft", "idft", "dct2_forward", "dct2_inverse", "dft2d", "idft2d",
     "analytic_signal", "harmonic_series", "gfr_synthesize",
     "PhaseProfile", "pt_kernel", "pt_dft", "hilbert",
     "fcqt", "pt_dct", "pt_sweep",
-    "DelaySpec", "DifferintegrationOrder", "KernelScaling",
+    "DifferintegrationOrder", "KernelScaling",
     "frac_delay_dft", "frac_delay_dct", "frac_differintegrate",
     "MorseWavelet", "ScaleGrid", "Scalogram", "morse_spectrum", "awt",
     "cpsi_delta", "wavelet_analytic_signal", "wpt", "wqt",

@@ -297,42 +297,57 @@ def build_parser() -> _Parser:
                      "$PHASEKIT_OUTDIR or the working directory)")
     rep.add_argument("--config", help="key=value file supplying flag defaults")
     rep.set_defaults(func=cmd_repro)
+    for command in commands.choices.values():
+        command.set_defaults(parser=command)  # whose flags --config may set
     return parser
 
 
-def _apply_config(args, parser_defaults: dict) -> None:
-    """Fill flags still at their defaults from a key=value config file."""
+_BOOLEAN = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action, key: str, raw: str):
+    """Type one config value like argparse types the flag it sets."""
+    if action.nargs == 0:  # store_true
+        if raw.lower() not in _BOOLEAN:
+            raise CliError(ARG_ERROR, f"config key {key}: expected true or false, got {raw!r}")
+        return action.const if _BOOLEAN[raw.lower()] else action.default
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:
+        raise CliError(ARG_ERROR, f"config key {key}: invalid value {raw!r}")
+    if action.choices is not None and value not in action.choices:
+        raise CliError(ARG_ERROR, f"config key {key}: {raw!r} is not one of "
+                                  f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def _config_defaults(args) -> dict:
+    """Flag defaults from a key=value config file, typed like the flags.
+
+    Only the subcommand's own flags can be set; each value goes through
+    that flag's type, choices or store_true, so it is checked like the flag.
+    Keys that name no flag of the subcommand are ignored.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return
+        return {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot read config {path}: {exc}")
+    flags = {action.dest: action for action in args.parser._actions
+             if action.option_strings and action.dest not in ("config", "help")}
+    defaults = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        raw = raw.strip()
-        if not hasattr(args, key) or key in ("config", "func", "command", "input"):
-            continue
-        if getattr(args, key) != parser_defaults.get(key):
-            continue  # explicit flag wins over config
-        current_default = parser_defaults.get(key)
-        if isinstance(current_default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current_default, int) and not isinstance(current_default, bool):
-            value = int(raw)
-        elif isinstance(current_default, float):
-            value = float(raw)
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        setattr(args, key, value)
+        if key in flags:
+            defaults[key] = _config_value(flags[key], key, raw.strip())
+    return defaults
 
 
 def main(argv=None) -> int:
@@ -341,12 +356,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    defaults = {action.dest: action.default
-                for sub in parser._subparsers._group_actions
-                for choice in sub.choices.values()
-                for action in choice._actions}
     try:
-        _apply_config(args, defaults)
+        defaults = _config_defaults(args)
+        if defaults:  # parse again so every flag given on the command line wins
+            args.parser.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"phasekit: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rgamma
 
-from .phase import PhaseProfile, pt_dct
+from .phase import PhaseProfile, pt_dct, pt_dft
 from .spectral import Signal, apply_gain, as_signal
 
 
@@ -29,30 +29,6 @@ class KernelScaling(enum.Enum):
 
     PHYSICAL = "physical"
     NORMALIZED = "normalized"
-
-
-@dataclass(frozen=True)
-class DelaySpec:
-    """Delay in samples: one scalar n0 or one value per bin 1..N//2."""
-
-    samples: float | np.ndarray
-
-    def __post_init__(self):
-        value = np.atleast_1d(np.asarray(self.samples, dtype=float))
-        if value.ndim != 1 or not np.all(np.isfinite(value)):
-            raise ValueError("delay values must be finite")
-        object.__setattr__(self, "samples", value)
-
-    def per_bin(self, n: int) -> np.ndarray:
-        """Delay for each positive bin 1..N//2."""
-        n_pos = n // 2
-        if self.samples.size == 1:
-            return np.full(n_pos, self.samples[0])
-        if self.samples.size != n_pos:
-            raise ValueError(
-                f"per-bin delay needs {n_pos} values for length {n}, "
-                f"got {self.samples.size}")
-        return self.samples.copy()
 
 
 @dataclass(frozen=True)
@@ -71,24 +47,23 @@ class DifferintegrationOrder:
 def frac_delay_dft(signal, delay) -> Signal:
     """Delay a real signal by a (possibly fractional) number of samples.
 
-    Applies the gain exp(-j 2 pi k n_k / N) to bins k = 0..N//2 (n_0 = 0)
-    through :func:`phasekit.spectral.apply_gain`, so the Nyquist bin of an
-    even N is scaled by cos(pi n_k).  Integer delays reduce to exact
-    circular shifts.
+    The DFT twin of :func:`frac_delay_dct`: :func:`phasekit.phase.pt_dft`
+    with the delay profile alpha_k = 2 pi k n_k / N (n_0 = 0), so the
+    Nyquist bin of an even N is scaled by cos(pi n_k).  Integer delays
+    reduce to exact circular shifts.
 
     Parameters
     ----------
     signal : Signal or array_like
-    delay : DelaySpec, float or array_like
+    delay : float or array_like
         Scalar delay in samples, or one delay per bin 1..N//2.
+
+    Raises
+    ------
+    ValueError
+        If a delay is not finite, or a per-bin delay has the wrong length.
     """
-    if not isinstance(delay, DelaySpec):
-        delay = DelaySpec(delay)
-    sig = as_signal(signal)
-    n = len(sig)
-    n_k = np.concatenate(([0.0], delay.per_bin(n)))
-    gain = np.exp(-2j * np.pi * np.arange(n // 2 + 1) * n_k / n)
-    return Signal(apply_gain(sig.samples, gain), sig.sample_rate)
+    return pt_dft(signal, PhaseProfile.delay(delay))
 
 
 def frac_delay_dct(signal, n0: float) -> Signal:

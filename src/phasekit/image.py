@@ -6,15 +6,19 @@ unique splitting consistent with treating the higher-frequency factor of a
 separable product as the carrier.  Bins *on* the line (DC included) and the
 Nyquist rows/columns of even dimensions, whose frequency sign is ambiguous,
 are scaled by cos(alpha), like the DC and Nyquist bins of the 1-D transform.
+
+The mask is Hermitian (line bins are real, every other bin pairs e^{-j alpha}
+with e^{j alpha} on its mirror), so the transform of a real image is real
+and runs through :func:`phasekit.spectral.apply_gain` on the half spectrum
+of a real-input 2-D FFT, like every 1-D gain in the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-from .spectral import Image, dft2d, idft2d
+from .spectral import Image, apply_gain
 
 
 def _signed_bin_sums(rows: int, cols: int):
@@ -59,25 +63,28 @@ def pt2d(image, alpha: float) -> Image:
     """Phase transform of a real image.
 
     Returns Re(idft2d(dft2d(g) * H)) with H the half-plane mask, which for
-    any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).
+    any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).  H is applied
+    through :func:`phasekit.spectral.apply_gain` on the columns 0..cols//2
+    that a real-input 2-D FFT keeps.
+
+    Raises
+    ------
+    FloatingPointError
+        If the image spectrum overflows.
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
     mask = HalfPlaneMask.build(img.rows, img.cols, alpha)
-    return idft2d(dft2d(img) * mask.values)
+    return Image(apply_gain(img.pixels, mask.values[:, :img.cols // 2 + 1]))
 
 
 def analytic2d(image) -> np.ndarray:
-    """2-D analytic signal: Re = g, Im = pt2d(g, pi/2).
+    """2-D analytic signal g + j pt2d(g, pi/2).
 
     The spectrum of the result vanishes on bins with Omega_1 + Omega_2 < 0;
     line bins keep their original value, mirroring the 1-D DC treatment.
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
-    total, on_line = _signed_bin_sums(img.rows, img.cols)
-    gain = np.zeros((img.rows, img.cols))
-    gain[total > 0] = 2.0
-    gain[on_line] = 1.0
-    return _fft.ifft2(_fft.fft2(img.pixels) * gain)
+    return img.pixels + 1j * pt2d(img, np.pi / 2.0).pixels
 
 
 def kernel2d_closed_form(m: int, n: int) -> float:

@@ -2,37 +2,24 @@
 
 This module owns the transform conventions used everywhere else in the
 package.  The discrete Fourier transform places the 1/N factor on the
-*forward* transform, so the inverse is a bare exponential sum.  Spectra
-carry their normalization tag so a mismatched inverse is detectable instead
-of silently wrong.  Every 1-D frequency-domain gain in the package (phase
-transforms, fractional delay and differintegration, the wavelet multiplier)
-is applied through :func:`apply_gain`, the one place that decides how a
-positive-frequency gain acts on a real signal.
+*forward* transform, so the inverse is a bare exponential sum; the DCT-2
+pair is orthonormal.  A spectrum's ``origin`` names which of the two it
+holds, so a mismatched inverse raises instead of silently scaling.  Every
+frequency-domain gain in the package, 1-D and 2-D (phase transforms,
+fractional delay and differintegration, the wavelet multiplier, the image
+phase transform), is applied through :func:`apply_gain`, the one place that
+decides how a positive-frequency gain acts on real samples.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.fft as _fft
-
-
-class Normalization(enum.Enum):
-    """Where the 1/N factor of a DFT pair sits.
-
-    ``FORWARD`` scales the analysis sum by 1/N (package default),
-    ``INVERSE`` scales the synthesis sum by 1/N, ``ORTHONORMAL`` splits the
-    factor symmetrically (used by the DCT-2 pair).
-    """
-
-    FORWARD = "forward"
-    INVERSE = "inverse"
-    ORTHONORMAL = "orthonormal"
 
 
 @dataclass(frozen=True)
@@ -64,10 +51,13 @@ class Signal:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex coefficients tied to an explicit transform convention."""
+    """Complex coefficients tied to an explicit transform convention.
+
+    ``origin="dft"`` bins carry 1/N on the forward transform (see
+    :func:`dft`); ``origin="dct2"`` bins are orthonormal DCT-2 coefficients.
+    """
 
     bins: np.ndarray
-    normalization: Normalization = Normalization.FORWARD
     origin: str = "dft"
     sample_rate: float = 1.0
 
@@ -77,8 +67,6 @@ class Spectrum:
             raise ValueError("spectrum must be a non-empty 1-D sequence")
         if self.origin not in ("dft", "dct2"):
             raise ValueError(f"unknown spectrum origin {self.origin!r}")
-        if not isinstance(self.normalization, Normalization):
-            raise ValueError("normalization must be a Normalization member")
         object.__setattr__(self, "bins", bins)
 
     def __len__(self) -> int:
@@ -218,18 +206,14 @@ def dft(x) -> Spectrum:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("dft input must be a non-empty 1-D sequence")
     bins = _fft.fft(arr) / arr.size
-    return Spectrum(bins, Normalization.FORWARD, "dft", rate)
+    return Spectrum(bins, "dft", rate)
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT honoring the spectrum's recorded normalization."""
+    """Inverse of :func:`dft`: the bare exponential sum of the bins."""
     if spectrum.origin != "dft":
         raise ValueError(f"idft expects a dft spectrum, got {spectrum.origin!r}")
-    if spectrum.normalization is Normalization.FORWARD:
-        return _fft.ifft(spectrum.bins) * spectrum.bins.size
-    if spectrum.normalization is Normalization.INVERSE:
-        return _fft.ifft(spectrum.bins)
-    raise ValueError(f"idft cannot invert {spectrum.normalization} dft bins")
+    return _fft.ifft(spectrum.bins) * spectrum.bins.size
 
 
 def dct2_forward(signal) -> Spectrum:
@@ -240,15 +224,13 @@ def dct2_forward(signal) -> Spectrum:
     """
     sig = as_signal(signal)
     bins = _fft.dct(sig.samples, type=2, norm="ortho")
-    return Spectrum(bins, Normalization.ORTHONORMAL, "dct2", sig.sample_rate)
+    return Spectrum(bins, "dct2", sig.sample_rate)
 
 
 def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    if spectrum.normalization is not Normalization.ORTHONORMAL:
-        raise ValueError("dct2_inverse requires orthonormal bins")
     samples = _fft.idct(np.asarray(spectrum.bins, dtype=float), type=2, norm="ortho")
     return Signal(samples, spectrum.sample_rate)
 
@@ -270,15 +252,19 @@ def idft2d(grid: np.ndarray) -> Image:
 
 
 def apply_gain(x, gain) -> np.ndarray:
-    """Apply a positive-frequency gain to real samples along the last axis.
+    """Apply a positive-frequency gain to real samples over the trailing axes.
 
-    Returns irfft(rfft(x) * gain, N) for the gain given on bins 0..N//2
-    (broadcast against the leading axes of x).  This equals
+    The transform runs over the last ``max(gain.ndim, 1)`` axes of x: a
+    scalar or 1-D gain acts along the last axis, a 2-D gain on the last two.
+    Returns irfftn(rfftn(x) * gain) with the gain given on the half spectrum
+    rfftn produces (bins 0..N//2 of the last axis, every bin of the others),
+    broadcast against the leading axes of x.  In 1-D this equals
     Re(ifft(H X)) for the one-sided multiplier H that is gain on DC, twice
     the gain on bins strictly between DC and Nyquist, gain on the Nyquist bin
     of an even N, and zero on negative frequencies: the inverse real
     transform keeps only the real part of the DC and Nyquist products, which
-    is all a real output can carry.
+    is all a real output can carry.  A Hermitian multiplier H on a full
+    grid, restricted to that half spectrum, gives Re(ifftn(H X)).
 
     Raises
     ------
@@ -287,8 +273,9 @@ def apply_gain(x, gain) -> np.ndarray:
         overflowed).
     """
     x = np.asarray(x, dtype=float)
+    axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _fft.irfft(_fft.rfft(x) * gain, x.shape[-1])
+        out = _fft.irfftn(_fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("spectral gain produced non-finite values")
     return out

@@ -107,7 +107,7 @@ def pt_dft_direct(x, alpha):
     return idft_direct(dft_direct(x) * mask).real
 
 
-def pt2d_direct(g, alpha, line="cosine"):
+def pt2d_direct(g, alpha):
     """Brute-force 2-D phase transform: direct transforms, per-bin mask."""
     g = np.asarray(g, dtype=float)
     rows, cols = g.shape
@@ -121,7 +121,7 @@ def pt2d_direct(g, alpha, line="cosine"):
                   (cols % 2 == 0 and k2 == cols // 2)
             total = f1 * cols + f2 * rows  # sign of Omega1 + Omega2, exactly
             if nyq or total == 0:
-                mask[k1, k2] = np.exp(-1j * alpha) if line == "rotation" else np.cos(alpha)
+                mask[k1, k2] = np.cos(alpha)
             elif total > 0:
                 mask[k1, k2] = np.exp(-1j * alpha)
             else:

@@ -268,12 +268,16 @@ class TestErrorPaths:
                      "-o", str(tmp_path / "x.csv")]) == 3
 
     @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5"], ["delay", "--samples", "0.5"],
-                                         ["pt", "--alpha-sweep", "0:0.5:3"]])
+                                         ["pt", "--alpha-sweep", "0:0.5:3"],
+                                         ["image-pt", "--alpha", "0.5"]])
     def test_overflowing_samples_are_numeric_failure(self, command, tmp_path, capsys):
         # finite samples whose spectrum overflows
         path = tmp_path / "huge.csv"
         x = np.where(np.arange(64) % 2 == 0, 1e308, -1e308)
-        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), x])
+        if command[0] == "image-pt":
+            pkio.write_grid_csv(path, {}, x.reshape(8, 8))
+        else:
+            pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), x])
         out = tmp_path / "out.csv"
         assert main([command[0], str(path), *command[1:], "-o", str(out)]) == 4
         assert "numeric failure" in capsys.readouterr().err
@@ -326,12 +330,49 @@ class TestConfigAndEnvironment:
 
     def test_flags_override_config(self, gauss_csv, tmp_path):
         config = tmp_path / "conf.txt"
-        config.write_text("alpha = 0.5\n")
+        config.write_text("alpha = 0.5\nbasis = dct\n")
         out = tmp_path / "c.csv"
+        # a flag wins even when it repeats the flag's default
         assert main(["pt", str(gauss_csv), "--config", str(config),
-                     "--alpha", "1.25", "-o", str(out)]) == 0
+                     "--alpha", "1.25", "--basis", "dft", "-o", str(out)]) == 0
         header, _, _ = pkio.read_columns_csv(out)
         assert header["alpha"] == "1.25"
+        assert header["basis"] == "dft"
+
+    def test_config_sweep_equals_flag(self, gauss_csv, tmp_path):
+        config = tmp_path / "conf.txt"
+        config.write_text("alpha_sweep = 0:0.5:3\n")
+        from_config, from_flag = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert main(["pt", str(gauss_csv), "--config", str(config), "-o", str(from_config)]) == 0
+        assert main(["pt", str(gauss_csv), "--alpha-sweep", "0:0.5:3", "-o", str(from_flag)]) == 0
+        assert from_config.read_bytes() == from_flag.read_bytes()
+
+    @pytest.mark.parametrize("command, line, message", [
+        # a string flag's value reaches the same check as the flag
+        (["pt", "--alpha", "0.5"], "alpha_sweep = 5", "sweep must be start:step:stop"),
+        (["pt", "--alpha", "0.5"], "basis = fft", "config key basis"),
+        (["differint", "--order", "0.5"], "scaling = foo", "config key scaling"),
+        (["differint", "--order", "0.5"], "no_dc_term = maybe", "config key no_dc_term"),
+        (["wpt", "--alpha", "0.5"], "voices = 2.5", "config key voices"),
+    ])
+    def test_bad_config_value_is_argument_error(self, gauss_csv, tmp_path, capsys,
+                                                command, line, message):
+        config = tmp_path / "conf.txt"
+        config.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main([command[0], str(gauss_csv), *command[1:], "--config", str(config),
+                     "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_output_is_a_path(self, gauss_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "conf.txt"
+        config.write_text("output = 7\n")
+        assert main(["pt", str(gauss_csv), "--alpha", "0.5", "--config", str(config)]) == 0
+        header, _, _ = pkio.read_columns_csv(tmp_path / "7")
+        assert header["alpha"] == "0.5"
 
     def test_outdir_environment_variable(self, gauss_csv, tmp_path, monkeypatch):
         outdir = tmp_path / "results"

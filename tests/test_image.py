@@ -40,7 +40,8 @@ class TestPt2d:
         want = np.cos(2 * np.pi * (2 * m - 1 * n) / 32 - alpha)
         assert np.max(np.abs(out.pixels - want)) < 1e-8
 
-    @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (9, 7), (33, 17)])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (9, 7), (33, 17),
+                                       (1, 1), (1, 6), (6, 1), (2, 2), (4, 5)])
     def test_matches_brute_force_mask(self, shape):
         rng = np.random.default_rng(sum(shape))
         img = rng.standard_normal(shape)
