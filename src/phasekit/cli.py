@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library operations; every output file
-starts with a '#'-comment header recording the tool version, subcommand and
-all effective parameters, and repeated runs with identical inputs produce
+Each subcommand is one library call between a reader (``_read``) and one
+writer; every output file starts with a '#'-comment header recording the
+tool version, subcommand and all effective parameters as raw values (the
+io writer renders them), and repeated runs with identical inputs produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 unreadable/unwritable file, 3 invalid argument,
-4 numeric failure.  Warnings go to standard error; data only to files.
+Exit codes: 0 success, 2 unreadable/unwritable file, 3 invalid argument
+(also a non-finite one, or one that would make more than MAX_SWEEP_STEPS
+sweep columns, MAX_SYNTH_SAMPLES samples or ``wavelet.MAX_SCALES`` scales,
+checked before anything is allocated), 4 numeric failure (a non-finite
+result on either basis, or memory exhausted).  Warnings go to standard
+error; data only to files.
 """
 from __future__ import annotations
 
@@ -24,10 +29,11 @@ from .fractional import KernelScaling, DifferintegrationOrder, frac_delay_dct, f
 from .image import pt2d
 from .phase import PhaseProfile, pt_dct, pt_dft, pt_sweep
 from .spectral import ModulationSpec, FourierSeriesCoeffs, gfr_synthesize
-from .wavelet import MorseWavelet, ScaleGrid, wavelet_analytic_signal
+from .wavelet import MorseWavelet, ScaleGrid, wpt
 
 IO_ERROR, ARG_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_SWEEP_STEPS = 4096  # --alpha-sweep columns; ~100x the 41-step sweeps in use
+MAX_SYNTH_SAMPLES = 1 << 24  # synth --rate x --duration; a CSV of about 0.8 GB
 
 
 class CliError(Exception):
@@ -58,16 +64,13 @@ def _out_path(args, suffix: str) -> Path:
     return outdir / f"{stem}_{suffix}.csv"
 
 
-def _check_finite(*arrays):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise CliError(NUMERIC_ERROR, "computation produced non-finite values")
+def _check_finite(columns):
+    if not np.all(np.isfinite(columns)):
+        raise CliError(NUMERIC_ERROR, "computation produced non-finite values")
 
 
 def _header(args, **params) -> dict:
-    head = {"tool": f"phasekit {__version__}", "command": args.command}
-    head.update({k: v for k, v in params.items() if v is not None})
-    return head
+    return {"tool": f"phasekit {__version__}", "command": args.command, **params}
 
 
 def _write(path, write, *args):
@@ -76,6 +79,15 @@ def _write(path, write, *args):
         write(path, *args)
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot write {path}: {exc}")
+
+
+def _write_signal(args, sig, suffix: str, names: list[str], columns, **params) -> int:
+    """Write a signal command's result after the t and original columns."""
+    _check_finite(columns)
+    _write(_out_path(args, suffix), pkio.write_columns_csv,
+           _header(args, input=args.input, **params),
+           ["t", "original", *names], [sig.times, sig.samples, *columns])
+    return 0
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -95,81 +107,55 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 def cmd_pt(args) -> int:
     sig = _read(pkio.read_any_signal, args.input, "signal")
-    header = _header(args, input=args.input, basis=args.basis,
-                     sample_rate=pkio.format_float(sig.sample_rate))
-    transform = pt_dct if args.basis == "dct" else pt_dft
-    names = ["t", "original", "transformed"]
     if args.alpha_sweep:
         alphas = _parse_sweep(args.alpha_sweep)
-        header["alpha_sweep"] = args.alpha_sweep
-        names[2:] = [f"alpha_{a:.6f}" for a in alphas]
+        mode, names = "alpha_sweep", [f"alpha_{a:.6f}" for a in alphas]
         columns = pt_sweep(sig, alphas, args.basis)
-    elif args.alpha_per_bin:
-        _, _, cols = _read(pkio.read_columns_csv, args.alpha_per_bin, "per-bin phases")
-        header["alpha_per_bin"] = args.alpha_per_bin
-        columns = [transform(sig, PhaseProfile.per_bin(cols[-1])).samples]
-    elif args.alpha is not None:
-        header["alpha"] = pkio.format_float(args.alpha)
-        columns = [transform(sig, PhaseProfile.constant(args.alpha)).samples]
     else:
-        raise CliError(ARG_ERROR, "one of --alpha, --alpha-per-bin, --alpha-sweep is required")
-    _check_finite(columns)
-    _write(_out_path(args, "pt_sweep" if args.alpha_sweep else "pt"), pkio.write_columns_csv,
-           header, names, [sig.times, sig.samples, *columns])
-    return 0
+        if args.alpha_per_bin:
+            _, _, cols = _read(pkio.read_columns_csv, args.alpha_per_bin, "per-bin phases")
+            mode, profile = "alpha_per_bin", PhaseProfile.per_bin(cols[-1])
+        elif args.alpha is not None:
+            mode, profile = "alpha", PhaseProfile.constant(args.alpha)
+        else:
+            raise CliError(ARG_ERROR, "one of --alpha, --alpha-per-bin, --alpha-sweep is required")
+        transform = pt_dct if args.basis == "dct" else pt_dft
+        names, columns = ["transformed"], [transform(sig, profile).samples]
+    return _write_signal(args, sig, "pt_sweep" if args.alpha_sweep else "pt", names, columns,
+                         basis=args.basis, sample_rate=sig.sample_rate,
+                         **{mode: getattr(args, mode)})
 
 
 def cmd_delay(args) -> int:
     sig = _read(pkio.read_any_signal, args.input, "signal")
-    if args.basis == "dct":
-        out = frac_delay_dct(sig, args.samples)
-    else:
-        out = frac_delay_dft(sig, args.samples)
-    _check_finite(out.samples)
-    header = _header(args, input=args.input, basis=args.basis,
-                     samples=pkio.format_float(args.samples),
-                     sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "delay"), pkio.write_columns_csv, header,
-           ["t", "original", "delayed"], [sig.times, sig.samples, out.samples])
-    return 0
+    delay = frac_delay_dct if args.basis == "dct" else frac_delay_dft
+    return _write_signal(args, sig, "delay", ["delayed"], [delay(sig, args.samples).samples],
+                         basis=args.basis, samples=args.samples, sample_rate=sig.sample_rate)
 
 
 def cmd_differint(args) -> int:
     sig = _read(pkio.read_any_signal, args.input, "signal")
-    scaling = KernelScaling.NORMALIZED if args.scaling == "normalized" else KernelScaling.PHYSICAL
-    order = DifferintegrationOrder(args.order, scaling)
+    order = DifferintegrationOrder(args.order, KernelScaling(args.scaling))
     out = frac_differintegrate(sig, order, include_dc_term=not args.no_dc_term)
-    _check_finite(out.samples)
-    header = _header(args, input=args.input, order=pkio.format_float(args.order),
-                     scaling=args.scaling, dc_term=str(not args.no_dc_term).lower(),
-                     sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "differint"), pkio.write_columns_csv, header,
-           ["t", "original", "transformed"], [sig.times, sig.samples, out.samples])
-    return 0
+    return _write_signal(args, sig, "differint", ["transformed"], [out.samples],
+                         order=args.order, scaling=args.scaling,
+                         dc_term=not args.no_dc_term, sample_rate=sig.sample_rate)
 
 
 def cmd_wpt(args) -> int:
     sig = _read(pkio.read_any_signal, args.input, "signal")
     spec = MorseWavelet(args.beta, args.gamma)
     grid = ScaleGrid.default(len(sig), spec, voices_per_octave=args.voices)
-    z = wavelet_analytic_signal(sig, grid, spec)
-    out = (z * np.exp(-1j * args.alpha)).real
-    _check_finite(out)
-    header = _header(args, input=args.input, alpha=pkio.format_float(args.alpha),
-                     beta=pkio.format_float(args.beta), gamma=pkio.format_float(args.gamma),
-                     voices=str(args.voices),
-                     sample_rate=pkio.format_float(sig.sample_rate))
-    _write(_out_path(args, "wpt"), pkio.write_columns_csv, header,
-           ["t", "original", "transformed"], [sig.times, sig.samples, out])
-    return 0
+    out = wpt(sig, args.alpha, grid, spec)
+    return _write_signal(args, sig, "wpt", ["transformed"], [out.samples],
+                         alpha=args.alpha, beta=args.beta, gamma=args.gamma,
+                         voices=args.voices, sample_rate=sig.sample_rate)
 
 
 def cmd_image_pt(args) -> int:
     img = _read(pkio.read_image, args.input, "image")
     out = pt2d(img, args.alpha)
-    _check_finite(out.pixels)
-    header = _header(args, input=args.input, alpha=pkio.format_float(args.alpha),
-                     rows=str(img.rows), cols=str(img.cols))
+    header = _header(args, input=args.input, alpha=args.alpha, rows=img.rows, cols=img.cols)
     _write(_out_path(args, "pt2d"), pkio.write_grid_csv, header, out.pixels)
     if args.preview:
         _write(args.preview, pkio.write_pgm, pkio.pgm_preview(out.pixels))
@@ -177,8 +163,10 @@ def cmd_image_pt(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.rate <= 0 or args.duration <= 0:
+    if not (args.rate > 0 and args.duration > 0):
         raise CliError(ARG_ERROR, "rate and duration must be positive")
+    if not args.duration * args.rate <= MAX_SYNTH_SAMPLES:  # also an infinite product
+        raise CliError(ARG_ERROR, f"rate x duration exceeds {MAX_SYNTH_SAMPLES} samples")
     t = np.arange(int(round(args.duration * args.rate))) / args.rate
     coeffs = FourierSeriesCoeffs(
         a0=args.mean, amplitudes=np.array([args.amplitude]),
@@ -191,17 +179,9 @@ def cmd_synth(args) -> int:
     else:
         mods = ModulationSpec.angle_modulation(message)
     out = gfr_synthesize(coeffs, mods, 1, t)
-    _check_finite(out.samples)
-    header = _header(args, case=args.case,
-                     carrier_freq=pkio.format_float(args.carrier_freq),
-                     amplitude=pkio.format_float(args.amplitude),
-                     phase=pkio.format_float(args.phase),
-                     mean=pkio.format_float(args.mean),
-                     message_freq=pkio.format_float(args.message_freq),
-                     message_amp=pkio.format_float(args.message_amp),
-                     bias=pkio.format_float(args.bias),
-                     rate=pkio.format_float(args.rate),
-                     duration=pkio.format_float(args.duration))
+    params = ("case", "carrier_freq", "amplitude", "phase", "mean", "message_freq",
+              "message_amp", "bias", "rate", "duration")
+    header = _header(args, **{key: getattr(args, key) for key in params})
     _write(_out_path(args, f"synth_{args.case}"), pkio.write_columns_csv, header,
            ["t", "value"], [t, out.samples])
     return 0
@@ -371,7 +351,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"phasekit: invalid parameter: {exc}", file=sys.stderr)
         return ARG_ERROR
-    except (ArithmeticError, FloatingPointError) as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"phasekit: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import rgamma
 
 from .phase import PhaseProfile, pt_dct, pt_dft
-from .spectral import Signal, apply_gain, as_signal
+from .spectral import Signal, _require_finite, apply_gain, as_signal
 
 
 class KernelScaling(enum.Enum):
@@ -121,4 +121,4 @@ def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
         else:
             dc = a0 * t ** (-mu) * rgamma(1.0 - mu)
         out = out + dc
-    return Signal(out, sig.sample_rate)
+    return Signal(_require_finite(out, "differintegration"), sig.sample_rate)

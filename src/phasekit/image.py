@@ -21,15 +21,16 @@ import numpy as np
 from .spectral import Image, apply_gain
 
 
-def _signed_bin_sums(rows: int, cols: int):
-    """Integer-valued grid with the sign of Omega_1 + Omega_2, plus line mask.
+def _signed_bin_sums(rows: int, cols: int, n_cols: int | None = None):
+    """Integer-valued grid with the sign of Omega_1 + Omega_2, plus line mask,
+    over the first ``n_cols`` columns (default all).
 
     Signed frequencies are compared through k1*cols + k2*rows (both mapped
     to [-N/2, N/2]), which is exact integer arithmetic: no float tolerance
     is involved in classifying a bin.
     """
     k1 = np.fft.fftfreq(rows, d=1.0 / rows).astype(int)
-    k2 = np.fft.fftfreq(cols, d=1.0 / cols).astype(int)
+    k2 = np.fft.fftfreq(cols, d=1.0 / cols).astype(int)[:n_cols]
     total = k1[:, None] * cols + k2[None, :] * rows
     on_line = total == 0
     if rows % 2 == 0:
@@ -37,6 +38,18 @@ def _signed_bin_sums(rows: int, cols: int):
     if cols % 2 == 0:
         on_line[:, cols // 2] = True
     return total, on_line
+
+
+def _mask_values(rows: int, cols: int, alpha: float, n_cols: int) -> np.ndarray:
+    """The first ``n_cols`` columns of the rows x cols half-plane mask."""
+    if rows < 1 or cols < 1:
+        raise ValueError("mask dimensions must be >= 1")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    total, on_line = _signed_bin_sums(rows, cols, n_cols)
+    values = np.where(total > 0, np.exp(-1j * alpha), np.exp(1j * alpha))
+    values[on_line] = np.cos(alpha)
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,25 +60,16 @@ class HalfPlaneMask:
 
     @classmethod
     def build(cls, rows: int, cols: int, alpha: float) -> "HalfPlaneMask":
-        if rows < 1 or cols < 1:
-            raise ValueError("mask dimensions must be >= 1")
-        if not np.isfinite(alpha):
-            raise ValueError("alpha must be finite")
-        total, on_line = _signed_bin_sums(rows, cols)
-        values = np.empty((rows, cols), dtype=complex)
-        values[total > 0] = np.exp(-1j * alpha)
-        values[total < 0] = np.exp(1j * alpha)
-        values[on_line] = np.cos(alpha)
-        return cls(values)
+        return cls(_mask_values(rows, cols, alpha, cols))
 
 
 def pt2d(image, alpha: float) -> Image:
     """Phase transform of a real image.
 
     Returns Re(idft2d(dft2d(g) * H)) with H the half-plane mask, which for
-    any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).  H is applied
-    through :func:`phasekit.spectral.apply_gain` on the columns 0..cols//2
-    that a real-input 2-D FFT keeps.
+    any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).  Only the
+    columns 0..cols//2 of H that a real-input 2-D FFT keeps are built, and
+    they are applied through :func:`phasekit.spectral.apply_gain`.
 
     Raises
     ------
@@ -73,8 +77,8 @@ def pt2d(image, alpha: float) -> Image:
         If the image spectrum overflows.
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
-    mask = HalfPlaneMask.build(img.rows, img.cols, alpha)
-    return Image(apply_gain(img.pixels, mask.values[:, :img.cols // 2 + 1]))
+    half = _mask_values(img.rows, img.cols, alpha, img.cols // 2 + 1)
+    return Image(apply_gain(img.pixels, half))
 
 
 def analytic2d(image) -> np.ndarray:

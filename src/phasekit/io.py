@@ -4,7 +4,9 @@ Column files and grid files share one CSV codec: '# key = value' header
 lines, an optional row of column names, then comma-separated numbers,
 written by ``np.savetxt`` as '%.17g' (round-trippable, '.' radix, '\\n'
 line endings, no timestamps) and parsed by ``np.loadtxt``, so numbers take
-its syntax.  All writers are deterministic.
+its syntax.  Header values are rendered by the writer: a float as '%.17g',
+a bool as 'true'/'false', anything else through ``str``.  All writers are
+deterministic.
 """
 from __future__ import annotations
 
@@ -22,12 +24,18 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _header_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
     """Write phasekit's CSV layout: '# key = value' lines, an optional names
     row, then one '%.17g' row per row of ``rows``."""
     with open(path, "w", newline="\n") as fh:
         for key, value in header.items():
-            fh.write(f"# {key} = {value}\n")
+            fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
             fh.write(",".join(names) + "\n")
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",")

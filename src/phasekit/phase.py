@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import Signal, apply_gain, as_signal, dct2_forward
+from .spectral import Signal, _require_finite, apply_gain, as_signal, dct2_forward
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def fcqt(signal) -> Signal:
     """
     sig = as_signal(signal)
     bins = dct2_forward(sig).bins
-    return Signal(_sine_resynthesis(bins), sig.sample_rate)
+    return Signal(_require_finite(_sine_resynthesis(bins), "spectral gain"), sig.sample_rate)
 
 
 def pt_dct(signal, profile: PhaseProfile) -> Signal:
@@ -170,14 +170,20 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     For a constant profile this reduces to cos(alpha) x + sin(alpha) fcqt(x);
     the DC term is carried entirely by the cosine branch since the k = 0
     sine basis vector is identically zero.
+
+    Raises
+    ------
+    FloatingPointError
+        If the result is not finite, as on the DFT route.
     """
     sig = as_signal(signal)
     n = len(sig)
     alphas = profile.bin_phases(n, basis="dct")
     bins = dct2_forward(sig).bins
-    in_phase = _fft.idct(bins * np.cos(alphas), type=2, norm="ortho")
-    quadrature = _sine_resynthesis(bins * np.sin(alphas))
-    return Signal(in_phase + quadrature, sig.sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_phase = _fft.idct(bins * np.cos(alphas), type=2, norm="ortho")
+        out = in_phase + _sine_resynthesis(bins * np.sin(alphas))
+    return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 
 def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:

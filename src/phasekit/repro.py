@@ -1,9 +1,10 @@
 """Reference experiments: signal builders, error metrics, and artifact writers.
 
 Each ``run_example_*`` regenerates one of the library's five demonstration
-experiments with fixed parameters and writes plot-ready CSV data plus a
-machine-readable ``summary.json`` of the same error metrics the acceptance
-suite asserts on.
+experiments with fixed parameters, writes plot-ready CSV data into its
+directory and returns the error metrics the acceptance suite asserts on;
+:func:`run_example` gives it ``outdir/exampleN`` and writes the metrics
+there as a machine-readable ``summary.json``.
 """
 from __future__ import annotations
 
@@ -80,64 +81,38 @@ def rel_l2(estimate: np.ndarray, truth: np.ndarray, window: slice | None = None)
     return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
 
 
-def _write_sweep(path, signal: Signal, alphas, columns, meta: dict) -> None:
-    t = midpoint_times(len(signal), signal.sample_rate) if meta.get("grid") == "midpoint" \
-        else signal.times
+def _dft_dct_sweep(directory: Path, sig: Signal, alphas, meta: dict) -> tuple[np.ndarray, float]:
+    """Write the DFT and DCT phase sweeps of ``sig`` on its midpoint grid;
+    returns the DFT sweep and the largest DFT-vs-DCT gap."""
+    t = midpoint_times(len(sig), sig.sample_rate)
     names = ["t"] + [f"alpha_{a:.6f}" for a in alphas]
-    pkio.write_columns_csv(path, meta, names, [t, *columns])
+    sweeps = {basis: pt_sweep(sig, alphas, basis) for basis in ("dft", "dct")}
+    for basis, columns in sweeps.items():
+        pkio.write_columns_csv(directory / f"phase_sweep_{basis}.csv",
+                               dict(meta, grid="midpoint", basis=basis), names, [t, *columns])
+    return sweeps["dft"], float(np.max(np.abs(sweeps["dft"] - sweeps["dct"])))
 
 
-def _write_summary(directory: Path, metrics: dict) -> None:
-    with open(directory / "summary.json", "w", newline="\n") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def run_example_1(outdir, header: dict) -> dict:
-    directory = Path(outdir) / "example1"
-    directory.mkdir(parents=True, exist_ok=True)
+def run_example_1(directory: Path, header: dict) -> dict:
     sig = example1_signal()
-    alphas = np.arange(41) * np.pi / 20.0
-    dft_cols = pt_sweep(sig, alphas, "dft")
-    dct_cols = pt_sweep(sig, alphas, "dct")
-    meta = dict(header, signal="exp(-(t-2.5)^2)", sample_rate="1000",
-                alpha_step="pi/20", grid="midpoint")
-    _write_sweep(directory / "phase_sweep_dft.csv", sig, alphas, dft_cols,
-                 dict(meta, basis="dft"))
-    _write_sweep(directory / "phase_sweep_dct.csv", sig, alphas, dct_cols,
-                 dict(meta, basis="dct"))
-    gap = float(np.max(np.abs(dft_cols - dct_cols)))
-    metrics = {
+    dft_cols, gap = _dft_dct_sweep(directory, sig, np.arange(41) * np.pi / 20.0,
+                                   dict(header, signal="exp(-(t-2.5)^2)", sample_rate=1000,
+                                        alpha_step="pi/20"))
+    return {
         "max_abs_closure_2pi": float(np.max(np.abs(dft_cols[-1] - sig.samples))),
         "max_abs_negation_pi": float(np.max(np.abs(dft_cols[20] + sig.samples))),
         "max_abs_dft_dct_gap": gap,
     }
-    _write_summary(directory, metrics)
-    return metrics
 
 
-def run_example_2(outdir, header: dict) -> dict:
-    directory = Path(outdir) / "example2"
-    directory.mkdir(parents=True, exist_ok=True)
-    sig = example2_signal()
-    alphas = np.arange(21) * np.pi / 10.0
-    dft_cols = pt_sweep(sig, alphas, "dft")
-    dct_cols = pt_sweep(sig, alphas, "dct")
-    meta = dict(header, signal="sin(2*pi*t)", sample_rate="1000",
-                alpha_step="pi/10", grid="midpoint")
-    _write_sweep(directory / "phase_sweep_dft.csv", sig, alphas, dft_cols,
-                 dict(meta, basis="dft"))
-    _write_sweep(directory / "phase_sweep_dct.csv", sig, alphas, dct_cols,
-                 dict(meta, basis="dct"))
-    gap = float(np.max(np.abs(dft_cols - dct_cols)))
-    metrics = {"max_abs_dft_dct_gap": gap}
-    _write_summary(directory, metrics)
-    return metrics
+def run_example_2(directory: Path, header: dict) -> dict:
+    _, gap = _dft_dct_sweep(directory, example2_signal(), np.arange(21) * np.pi / 10.0,
+                            dict(header, signal="sin(2*pi*t)", sample_rate=1000,
+                                 alpha_step="pi/10"))
+    return {"max_abs_dft_dct_gap": gap}
 
 
-def run_example_3(outdir, header: dict) -> dict:
-    directory = Path(outdir) / "example3"
-    directory.mkdir(parents=True, exist_ok=True)
+def run_example_3(directory: Path, header: dict) -> dict:
     metrics = {}
     for name, (sig, n0), truth_fn in (
         ("gaussian", example3_gaussian(),
@@ -152,43 +127,33 @@ def run_example_3(outdir, header: dict) -> dict:
         error = delayed - truth
         pkio.write_columns_csv(
             directory / f"{name}_delay.csv",
-            dict(header, signal=name, delay_samples=pkio.format_float(n0)),
+            dict(header, signal=name, delay_samples=n0),
             ["t", "original", "delayed", "truth", "error"],
             [t, sig.samples, delayed, truth, error])
         metrics[f"{name}_max_abs_error"] = float(np.max(np.abs(error)))
-    _write_summary(directory, metrics)
     return metrics
 
 
-def run_example_4(outdir, header: dict) -> dict:
-    directory = Path(outdir) / "example4"
-    directory.mkdir(parents=True, exist_ok=True)
+def run_example_4(directory: Path, header: dict) -> dict:
     sig = example4_signal()
     t = sig.times
     orders = [0.0, 0.25, 0.5, 0.75, 1.0]
     derivative_cols = [frac_differintegrate(sig, mu).samples for mu in orders]
     integral_cols = [frac_differintegrate(sig, -mu).samples for mu in orders]
     names = ["t"] + [f"order_{mu:g}" for mu in orders]
-    pkio.write_columns_csv(directory / "derivative_orders.csv",
-                           dict(header, signal="sin(2*pi*t)", scaling="physical"),
-                           names, [t] + derivative_cols)
-    pkio.write_columns_csv(directory / "integral_orders.csv",
-                           dict(header, signal="sin(2*pi*t)", scaling="physical"),
-                           names, [t] + integral_cols)
+    meta = dict(header, signal="sin(2*pi*t)", scaling="physical")
+    for kind, columns in (("derivative", derivative_cols), ("integral", integral_cols)):
+        pkio.write_columns_csv(directory / f"{kind}_orders.csv", meta, names, [t] + columns)
     win = interior(len(sig))
     truth1 = 2.0 * np.pi * np.cos(2.0 * np.pi * t)
     truth_half = np.sqrt(2.0 * np.pi) * np.sin(2.0 * np.pi * t + np.pi / 4.0)
-    metrics = {
+    return {
         "order1_interior_rel_l2": rel_l2(derivative_cols[4], truth1, win),
         "order05_interior_rel_l2": rel_l2(derivative_cols[2], truth_half, win),
     }
-    _write_summary(directory, metrics)
-    return metrics
 
 
-def run_example_5(outdir, header: dict) -> dict:
-    directory = Path(outdir) / "example5"
-    directory.mkdir(parents=True, exist_ok=True)
+def run_example_5(directory: Path, header: dict) -> dict:
     sig = example5_signal()
     z = wavelet_analytic_signal(sig)
     alphas = np.arange(21) * np.pi / 10.0
@@ -200,12 +165,10 @@ def run_example_5(outdir, header: dict) -> dict:
                            names, [sig.times] + columns)
     win = interior(len(sig))
     quadrature_truth = hilbert(sig).samples
-    metrics = {
+    return {
         "reconstruction_rel_l2": rel_l2(z.real, sig.samples, win),
         "wqt_vs_hilbert_interior_rel_l2": rel_l2(z.imag, quadrature_truth, win),
     }
-    _write_summary(directory, metrics)
-    return metrics
 
 
 _RUNNERS = {1: run_example_1, 2: run_example_2, 3: run_example_3,
@@ -216,4 +179,10 @@ def run_example(number: int, outdir, header: dict) -> dict:
     """Regenerate one demonstration experiment; returns its error metrics."""
     if number not in _RUNNERS:
         raise ValueError(f"example number must be 1..5, got {number}")
-    return _RUNNERS[number](outdir, header)
+    directory = Path(outdir) / f"example{number}"
+    directory.mkdir(parents=True, exist_ok=True)
+    metrics = _RUNNERS[number](directory, header)
+    with open(directory / "summary.json", "w", newline="\n") as fh:
+        json.dump(metrics, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return metrics

@@ -276,8 +276,13 @@ def apply_gain(x, gain) -> np.ndarray:
     axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
         out = _fft.irfftn(_fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
+    return _require_finite(out, "spectral gain")
+
+
+def _require_finite(out: np.ndarray, what: str) -> np.ndarray:
+    """Return ``out``, or raise FloatingPointError if it is not finite."""
     if not np.all(np.isfinite(out)):
-        raise FloatingPointError("spectral gain produced non-finite values")
+        raise FloatingPointError(f"{what} produced non-finite values")
     return out
 
 
@@ -337,6 +342,8 @@ def gfr_synthesize(coeffs: FourierSeriesCoeffs, mods: ModulationSpec,
     ValueError
         If a modulation callback returns non-finite values, or the grid is
         not uniformly spaced.
+    FloatingPointError
+        If the sum overflows.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or not np.all(np.isfinite(t)):
@@ -364,4 +371,4 @@ def gfr_synthesize(coeffs: FourierSeriesCoeffs, mods: ModulationSpec,
         c_k = _eval(mods.ck, k, t)
         a_k = _eval(mods.alphak, k, t)
         x = x + c_k * r_k * np.cos(k * coeffs.omega0 * t + phi_k - a_k)
-    return Signal(x, sample_rate)
+    return Signal(_require_finite(x, "synthesis"), sample_rate)

@@ -33,6 +33,8 @@ import scipy.fft as _fft
 
 from .spectral import Signal, analytic_signal, apply_gain, as_signal
 
+MAX_SCALES = 4096  # ScaleGrid.default; the default grids of 1e6 samples hold ~180
+
 
 @dataclass(frozen=True)
 class MorseWavelet:
@@ -113,6 +115,9 @@ class ScaleGrid:
         s_min = spec.peak_omega * min_period / (2.0 * np.pi)
         s_max = spec.peak_omega * max_period / (2.0 * np.pi)
         n_octaves = np.log2(s_max / s_min)
+        # checked before the product, which overflows for huge voice counts
+        if voices_per_octave > MAX_SCALES or n_octaves * voices_per_octave >= MAX_SCALES:
+            raise ValueError(f"scale grid would exceed {MAX_SCALES} scales")
         count = int(np.ceil(n_octaves * voices_per_octave)) + 1
         scales = s_min * 2.0 ** (np.arange(count) / voices_per_octave)
         return cls(scales, voices_per_octave)

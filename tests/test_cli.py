@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
+import phasekit.cli as cli
 import phasekit.io as pkio
 from phasekit.cli import MAX_SWEEP_STEPS, main
 from test_io import CSV_BYTES, PGM_BYTES
@@ -269,7 +270,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5"], ["delay", "--samples", "0.5"],
                                          ["pt", "--alpha-sweep", "0:0.5:3"],
-                                         ["image-pt", "--alpha", "0.5"]])
+                                         ["image-pt", "--alpha", "0.5"],
+                                         ["pt", "--alpha", "0.5", "--basis", "dct"],
+                                         ["pt", "--alpha-sweep", "0:0.5:3", "--basis", "dct"],
+                                         ["delay", "--samples", "0.5", "--basis", "dct"]])
     def test_overflowing_samples_are_numeric_failure(self, command, tmp_path, capsys):
         # finite samples whose spectrum overflows
         path = tmp_path / "huge.csv"
@@ -283,6 +287,40 @@ class TestErrorPaths:
         assert "numeric failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_overflow_is_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["synth", "--amplitude", "1e308", "--mean", "1e308", "-o", str(out)]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["wpt", "{input}", "--alpha", "inf"],
+        # each would allocate terabytes or more; the bounds reject them first
+        ["wpt", "{input}", "--alpha", "0.5", "--voices", "1000000000000"],
+        ["synth", "--duration", "inf"],
+        ["synth", "--duration", "1e12"],
+        ["synth", "--rate", "1e300", "--duration", "1e300"],
+    ])
+    def test_bad_or_oversized_argument_is_argument_error(self, gauss_csv, tmp_path, command):
+        out = tmp_path / "out.csv"
+        argv = [str(gauss_csv) if arg == "{input}" else arg for arg in command]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4e6
+        assert not out.exists()
+
+    def test_memory_error_is_numeric_failure(self, gauss_csv, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate")
+        monkeypatch.setattr(cli, "pt_dft", exhausted)
+        assert main(["pt", str(gauss_csv), "--alpha", "0.5", "-o", str(tmp_path / "x.csv")]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_truncated_wav_is_io_error_without_traceback(self, tmp_path):
         # the fmt chunk announces 16 bytes but holds 6
         path = tmp_path / "short.wav"
@@ -294,6 +332,45 @@ class TestErrorPaths:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+class TestHeaders:
+    """The exact header lines of each command: keys, order and text."""
+
+    @pytest.mark.parametrize("argv, params", [
+        (["pt", "gauss.csv", "--alpha", "0.1"],
+         ["input = gauss.csv", "basis = dft", "sample_rate = 10", "alpha = 0.10000000000000001"]),
+        (["pt", "gauss.csv", "--alpha-per-bin", "phases.csv"],
+         ["input = gauss.csv", "basis = dft", "sample_rate = 10", "alpha_per_bin = phases.csv"]),
+        (["pt", "gauss.csv", "--alpha-sweep", "0:0.5:3", "--basis", "dct"],
+         ["input = gauss.csv", "basis = dct", "sample_rate = 10", "alpha_sweep = 0:0.5:3"]),
+        (["delay", "gauss.csv", "--samples", "2.5", "--basis", "dct"],
+         ["input = gauss.csv", "basis = dct", "samples = 2.5", "sample_rate = 10"]),
+        (["differint", "gauss.csv", "--order", "0.3", "--no-dc-term"],
+         ["input = gauss.csv", "order = 0.29999999999999999", "scaling = physical",
+          "dc_term = false", "sample_rate = 10"]),
+        (["differint", "gauss.csv", "--order", "-1", "--scaling", "normalized"],
+         ["input = gauss.csv", "order = -1", "scaling = normalized", "dc_term = true",
+          "sample_rate = 10"]),
+        (["wpt", "gauss.csv", "--alpha", "0.5", "--voices", "4"],
+         ["input = gauss.csv", "alpha = 0.5", "beta = 20", "gamma = 3", "voices = 4",
+          "sample_rate = 10"]),
+        (["image-pt", "wave.pgm", "--alpha", "0.1"],
+         ["input = wave.pgm", "alpha = 0.10000000000000001", "rows = 32", "cols = 32"]),
+        (["synth", "--case", "pm", "--rate", "100", "--duration", "0.5"],
+         ["case = pm", "carrier_freq = 10", "amplitude = 1", "phase = 0", "mean = 0",
+          "message_freq = 1", "message_amp = 0.5", "bias = 1", "rate = 100",
+          "duration = 0.5"]),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_header_lines(self, gauss_csv, wave_pgm, tmp_path, monkeypatch, argv, params):
+        monkeypatch.chdir(tmp_path)
+        pkio.write_columns_csv("phases.csv", {}, ["alpha"], [np.linspace(0, 1, 51)])
+        assert main([*argv, "-o", "out.csv"]) == 0
+        lines = [line for line in (tmp_path / "out.csv").read_text().splitlines()
+                 if line.startswith("#")]
+        assert lines == [f"# tool = phasekit {pk.__version__}", f"# command = {argv[0]}",
+                         *(f"# {param}" for param in params)]
 
 
 class TestArbitraryInput:
@@ -315,6 +392,34 @@ class TestArbitraryInput:
         code = main(["image-pt", str(path), "--alpha", "0.5",
                      "-o", str(path.with_name("out.csv"))])
         assert code in (0, 2, 3, 4)
+
+    @given(flag=st.sampled_from([
+        ("delay", "--samples"), ("differint", "--order"), ("wpt", "--alpha"),
+        ("wpt", "--beta"), ("wpt", "--gamma"), ("wpt", "--voices"),
+        ("synth", "--carrier-freq"), ("synth", "--amplitude"), ("synth", "--phase"),
+        ("synth", "--mean"), ("synth", "--message-freq"), ("synth", "--message-amp"),
+        ("synth", "--bias"), ("synth", "--rate"), ("synth", "--duration")]),
+        value=st.floats() | st.integers(-10, 10 ** 30),
+        case=st.sampled_from(["fourier", "am", "pm"]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_flags_exit_within_contract(self, tmp_path_factory, flag, value, case):
+        command, name = flag
+        if name == "--voices":
+            value = int(value) if np.isfinite(value) else value
+        elif name in ("--rate", "--duration"):
+            # 100 samples by default; valid sizes up to the 2^24 cap cost seconds each
+            assume(not 1e4 < abs(value) * 100 <= 2 ** 24 + 1)
+        base = {"delay": ["--samples", "0.5"], "differint": ["--order", "0.5"],
+                "wpt": ["--alpha", "0.5"],
+                "synth": ["--case", case, "--rate", "100", "--duration", "1"]}[command]
+        directory = tmp_path_factory.mktemp(command)
+        argv = [command, *base, name, str(value), "-o", str(directory / "out.csv")]
+        if command != "synth":
+            t = np.arange(64) / 8.0
+            pkio.write_columns_csv(directory / "in.csv", {}, ["t", "value"], [t, np.cos(t)])
+            argv.insert(1, str(directory / "in.csv"))
+        assert main(argv) in (0, 3, 4)
 
 
 class TestConfigAndEnvironment:

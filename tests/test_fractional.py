@@ -200,6 +200,11 @@ class TestFracDifferintegrate:
             warnings.simplefilter("error")
             pk.frac_differintegrate(pk.Signal(x, 1.0), 0.5)
 
+    def test_overflowing_mean_term_is_floating_point_error(self):
+        # the oscillatory part is exactly zero; the mean term t^200 overflows
+        with pytest.raises(FloatingPointError):
+            pk.frac_differintegrate(pk.Signal(np.ones(100)), -200)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             pk.DifferintegrationOrder(np.inf)

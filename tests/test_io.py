@@ -74,6 +74,18 @@ class TestCsvCodec:
                 continue
             assert isinstance(value, kind)
 
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"), (250.0, "250"), (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (np.float64(0.3), "0.29999999999999999"), (np.float64(1e308), "1e+308"),
+        (10, "10"), (-3, "-3"), (True, "true"), (False, "false"),
+        ("0:0.5:3", "0:0.5:3"), ("in/x.csv", "in/x.csv")])
+    def test_header_value_text(self, tmp_path, value, text):
+        path = tmp_path / "h.csv"
+        pkio.write_columns_csv(path, {"key": value}, ["x"], [np.zeros(1)])
+        assert path.read_text().splitlines()[0] == f"# key = {text}"
+        pkio.write_grid_csv(path, {"key": value}, np.zeros((1, 1)))
+        assert path.read_text().splitlines()[0] == f"# key = {text}"
 
 
 class TestColumnsCsv:

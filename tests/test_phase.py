@@ -158,6 +158,15 @@ class TestPtDct:
         assert gap > 0.1
 
 
+    @pytest.mark.parametrize("transform", [
+        lambda x: pk.pt_dct(x, pk.PhaseProfile.constant(0.5)), pk.fcqt,
+        lambda x: pk.pt_sweep(x, [0.5], "dct")])
+    def test_overflowing_spectrum_is_floating_point_error(self, transform):
+        # the same error as the DFT route's spectral.apply_gain
+        with pytest.raises(FloatingPointError, match="spectral gain"):
+            transform(np.where(np.arange(64) % 2 == 0, 1e308, -1e308))
+
+
 class TestPtSweep:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
     def test_matches_direct_summation_on_both_bases(self, n):

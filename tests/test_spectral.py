@@ -235,6 +235,11 @@ class TestGfrSynthesize:
         with pytest.raises(ValueError):
             pk.gfr_synthesize(coeffs, bad, 1, np.arange(4.0))
 
+    def test_overflowing_sum_is_floating_point_error(self):
+        coeffs = pk.FourierSeriesCoeffs(1e308, np.array([1e308]), np.array([0.0]), 1.0)
+        with pytest.raises(FloatingPointError):
+            pk.gfr_synthesize(coeffs, pk.ModulationSpec.identity(), 1, np.arange(4.0))
+
     def test_rejects_non_uniform_grid(self):
         coeffs = pk.FourierSeriesCoeffs(1.0, np.array([1.0]), np.array([0.0]), 1.0)
         with pytest.raises(ValueError):

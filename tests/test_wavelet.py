@@ -71,6 +71,13 @@ class TestScaleGrid:
         with pytest.raises(ValueError):
             pk.ScaleGrid(np.array([1.0, 2.0]), 0)
 
+    @pytest.mark.parametrize("voices", [10 ** 12, 10 ** 400])
+    def test_default_caps_the_scale_count(self, voices):
+        with pytest.raises(ValueError, match="4096 scales"):
+            pk.ScaleGrid.default(1000, pk.MorseWavelet(), voices_per_octave=voices)
+        grid = pk.ScaleGrid.default(1000, pk.MorseWavelet(), voices_per_octave=400)
+        assert grid.scales.size < 4096
+
 
 class TestAwt:
     def test_zero_signal_gives_zero_scalogram(self):
