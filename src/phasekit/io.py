@@ -1,12 +1,15 @@
 """File formats for the command-line tools: CSV, mono WAV, binary PGM.
 
 Column files and grid files share one CSV codec: '# key = value' header
-lines, an optional row of column names, then comma-separated numbers,
-written by ``np.savetxt`` as '%.17g' (round-trippable, '.' radix, '\\n'
-line endings, no timestamps) and parsed by ``np.loadtxt``, so numbers take
-its syntax.  Header values are rendered by the writer: a float as '%.17g',
-a bool as 'true'/'false', anything else through ``str``.  All writers are
-deterministic.
+lines, an optional row of column names, then comma-separated numbers.  The
+writer formats blocks of rows with one '%' each on a repeated '%.17g' row
+format (round-trippable, '.' radix, '\\n' line endings, no timestamps);
+the reader parses the data rows with one ``np.loadtxt`` call on the stream
+of stripped lines, so numbers take its syntax.  The header is the
+'# key = value' pairs of the comment lines before the first data row;
+later comment lines are skipped.  Header values are rendered by the
+writer: a float as '%.17g', a bool as 'true'/'false', anything else
+through ``str``.  All writers are deterministic.
 """
 from __future__ import annotations
 
@@ -30,23 +33,47 @@ def _header_text(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
+# values formatted per '%' call (whole rows, at least one): a block's text is
+# about 100 kB, and blocks of 2**10 to 2**16 values write equally fast
+_BLOCK_VALUES = 1 << 12
+
+
 def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
     """Write phasekit's CSV layout: '# key = value' lines, an optional names
-    row, then one '%.17g' row per row of ``rows``."""
+    row, then one '%.17g' row per row of ``rows`` (2-D, at least one column),
+    formatted a block of rows at a time."""
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
     with open(path, "w", newline="\n") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
             fh.write(",".join(names) + "\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _parses(line: str) -> bool:
+    try:
+        np.loadtxt([line], delimiter=",")
+    except ValueError:
+        return False
+    return True
 
 
 def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
-    """Parse phasekit's CSV layout into (header, names or None, 2-D data); the
-    first non-comment row is the names row unless it parses as numbers."""
-    header = {}
+    """Parse phasekit's CSV layout into (header, names or None, 2-D data).
 
-    def rows(fh):
+    The '# key = value' pairs come from the comment lines before the first
+    data row; the first non-comment, non-blank row is the names row unless
+    it parses as numbers.  The rest of the file goes to one ``np.loadtxt``
+    call as a stream of stripped lines, which skips blank and comment lines;
+    the file is read once, front to back, so a pipe works too.
+    """
+    header = {}
+    names = None
+    with open(path, "r", newline="") as fh:
         for line in fh:
             body = line.strip()
             if body.startswith("#"):
@@ -54,21 +81,12 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
                 if eq:
                     header[key.strip()] = value.strip()
             elif body:
-                yield body
-
-    with open(path, "r", newline="") as fh:
-        lines = rows(fh)
-        first = next(lines, None)
-        names = None
-        if first is not None:
-            try:
-                np.loadtxt([first], delimiter=",")
-            except ValueError:
-                names = [p.strip() for p in first.split(",")]
-                first = next(lines, None)
-        if first is None:
+                if names is not None or _parses(body):
+                    break
+                names = [p.strip() for p in body.split(",")]
+        else:
             raise ValueError(f"no data rows in {path}")
-        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+        data = np.loadtxt(itertools.chain([body], map(str.strip, fh)), delimiter=",", ndmin=2)
     return header, names, data
 
 
@@ -231,7 +249,10 @@ def pgm_preview(pixels: np.ndarray, maxval: int = 255) -> np.ndarray:
 
 def write_grid_csv(path, header: dict, pixels: np.ndarray) -> None:
     """Write a 2-D grid as full-precision CSV rows with a comment header."""
-    _write_csv(path, header, None, np.asarray(pixels, dtype=float))
+    pixels = np.asarray(pixels, dtype=float)
+    if pixels.ndim != 2 or pixels.size < 1:
+        raise ValueError(f"grid must be a non-empty 2-D array, got shape {pixels.shape}")
+    _write_csv(path, header, None, pixels)
 
 
 def read_grid_csv(path) -> Image:

@@ -343,7 +343,9 @@ def gfr_synthesize(coeffs: FourierSeriesCoeffs, mods: ModulationSpec,
         If a modulation callback returns non-finite values, or the grid is
         not uniformly spaced.
     FloatingPointError
-        If the sum overflows.
+        If a modulation callback or the sum overflows or computes an
+        invalid value (both run under ``np.errstate(over="raise",
+        invalid="raise")``).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or not np.all(np.isfinite(t)):
@@ -364,11 +366,14 @@ def gfr_synthesize(coeffs: FourierSeriesCoeffs, mods: ModulationSpec,
             raise ValueError("modulation callback returned non-finite values")
         return out
 
-    x = coeffs.a0 * _eval(mods.c0, t) * np.cos(_eval(mods.alpha0, t))
-    for k in range(1, n_harmonics + 1):
-        r_k = coeffs.amplitudes[k - 1]
-        phi_k = coeffs.phases[k - 1]
-        c_k = _eval(mods.ck, k, t)
-        a_k = _eval(mods.alphak, k, t)
-        x = x + c_k * r_k * np.cos(k * coeffs.omega0 * t + phi_k - a_k)
+    # an overflow inside a callback or the sum raises instead of warning and
+    # passing inf on
+    with np.errstate(over="raise", invalid="raise"):
+        x = coeffs.a0 * _eval(mods.c0, t) * np.cos(_eval(mods.alpha0, t))
+        for k in range(1, n_harmonics + 1):
+            r_k = coeffs.amplitudes[k - 1]
+            phi_k = coeffs.phases[k - 1]
+            c_k = _eval(mods.ck, k, t)
+            a_k = _eval(mods.alphak, k, t)
+            x = x + c_k * r_k * np.cos(k * coeffs.omega0 * t + phi_k - a_k)
     return Signal(_require_finite(x, "synthesis"), sample_rate)

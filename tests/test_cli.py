@@ -293,6 +293,20 @@ class TestErrorPaths:
         assert "numeric failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--amplitude", "1e308", "--mean", "1e308"],
+        # finite flags whose AM envelope bias + message overflows in its callback
+        ["--case", "am", "--bias", "1e308", "--message-amp", "1e308"],
+    ])
+    def test_synth_overflow_exits_4_without_warning(self, tmp_path, flags):
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "synth", *flags, "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["wpt", "{input}", "--alpha", "inf"],
         # each would allocate terabytes or more; the bounds reject them first

@@ -1,5 +1,8 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +64,76 @@ class TestCsvCodec:
         pkio.write_grid_csv(path, {"rows": "17"}, data)
         assert path.read_bytes() == csv_bytes({"rows": "17"}, None, data)
         assert np.array_equal(bit_pattern(pkio.read_grid_csv(path).pixels), bit_pattern(data))
+
+    @pytest.mark.parametrize("rows, cols", [
+        (2 * (pkio._BLOCK_VALUES // 3) + 5, 3),  # whole blocks and a remainder
+        (pkio._BLOCK_VALUES + 7, 1), (1, 3), (1, 5000), (70, 1024)])
+    def test_bytes_match_across_block_boundaries(self, tmp_path, rows, cols):
+        data = edge_case_grid(np.random.default_rng(rows + cols), (rows, cols))
+        names = [f"c{i}" for i in range(cols)]
+        path = tmp_path / "cols.csv"
+        pkio.write_columns_csv(path, {"n": rows}, names, list(data.T))
+        assert path.read_bytes() == csv_bytes({"n": rows}, names, data)
+        assert np.array_equal(bit_pattern(np.column_stack(pkio.read_columns_csv(path)[2])),
+                              bit_pattern(data))
+        pkio.write_grid_csv(path, {}, data)
+        assert path.read_bytes() == csv_bytes({}, None, data)
+        assert np.array_equal(bit_pattern(pkio.read_grid_csv(path).pixels), bit_pattern(data))
+
+    def test_header_is_the_comment_block_before_the_data(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# early = 1\nt,value\n# after_names = 2\n0,1\n# late = 3\n1,2\n")
+        header, names, cols = pkio.read_columns_csv(path)
+        assert header == {"early": "1", "after_names": "2"}
+        assert names == ["t", "value"]
+        assert np.array_equal(np.column_stack(cols), [[0, 1], [1, 2]])
+
+    def test_blank_lines_between_names_and_data(self, tmp_path):
+        path = tmp_path / "b.csv"
+        for text in ("t,value\n\n\n0,1\n1,2\n", "t,value\r\n\r\n  \r\n0,1\r\n1,2"):
+            path.write_text(text, newline="")
+            header, names, cols = pkio.read_columns_csv(path)
+            assert (header, names) == ({}, ["t", "value"])
+            assert np.array_equal(np.column_stack(cols), [[0, 1], [1, 2]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("# k = v\nt,value\n0,1\n1,2\n",),
+                                  daemon=True)
+        writer.start()
+        header, names, cols = pkio.read_columns_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (header, names) == ({"k": "v"}, ["t", "value"])
+        assert np.array_equal(np.column_stack(cols), [[0, 1], [1, 2]])
+
+    def test_read_peak_memory(self, tmp_path):
+        n = 131072
+        path = tmp_path / "long.csv"
+        pkio.write_columns_csv(path, {"rate": 1000.0}, ["t", "value"],
+                               [np.arange(n) / 1000.0, np.random.default_rng(3).standard_normal(n)])
+        tracemalloc.start()
+        try:
+            pkio.read_signal_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parsed n x 2 array twice over, and 1 MB; the file is 4.7 MB
+        assert peak < 2 * (n * 2 * 8) + 2 ** 20
+
+    def test_write_peak_memory(self, tmp_path):
+        n = 131072
+        columns = list(np.random.default_rng(4).standard_normal((3, n)))
+        tracemalloc.start()
+        try:
+            pkio.write_columns_csv(tmp_path / "long.csv", {}, ["a", "b", "c"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the n x 3 column_stack, and 4 MB; the file is 7.9 MB
+        assert peak < n * 3 * 8 + 4 * 2 ** 20
 
     @given(raw=CSV_BYTES)
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -275,6 +348,11 @@ class TestGridCsv:
             pkio.write_grid_csv(path, {"rows": str(len(pixels))}, pixels)
             back = pkio.read_grid_csv(path)
             assert np.array_equal(back.pixels, pixels)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), (2, 2, 2)])
+    def test_writer_rejects_a_non_grid(self, tmp_path, shape):
+        with pytest.raises(ValueError):
+            pkio.write_grid_csv(tmp_path / "g.csv", {}, np.zeros(shape))
 
     @pytest.mark.parametrize("text", ["a,b\n1,2\n", "1,2\nx,3\n"])
     def test_rejects_text_row(self, tmp_path, text):

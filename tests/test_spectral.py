@@ -240,6 +240,12 @@ class TestGfrSynthesize:
         with pytest.raises(FloatingPointError):
             pk.gfr_synthesize(coeffs, pk.ModulationSpec.identity(), 1, np.arange(4.0))
 
+    def test_overflowing_callback_is_floating_point_error(self):
+        coeffs = pk.FourierSeriesCoeffs(0.0, np.array([1.0]), np.array([0.0]), 1.0)
+        am = pk.ModulationSpec.amplitude_modulation(lambda t: np.full_like(t, 1e308), bias=1e308)
+        with pytest.raises(FloatingPointError):
+            pk.gfr_synthesize(coeffs, am, 1, np.arange(4.0))
+
     def test_rejects_non_uniform_grid(self):
         coeffs = pk.FourierSeriesCoeffs(1.0, np.array([1.0]), np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
