@@ -9,11 +9,11 @@ extension, so accuracy claims hold on interior samples of smooth signals.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .phase import PhaseProfile, pt_dct, pt_dft
 from .spectral import Signal, _require_finite, apply_gain, as_signal
@@ -42,6 +42,22 @@ class DifferintegrationOrder:
         if not np.isfinite(self.mu):
             raise ValueError("order must be finite")
         object.__setattr__(self, "mu", float(self.mu))
+
+
+def _rgamma(z: float) -> float:
+    """Reciprocal gamma 1/Gamma(z) for a real z.
+
+    0 at the poles z = 0, -1, -2, ... and where Gamma(z) overflows;
+    signed infinity where Gamma(z) underflows to a signed zero (as at
+    z = -200.5).
+    """
+    try:
+        g = math.gamma(z)
+    except (ValueError, OverflowError):  # a pole, or Gamma overflows
+        return 0.0
+    if g == 0.0:
+        return math.copysign(math.inf, g)
+    return 1.0 / g
 
 
 def frac_delay_dft(signal, delay) -> Signal:
@@ -102,23 +118,24 @@ def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
 
     gain = np.zeros(n // 2 + 1, dtype=complex)
     k = np.arange(1, n // 2 + 1)
-    gain[1:] = (2.0 * np.pi * k / n) ** mu * np.exp(1j * mu * np.pi / 2.0) * scale
+    # an overflowing gain or mean term is reported by _require_finite below,
+    # not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain[1:] = (2.0 * np.pi * k / n) ** mu * np.exp(1j * mu * np.pi / 2.0) * scale
     out = apply_gain(x, gain)
 
     if include_dc_term:
         a0 = float(np.mean(x))
         t = np.arange(n) / sig.sample_rate
-        dc = np.zeros(n)
-        if mu > 0:
-            with np.errstate(divide="ignore"):
-                dc[1:] = a0 * t[1:] ** (-mu) * rgamma(1.0 - mu)
-            # means at the round-off floor are not worth a warning
-            if abs(a0) > 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))):
-                warnings.warn(
-                    "mean term of a fractional derivative diverges at t = 0; "
-                    "that sample's contribution was set to zero",
-                    RuntimeWarning, stacklevel=2)
-        else:
-            dc = a0 * t ** (-mu) * rgamma(1.0 - mu)
-        out = out + dc
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dc = a0 * t ** (-mu) * _rgamma(1.0 - mu)
+            if mu > 0:
+                dc[0] = 0.0
+            out = out + dc
+        # means at the round-off floor are not worth a warning
+        if mu > 0 and abs(a0) > 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))):
+            warnings.warn(
+                "mean term of a fractional derivative diverges at t = 0; "
+                "that sample's contribution was set to zero",
+                RuntimeWarning, stacklevel=2)
     return Signal(_require_finite(out, "differintegration"), sig.sample_rate)

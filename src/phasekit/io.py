@@ -120,8 +120,10 @@ def read_signal_csv(path) -> Signal:
     t, x = cols[0], cols[1]
     if t.size < 2:
         return Signal(x)
-    steps = np.diff(t)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
+    # a step between huge times overflows to inf, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(t)
+    if not 0 < steps[0] < np.inf or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
         raise ValueError(f"time column of {path} is not uniformly increasing")
     return Signal(x, 1.0 / steps[0])
 

@@ -4,16 +4,17 @@ A phase transform (PT) applies a phase shift -alpha to the positive
 frequencies of a signal and +alpha to the negative ones; the Hilbert
 transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
-extension), which differ whenever those extensions disagree.
+extension), which differ whenever those extensions disagree.  The DFT route
+runs on ``numpy.fft``; the DCT route's transforms come from ``scipy.fft``
+through :mod:`phasekit.spectral`, which imports it on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-from .spectral import Signal, _require_finite, apply_gain, as_signal, dct2_forward
+from .spectral import Signal, _real_trig, _require_finite, apply_gain, as_signal, dct2_forward
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _sine_resynthesis(coeffs: np.ndarray) -> np.ndarray:
         return np.zeros(1)
     staged = np.zeros(n)
     staged[:n - 1] = coeffs[1:] / 2.0
-    return np.sqrt(2.0 / n) * _fft.dst(staged, type=3)
+    return np.sqrt(2.0 / n) * _real_trig("dst", staged, 3)
 
 
 def fcqt(signal) -> Signal:
@@ -181,7 +182,7 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     alphas = profile.bin_phases(n, basis="dct")
     bins = dct2_forward(sig).bins
     with np.errstate(over="ignore", invalid="ignore"):
-        in_phase = _fft.idct(bins * np.cos(alphas), type=2, norm="ortho")
+        in_phase = _real_trig("idct", bins * np.cos(alphas), 2, "ortho")
         out = in_phase + _sine_resynthesis(bins * np.sin(alphas))
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 

@@ -10,6 +10,11 @@ fractional delay and differintegration, the wavelet multiplier, the image
 phase transform), is applied through :func:`apply_gain`, the one place that
 decides how a positive-frequency gain acts on real samples.
 
+Every DFT route runs on ``numpy.fft``.  The DCT/DST calls of the DCT basis
+(:func:`dct2_forward`, :func:`dct2_inverse` and the DCT phase transform in
+:mod:`phasekit.phase`) go through ``scipy.fft``, imported on first use, so
+importing the package loads no scipy module.
+
 All operations here are pure functions of their inputs and safe to call
 concurrently.
 """
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def dft(x) -> Spectrum:
         rate = 1.0
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("dft input must be a non-empty 1-D sequence")
-    bins = _fft.fft(arr) / arr.size
+    bins = np.fft.fft(arr) / arr.size
     return Spectrum(bins, "dft", rate)
 
 
@@ -213,7 +217,7 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     """Inverse of :func:`dft`: the bare exponential sum of the bins."""
     if spectrum.origin != "dft":
         raise ValueError(f"idft expects a dft spectrum, got {spectrum.origin!r}")
-    return _fft.ifft(spectrum.bins) * spectrum.bins.size
+    return np.fft.ifft(spectrum.bins) * spectrum.bins.size
 
 
 def dct2_forward(signal) -> Spectrum:
@@ -223,7 +227,7 @@ def dct2_forward(signal) -> Spectrum:
     sigma_0 = 1/sqrt(2) and sigma_k = 1 otherwise, computed in O(N log N).
     """
     sig = as_signal(signal)
-    bins = _fft.dct(sig.samples, type=2, norm="ortho")
+    bins = _real_trig("dct", sig.samples, 2, "ortho")
     return Spectrum(bins, "dct2", sig.sample_rate)
 
 
@@ -231,8 +235,19 @@ def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    samples = _fft.idct(np.asarray(spectrum.bins, dtype=float), type=2, norm="ortho")
+    samples = _real_trig("idct", np.asarray(spectrum.bins, dtype=float), 2, "ortho")
     return Signal(samples, spectrum.sample_rate)
+
+
+def _real_trig(kind: str, x: np.ndarray, variant: int, norm: str | None = None) -> np.ndarray:
+    """``scipy.fft.<kind>(x, type=variant, norm=norm)`` for kind "dct", "idct" or "dst".
+
+    The DCT basis is the package's only use of scipy, so scipy.fft is
+    imported here on first use and ``import phasekit`` loads no scipy module.
+    """
+    import scipy.fft
+
+    return getattr(scipy.fft, kind)(x, type=variant, norm=norm)
 
 
 def dft2d(image) -> np.ndarray:
@@ -240,7 +255,7 @@ def dft2d(image) -> np.ndarray:
     pixels = image.pixels if isinstance(image, Image) else np.asarray(image)
     if pixels.ndim != 2 or pixels.size < 1:
         raise ValueError("dft2d input must be a non-empty 2-D grid")
-    return _fft.fft2(pixels) / pixels.size
+    return np.fft.fft2(pixels) / pixels.size
 
 
 def idft2d(grid: np.ndarray) -> Image:
@@ -248,7 +263,7 @@ def idft2d(grid: np.ndarray) -> Image:
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.size < 1:
         raise ValueError("idft2d input must be a non-empty 2-D grid")
-    return Image(np.real(_fft.ifft2(grid)) * grid.size)
+    return Image(np.real(np.fft.ifft2(grid)) * grid.size)
 
 
 def apply_gain(x, gain) -> np.ndarray:
@@ -275,7 +290,7 @@ def apply_gain(x, gain) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _fft.irfftn(_fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
+        out = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
     return _require_finite(out, "spectral gain")
 
 

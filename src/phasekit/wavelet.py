@@ -21,6 +21,8 @@ single multiplier R(omega) = (2/C) sum_j dln(s_j) Psi(s_j omega): the
 1/sqrt(s) weight cancels the sqrt(s) daughter normalization.  The analytic
 signal is computed through R without forming the scale-by-time
 coefficients; :func:`awt` remains for callers who want the scalogram.
+Both run on ``numpy.fft``, and the pairing constant has a closed form, so
+this module needs no scipy.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .spectral import Signal, analytic_signal, apply_gain, as_signal
 
@@ -176,13 +177,13 @@ def awt(signal, grid: ScaleGrid | None = None,
 
     padded = np.pad(x, n, mode="symmetric") if n > 1 else x
     n_pad = padded.size
-    spectrum = _fft.fft(padded)
-    omega = 2.0 * np.pi * _fft.fftfreq(n_pad)
+    spectrum = np.fft.fft(padded)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_pad)
     # rows: Psi evaluated at s_j * omega_k; Psi is real so conj is a no-op
     response = morse_spectrum(spec, np.outer(grid.scales, omega).ravel())
     response = response.reshape(grid.scales.size, n_pad)
     response *= np.sqrt(grid.scales)[:, None]
-    coeffs = _fft.ifft(response * spectrum[None, :], axis=1)
+    coeffs = np.fft.ifft(response * spectrum[None, :], axis=1)
     if n > 1:
         coeffs = coeffs[:, n:2 * n]
     return Scalogram(coeffs, grid, spec, sig.sample_rate)
@@ -222,7 +223,7 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
     _warn_aliased(grid, spec)
 
     padded = np.pad(x, n, mode="symmetric") if n > 1 else x
-    omega = 2.0 * np.pi * _fft.rfftfreq(padded.size)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
     response = np.zeros_like(omega)
     for scale, weight in zip(grid.scales, grid.log_weights()):
         response += weight * morse_spectrum(spec, scale * omega)

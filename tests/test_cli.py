@@ -307,6 +307,38 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("order, own_warning", [
+        # the mean term t^200 overflows
+        ("-200", False),
+        # Gamma(1 - 200.5) underflows to 0, so 1/Gamma is inf, not a division error
+        ("200.5", True),
+    ])
+    def test_differint_overflow_exits_4_without_numpy_warning(self, tmp_path, order, own_warning):
+        path = tmp_path / "ones.csv"
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(100.0), np.ones(100)])
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "differint", str(path),
+                               "--order", order, "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert "differintegration produced non-finite values" in proc.stderr
+        assert "Traceback" not in proc.stderr and "encountered in" not in proc.stderr
+        # phasekit's own warning about the divergent mean term of a derivative
+        assert ("RuntimeWarning" in proc.stderr) == own_warning
+        assert not out.exists()
+
+    def test_overflowing_time_step_is_io_error_without_warning(self, tmp_path):
+        path = tmp_path / "huge_t.csv"
+        path.write_text("t,x\n-1e308,1\n1e308,2\n")
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", str(path),
+                               "--alpha", "1", "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "not uniformly increasing" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["wpt", "{input}", "--alpha", "inf"],
         # each would allocate terabytes or more; the bounds reject them first

@@ -1,8 +1,10 @@
 """Tests for fractional delay and fractional-order differintegration."""
 import numpy as np
 import pytest
+import scipy.special
 
 import phasekit as pk
+from phasekit.fractional import _rgamma
 from phasekit.repro import example3_cosine, example3_gaussian, interior, rel_l2
 from oracles import bandlimited_signal, zero_mean_zero_nyquist
 
@@ -204,6 +206,28 @@ class TestFracDifferintegrate:
         # the oscillatory part is exactly zero; the mean term t^200 overflows
         with pytest.raises(FloatingPointError):
             pk.frac_differintegrate(pk.Signal(np.ones(100)), -200)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gain_is_floating_point_error_without_warning(self):
+        # (2 pi / 3001)^-200 overflows in the bin gain, before the mean term
+        with pytest.raises(FloatingPointError):
+            pk.frac_differintegrate(pk.Signal(np.ones(3001)), -200)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, 0.5, -0.5, 1.0, 171.7, 201.0, -170.5,
+                                   -171.5, -200.5, 1e-300, -1e-300, 1e300, -1e300])
+    def test_rgamma_matches_scipy(self, z):
+        # poles and Gamma overflow give 0, Gamma underflow to a signed zero
+        # gives a signed infinity, every other value the ordinary reciprocal
+        ours, oracle = _rgamma(z), float(scipy.special.rgamma(z))
+        assert np.sign(ours) == np.sign(oracle)
+        assert np.isinf(ours) == np.isinf(oracle)
+        np.testing.assert_allclose(ours, oracle, rtol=4e-15, atol=0.0)
+
+    def test_rgamma_is_finite_where_gamma_is(self):
+        # 1/Gamma(-170.9) is about -7.3e307; scipy's rgamma reports -inf here
+        mpmath = pytest.importorskip("mpmath")
+        np.testing.assert_allclose(_rgamma(-170.9), float(mpmath.rgamma(-170.9)),
+                                   rtol=1e-13, atol=0.0)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -199,6 +199,16 @@ class TestColumnsCsv:
         with pytest.raises(ValueError):
             pkio.read_signal_csv(path)
 
+    @pytest.mark.parametrize("rows", ["-1e308,1\n1e308,2\n", "0,1\ninf,2\n",
+                                      "inf,1\ninf,2\ninf,3\n", "0,1\n1,2\n1e308,3\n-1e308,4\n"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_time_step(self, tmp_path, rows):
+        # the step overflows or is inf/nan; rejected without a numpy warning
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + rows)
+        with pytest.raises(ValueError, match="not uniformly increasing"):
+            pkio.read_signal_csv(path)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         for text in ("# nothing here\n", "# names only\nt,value\n"):

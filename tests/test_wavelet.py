@@ -176,11 +176,13 @@ class TestSingleMultiplier:
         z = pk.wavelet_analytic_signal(x, grid, spec)
         assert np.max(np.abs(z - rows)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        code = "import sys, phasekit; print('scipy.integrate' in sys.modules)"
+    @pytest.mark.parametrize("module", ["phasekit", "phasekit.cli"])
+    def test_import_loads_no_scipy(self, module):
+        code = (f"import sys, {module}; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestWpt:
