@@ -9,10 +9,13 @@ run per workload (seed 1), and writes BENCH_<LABEL>.json at the repository
 root.  The file holds the commit and whether the working tree differed from
 it, a digest of the measured sources, and for each workload every run's
 ``correct``/``attempted``/``failed`` and metrics, the per-metric medians
-over the seeds, the traced per-layer metrics, and each untraced run's mean
-time of the phasekit-free reference task its times are scaled by.  A run
-that exits non-zero or prints no result stops the recording.  Takes about
-seven minutes on a 2-vCPU machine.
+over the seeds, the traced per-layer metrics, and each run's mean time of
+the phasekit-free reference task (perfbench/reference.py).  An untraced run
+times that task itself and scales its times by it; a traced run reports raw
+times and times none, so the reference is timed five times right before it,
+through perfbench's launcher, and its per-layer times can be rescaled the
+same way when comparing files.  A run that exits non-zero or prints no
+result stops the recording.  Takes about seven minutes on a 2-vCPU machine.
 """
 from __future__ import annotations
 
@@ -31,6 +34,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
 SECONDS = 20
+REFERENCE_RUNS = 5
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from harness import Launcher  # noqa: E402
 
 
 def git(*args: str) -> str:
@@ -56,7 +63,7 @@ def bench(workload: str, seed: int, trace: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    # traced runs time no reference task
+    # traced runs time no reference task; record_workload times it for them
     reference = re.search(r"^reference task: mean ([0-9.]+) ms", proc.stdout, re.M)
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -65,9 +72,18 @@ def bench(workload: str, seed: int, trace: int) -> dict:
             "units": {name: m["unit"] for name, m in result["metrics"].items()}}
 
 
+def reference_ms() -> float:
+    """Mean wall time of perfbench/reference.py over REFERENCE_RUNS runs, each
+    started the way perfbench/run.py starts it."""
+    with Launcher() as launcher:
+        return statistics.fmean(launcher.reference() for _ in range(REFERENCE_RUNS)) * 1e3
+
+
 def record_workload(workload: str) -> dict:
     runs = [bench(workload, seed, 0) for seed in SEEDS]
+    reference = reference_ms()
     trace = bench(workload, TRACE_SEED, 1)
+    trace["reference_ms"] = round(reference, 1)
     units = [run.pop("units") for run in runs][0]
     median = {name: statistics.median(run["metrics"][name] for run in runs) for name in units}
     return {"units": units, "median": median, "runs": runs, "trace": trace}

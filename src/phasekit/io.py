@@ -3,8 +3,10 @@
 Column files and grid files share one CSV codec: '# key = value' header
 lines, an optional row of column names, then comma-separated numbers.  The
 writer formats blocks of rows with one '%' each on a repeated '%.17g' row
-format (round-trippable, '.' radix, '\\n' line endings, no timestamps);
-the reader parses the data rows with one ``np.loadtxt`` call on the stream
+format (round-trippable, '.' radix, '\\n' line endings, no timestamps).
+A large output is formatted in two halves on two CPUs where the platform
+allows (a forked child formats the second half), with the same bytes.  The
+reader parses the data rows with one ``np.loadtxt`` call on the stream
 of stripped lines, so numbers take its syntax.  The header is the
 '# key = value' pairs of the comment lines before the first data row;
 later comment lines are skipped.  Header values are rendered by the
@@ -14,7 +16,11 @@ through ``str``.  All writers are deterministic.
 from __future__ import annotations
 
 import itertools
+import os
+import shutil
 import struct
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,22 +42,104 @@ def _header_text(value) -> str:
 # values formatted per '%' call (whole rows, at least one): a block's text is
 # about 100 kB, and blocks of 2**10 to 2**16 values write equally fast
 _BLOCK_VALUES = 1 << 12
+# outputs of at least this many values (and two rows) are formatted in two
+# halves, the second by a forked child, when this process may use two CPUs
+_SPLIT_VALUES = 1 << 16
+
+
+def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
+    """Write ``rows`` to the text file ``fh``, one '%' per block of rows."""
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _splits(rows: np.ndarray) -> bool:
+    # without sched_getaffinity (Windows, macOS) the CPU count is unknown
+    return (rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+
+
+def _fork_rows(rows: np.ndarray, row_format: str):
+    """Format ``rows`` into an unnamed temporary file in a forked child.
+
+    Returns (child pid, binary file), or None if the file or the fork cannot
+    be made.  The child leaves through ``os._exit`` (0 once its text is
+    flushed, 1 on any exception): it never returns into the caller's frames
+    and never flushes the buffers it inherited.
+    """
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    try:
+        # Python 3.12+ warns that forking a multi-threaded process (numpy's
+        # BLAS pool) may deadlock the child; this child calls no BLAS and only
+        # runs tolist, '%'-formatting and file writes before os._exit
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        tmp.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
+                _write_rows(out, rows, row_format)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
+def _join(pid: int, tmp):
+    """Wait for the child; return its file if it exited 0, else close the
+    file and return None."""
+    try:
+        _, status = os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped elsewhere: its exit status is unknown
+        status = -1
+    if status == 0:
+        return tmp
+    tmp.close()
+    return None
 
 
 def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
     """Write phasekit's CSV layout: '# key = value' lines, an optional names
     row, then one '%.17g' row per row of ``rows`` (2-D, at least one column),
-    formatted a block of rows at a time."""
+    formatted a block of rows at a time.
+
+    A large output is written in two halves: a forked child formats the
+    second into a temporary file while this process formats the first, then
+    this process appends the child's text.  If the file, the fork or the
+    child fails, this process formats the second half itself.
+    """
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    step = max(1, _BLOCK_VALUES // rows.shape[1])
     with open(path, "w", newline="\n") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
             fh.write(",".join(names) + "\n")
-        for start in range(0, rows.shape[0], step):
-            block = rows[start:start + step]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        mid = rows.shape[0] // 2 if _splits(rows) else rows.shape[0]
+        tail = _fork_rows(rows[mid:], row) if mid < rows.shape[0] else None
+        try:
+            _write_rows(fh, rows[:mid], row)
+        finally:
+            # the child is reaped also when the first half raised
+            if tail is not None:
+                tail = _join(*tail)
+        if tail is None:
+            _write_rows(fh, rows[mid:], row)
+            return
+        with tail:
+            tail.seek(0)
+            fh.flush()
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def _parses(line: str) -> bool:

@@ -29,3 +29,6 @@ def test_bench_file_names_only_declared_metrics(path):
             assert 0 <= run["failed"] <= run["attempted"]
         for run in entry["runs"]:
             assert set(run["metrics"]) == set(entry["units"])
+            assert run["reference_ms"] > 0
+        # files recorded before traced runs had the reference timed hold null
+        assert entry["trace"]["reference_ms"] is None or entry["trace"]["reference_ms"] > 0

@@ -307,15 +307,18 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("order, own_warning", [
+    @pytest.mark.parametrize("order, own_warning, rate", [
         # the mean term t^200 overflows
-        ("-200", False),
+        pytest.param("-200", False, 1.0, id="-200-False"),
         # Gamma(1 - 200.5) underflows to 0, so 1/Gamma is inf, not a division error
-        ("200.5", True),
+        pytest.param("200.5", True, 1.0, id="200.5-True"),
+        # the physical scale 8000^200 overflows before the gain is applied
+        pytest.param("200", False, 8000.0, id="200-False-8000Hz"),
     ])
-    def test_differint_overflow_exits_4_without_numpy_warning(self, tmp_path, order, own_warning):
+    def test_differint_overflow_exits_4_without_numpy_warning(self, tmp_path, order, own_warning,
+                                                              rate):
         path = tmp_path / "ones.csv"
-        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(100.0), np.ones(100)])
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(100.0) / rate, np.ones(100)])
         out = tmp_path / "out.csv"
         proc = subprocess.run([sys.executable, "-m", "phasekit", "differint", str(path),
                                "--order", order, "-o", str(out)],

@@ -1,8 +1,11 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +137,118 @@ class TestCsvCodec:
             tracemalloc.stop()
         # the n x 3 column_stack, and 4 MB; the file is 7.9 MB
         assert peak < n * 3 * 8 + 4 * 2 ** 20
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Let the writer see two CPUs; returns the list of its fork() calls."""
+        calls = []
+        fork = os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return calls
+
+    @pytest.mark.parametrize("rows, cols, splits", [
+        (pkio._SPLIT_VALUES // 3, 3, False),  # one row short of the threshold
+        (pkio._SPLIT_VALUES // 3 + 1, 3, True),  # one row past it
+        (pkio._SPLIT_VALUES // 2, 2, True),  # exactly at it
+        (2 * (pkio._SPLIT_VALUES // 3) + 1, 3, True),  # an odd row count
+        (1, 70000, False),  # too few rows to split
+        (70, 1024, True)])
+    def test_split_write_bytes(self, tmp_path, forks, rows, cols, splits):
+        data = edge_case_grid(np.random.default_rng(rows + cols), (rows, cols))
+        names = [f"c{i}" for i in range(cols)]
+        path = tmp_path / "cols.csv"
+        pkio.write_columns_csv(path, {"n": rows}, names, list(data.T))
+        assert path.read_bytes() == csv_bytes({"n": rows}, names, data)
+        pkio.write_grid_csv(path, {}, data)
+        assert path.read_bytes() == csv_bytes({}, None, data)
+        assert len(forks) == (2 if splits else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", ["child", "fork", "temporary file"])
+    def test_failed_split_writes_the_same_bytes(self, tmp_path, forks, monkeypatch, failure):
+        parent = os.getpid()
+        write_rows = pkio._write_rows
+
+        def child_raises(fh, rows, row_format):
+            if os.getpid() != parent:
+                raise RuntimeError("child formatting failed")
+            write_rows(fh, rows, row_format)
+
+        def raise_os_error(*args):
+            raise OSError("no resources")
+
+        if failure == "child":
+            monkeypatch.setattr(pkio, "_write_rows", child_raises)
+        elif failure == "fork":
+            monkeypatch.setattr(os, "fork", raise_os_error)
+        else:
+            monkeypatch.setattr(pkio.tempfile, "TemporaryFile", raise_os_error)
+        data = edge_case_grid(np.random.default_rng(5), (30000, 3))
+        path = tmp_path / "cols.csv"
+        pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
+        assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+        assert len(forks) == (1 if failure == "child" else 0)
+        # no child is left to reap
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("one_cpu", ["affinity", "no affinity call"])
+    def test_one_cpu_never_forks(self, tmp_path, forks, monkeypatch, one_cpu):
+        if one_cpu == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        data = np.random.default_rng(6).standard_normal((30000, 3))
+        pkio.write_columns_csv(tmp_path / "cols.csv", {}, ["a", "b", "c"], list(data.T))
+        assert forks == []
+        assert (tmp_path / "cols.csv").read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_split_write_flushes_no_inherited_buffer(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        script = (
+            "import os, sys, numpy as np\n"
+            "import phasekit.io as pkio\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print('before the write')\n"
+            "columns = list(np.random.default_rng(8).standard_normal((3, 131072)))\n"
+            f"pkio.write_columns_csv({str(path)!r}, {{}}, ['a', 'b', 'c'], columns)\n")
+        # block-buffered stdout: the line is still in the buffer at the fork
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before the write\n"
+        data = np.random.default_rng(8).standard_normal((3, 131072)).T
+        assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+
+    def test_split_write_warns_nothing(self, tmp_path, forks):
+        # a second thread makes Python 3.12+ warn on fork() unless it is filtered
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, daemon=True)
+        thread.start()
+        data = np.random.default_rng(9).standard_normal((30000, 3))
+        path = tmp_path / "cols.csv"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
+        finally:
+            stop.set()
+            thread.join()
+        assert [str(w.message) for w in seen] == []
+        assert len(forks) == 2
+        assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
 
     @given(raw=CSV_BYTES)
     @settings(max_examples=200, deadline=None, derandomize=True)
