@@ -1,4 +1,5 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
+import math
 import os
 import struct
 import subprocess
@@ -140,7 +141,8 @@ class TestCsvCodec:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Let the writer see two CPUs; returns the list of its fork() calls."""
+        """Let the writer see two CPUs and no cgroup quota; returns the list of
+        its fork() calls."""
         calls = []
         fork = os.fork
 
@@ -149,6 +151,7 @@ class TestCsvCodec:
             return fork()
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(pkio, "_quota_cpus", lambda: math.inf)
         monkeypatch.setattr(os, "fork", counted_fork)
         return calls
 
@@ -199,16 +202,43 @@ class TestCsvCodec:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("one_cpu", ["affinity", "no affinity call"])
+    @pytest.mark.parametrize("one_cpu", ["affinity", "no affinity call", "cgroup quota"])
     def test_one_cpu_never_forks(self, tmp_path, forks, monkeypatch, one_cpu):
         if one_cpu == "affinity":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        else:
+        elif one_cpu == "no affinity call":
             monkeypatch.delattr(os, "sched_getaffinity")
+        else:  # two CPUs in the mask, 1.5 CPUs' worth of time
+            monkeypatch.setattr(pkio, "_quota_cpus", lambda: 1.5)
         data = np.random.default_rng(6).standard_normal((30000, 3))
         pkio.write_columns_csv(tmp_path / "cols.csv", {}, ["a", "b", "c"], list(data.T))
         assert forks == []
         assert (tmp_path / "cols.csv").read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+
+    @pytest.mark.parametrize("table, files, cpus", [
+        # v2: the least quota over the cgroup and its ancestors
+        ("0::/a/b\n", {"a/cpu.max": "150000 100000\n", "a/b/cpu.max": "max 100000\n"}, 1.5),
+        ("0::/a/b\n", {"a/cpu.max": "150000 100000\n", "a/b/cpu.max": "50000 100000\n"}, 0.5),
+        ("0::/\n", {"cpu.max": "max 100000\n"}, math.inf),
+        # v1: the cpu hierarchy only; a container sees its own cgroup at the
+        # mount root while its table names the host's path
+        ("4:cpu,cpuacct:/docker/x\n3:cpuset:/\n0::/\n",
+         {"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n",
+          "cpuset/cpu.cfs_quota_us": "1000\n"}, 1.0),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
+         math.inf),
+        ("malformed\n1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "300000\n",
+                                   "cpu/cpu.cfs_period_us": "100000\n"}, 3.0),
+        (None, {}, math.inf)])
+    def test_quota_cpus_reads_cgroup_files(self, tmp_path, table, files, cpus):
+        root = tmp_path / "cgroup"
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        if table is not None:
+            (tmp_path / "table").write_text(table)
+        assert pkio._quota_cpus(str(tmp_path / "table"), str(root)) == cpus
+        assert pkio._quota_cpus() > 0  # this machine's own files parse
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_split_write_flushes_no_inherited_buffer(self, tmp_path):
@@ -217,6 +247,7 @@ class TestCsvCodec:
             "import os, sys, numpy as np\n"
             "import phasekit.io as pkio\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "pkio._quota_cpus = lambda: 2.0\n"
             "print('before the write')\n"
             "columns = list(np.random.default_rng(8).standard_normal((3, 131072)))\n"
             f"pkio.write_columns_csv({str(path)!r}, {{}}, ['a', 'b', 'c'], columns)\n")
@@ -229,8 +260,8 @@ class TestCsvCodec:
         data = np.random.default_rng(8).standard_normal((3, 131072)).T
         assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
 
-    def test_split_write_warns_nothing(self, tmp_path, forks):
-        # a second thread makes Python 3.12+ warn on fork() unless it is filtered
+    def test_split_write_completes_under_warnings_as_errors(self, tmp_path, forks):
+        # a second thread makes Python 3.12+ warn on fork()
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, daemon=True)
         thread.start()
@@ -239,15 +270,13 @@ class TestCsvCodec:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
+                filters = list(warnings.filters)
                 pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
+                assert warnings.filters == filters
         finally:
             stop.set()
             thread.join()
-        assert [str(w.message) for w in seen] == []
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
 
     @given(raw=CSV_BYTES)
