@@ -152,7 +152,9 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
     child fails, this process formats the second half itself.
     """
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    # UTF-8 whatever the locale; a path byte that is not UTF-8 (a surrogate
+    # from os.fsdecode) is written back as itself, and _read_csv reads it
+    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
@@ -193,7 +195,7 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
     """
     header = {}
     names = None
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             body = line.strip()
             if body.startswith("#"):

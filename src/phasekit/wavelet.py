@@ -21,8 +21,12 @@ single multiplier R(omega) = (2/C) sum_j dln(s_j) Psi(s_j omega): the
 1/sqrt(s) weight cancels the sqrt(s) daughter normalization.  The analytic
 signal is computed through R without forming the scale-by-time
 coefficients; :func:`awt` remains for callers who want the scalogram.
-Both run on ``numpy.fft``, and the pairing constant has a closed form, so
-this module needs no scipy.
+
+Both share one front, the real FFT of the record extended by reflection
+(one length each side) on whose even-length Nyquist bin Psi is taken as 0,
+and one inverse, a complex inverse FFT with zero negative bins trimmed back
+to the record.  Both run on ``numpy.fft``, and the pairing constant has a
+closed form, so this module needs no scipy.
 """
 from __future__ import annotations
 
@@ -32,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Signal, analytic_signal, apply_gain, as_signal
+from .spectral import Signal, _require_finite, as_signal
 
 MAX_SCALES = 4096  # ScaleGrid.default; the default grids of 1e6 samples hold ~180
+RESIDUAL_WARN = 0.05  # wavelet_analytic_signal warns above this relative residual
 
 
 @dataclass(frozen=True)
@@ -99,22 +104,17 @@ class ScaleGrid:
 
     @classmethod
     def default(cls, n_samples: int, spec: MorseWavelet,
-                voices_per_octave: int = 10,
-                min_period: float = 2.0,
-                max_period: float | None = None) -> "ScaleGrid":
+                voices_per_octave: int = 10) -> "ScaleGrid":
         """Grid placing the wavelet peak between two resolvability limits.
 
-        Scales run from ``min_period`` samples per period (default 2, the
-        Nyquist limit) up to ``max_period`` samples per period (default
-        N/2; anything much longer cannot complete a cycle in the record
-        and only degrades the reconstruction quadrature).
+        Scales run from 2 samples per period (the Nyquist limit) up to N/2
+        samples per period (anything much longer cannot complete a cycle in
+        the record and only degrades the reconstruction quadrature).
         """
-        if max_period is None:
-            max_period = n_samples / 2.0
-        if not 0 < min_period < max_period:
-            raise ValueError("need 0 < min_period < max_period")
-        s_min = spec.peak_omega * min_period / (2.0 * np.pi)
-        s_max = spec.peak_omega * max_period / (2.0 * np.pi)
+        if not n_samples > 4:
+            raise ValueError("a default scale grid needs more than 4 samples")
+        s_min = spec.peak_omega * 2.0 / (2.0 * np.pi)
+        s_max = spec.peak_omega * (n_samples / 2.0) / (2.0 * np.pi)
         n_octaves = np.log2(s_max / s_min)
         # checked before the product, which overflows for huge voice counts
         if voices_per_octave > MAX_SCALES or n_octaves * voices_per_octave >= MAX_SCALES:
@@ -152,7 +152,31 @@ def _warn_aliased(grid: ScaleGrid, spec: MorseWavelet) -> None:
     if aliased:
         warnings.warn(
             f"{aliased} scale(s) place the wavelet peak above Nyquist",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=4)
+
+
+def _reflected_spectrum(signal, grid, spec):
+    """Fill in the defaults, warn about aliased scales, and return
+    (signal, grid, spec, X, omega): X is the real FFT of the reflected
+    extension (none for one sample) and omega its bin frequencies."""
+    sig = as_signal(signal)
+    spec = spec if spec is not None else MorseWavelet()
+    grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
+    _warn_aliased(grid, spec)
+    n = len(sig)
+    padded = np.pad(sig.samples, n, mode="symmetric") if n > 1 else sig.samples
+    omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
+    if padded.size % 2 == 0:
+        omega[-1] = 0.0  # Nyquist is also the negative frequency -1/2
+    return sig, grid, spec, np.fft.rfft(padded), omega
+
+
+def _inverse(products: np.ndarray, n: int) -> np.ndarray:
+    """Complex inverse FFT of one-sided products on the reflected extension
+    of an n-sample record (negative bins zero), trimmed to the record."""
+    if n == 1:
+        return np.fft.ifft(products)
+    return np.fft.ifft(products, 3 * n)[n:2 * n]
 
 
 def awt(signal, grid: ScaleGrid | None = None,
@@ -168,24 +192,11 @@ def awt(signal, grid: ScaleGrid | None = None,
     Scales whose peak frequency exceeds Nyquist cannot be represented and
     trigger a RuntimeWarning.
     """
-    sig = as_signal(signal)
-    spec = spec if spec is not None else MorseWavelet()
-    grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
-    x = sig.samples
-    n = x.size
-    _warn_aliased(grid, spec)
-
-    padded = np.pad(x, n, mode="symmetric") if n > 1 else x
-    n_pad = padded.size
-    spectrum = np.fft.fft(padded)
-    omega = 2.0 * np.pi * np.fft.fftfreq(n_pad)
-    # rows: Psi evaluated at s_j * omega_k; Psi is real so conj is a no-op
-    response = morse_spectrum(spec, np.outer(grid.scales, omega).ravel())
-    response = response.reshape(grid.scales.size, n_pad)
-    response *= np.sqrt(grid.scales)[:, None]
-    coeffs = np.fft.ifft(response * spectrum[None, :], axis=1)
-    if n > 1:
-        coeffs = coeffs[:, n:2 * n]
+    sig, grid, spec, spectrum, omega = _reflected_spectrum(signal, grid, spec)
+    coeffs = np.empty((grid.scales.size, len(sig)), dtype=complex)
+    for row, scale in zip(coeffs, grid.scales):
+        product = morse_spectrum(spec, scale * omega) * np.sqrt(scale) * spectrum
+        row[:] = _inverse(product, len(sig))
     return Scalogram(coeffs, grid, spec, sig.sample_rate)
 
 
@@ -202,8 +213,7 @@ def cpsi_delta(spec: MorseWavelet) -> float:
 
 
 def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
-                            spec: MorseWavelet | None = None,
-                            residual_warn: float = 0.05) -> np.ndarray:
+                            spec: MorseWavelet | None = None) -> np.ndarray:
     """Analytic signal from the single-integral inverse wavelet transform.
 
     z[n] = (2 / C) sum_j W[j, n] s_j^{-1/2} dln(s_j), computed as the
@@ -212,36 +222,25 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
 
     Re(z) approximates the input; Im(z) is the wavelet quadrature.  A
     RuntimeWarning reports the relative reconstruction residual when it
-    exceeds ``residual_warn`` (content outside the scale grid's band, e.g.
+    exceeds ``RESIDUAL_WARN`` (content outside the scale grid's band, e.g.
     strong trends or near-Nyquist components, ends up there).
     """
-    sig = as_signal(signal)
-    spec = spec if spec is not None else MorseWavelet()
-    grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        sig, grid, spec, spectrum, omega = _reflected_spectrum(signal, grid, spec)
+        response = np.zeros_like(omega)
+        for scale, weight in zip(grid.scales, grid.log_weights()):
+            response += weight * morse_spectrum(spec, scale * omega)
+        response *= 2.0 / cpsi_delta(spec)
+        z = _inverse(response * spectrum, len(sig))
+    _require_finite(z, "spectral gain")
     x = sig.samples
-    n = x.size
-    _warn_aliased(grid, spec)
-
-    padded = np.pad(x, n, mode="symmetric") if n > 1 else x
-    omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
-    response = np.zeros_like(omega)
-    for scale, weight in zip(grid.scales, grid.log_weights()):
-        response += weight * morse_spectrum(spec, scale * omega)
-    if padded.size % 2 == 0:
-        response[-1] = 0.0  # the Nyquist bin is a negative frequency for awt
-    response *= 2.0 / cpsi_delta(spec)
-    # R vanishes at DC, at Nyquist and below, so ifft(R X) is the analytic
-    # signal of its real part, which is the gain R/2 on the real transform
-    z = analytic_signal(apply_gain(padded, response / 2.0))
-    if n > 1:
-        z = z[n:2 * n]
     norm = float(np.linalg.norm(x))
     if norm > 0:
         residual = float(np.linalg.norm(z.real - x)) / norm
-        if residual > residual_warn:
+        if residual > RESIDUAL_WARN:
             warnings.warn(
                 f"wavelet reconstruction residual {residual:.3g} exceeds "
-                f"{residual_warn:.3g}; scale grid may not cover the signal band",
+                f"{RESIDUAL_WARN:.3g}; scale grid may not cover the signal band",
                 RuntimeWarning, stacklevel=2)
     return z
 

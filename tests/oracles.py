@@ -167,6 +167,33 @@ def morse_cpsi_closed_form(beta, gamma):
     return float(np.exp(log_a) * gamma_fn(r) / gamma)
 
 
+def awt_direct(x, scales, beta, gamma):
+    """O(S N^2) analytic wavelet transform by direct DFT sums.
+
+    The record is extended by reflection, one length on each side (a single
+    sample is not extended), to M samples.  Row s is the inverse DFT of
+    sqrt(s) Psi(s w_k) X[k] summed over the positive bins 0 < k < M/2 only,
+    evaluated at the N samples of the record, with Psi written out as
+    A w^beta exp(-w^gamma) and A = 2 (e gamma / beta)^(beta / gamma).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    ext = np.concatenate([x[::-1], x, x[::-1]]) if n > 1 else x
+    m = ext.size
+    k = np.arange(m)
+    positive = (k > 0) & (2 * k < m)
+    bins = np.exp(-2j * np.pi * np.outer(k, k) / m) @ ext
+    t = np.arange(n) + (n if n > 1 else 0)
+    synthesis = np.exp(2j * np.pi * np.outer(t, k) / m) / m
+    amplitude = 2.0 * (np.e * gamma / beta) ** (beta / gamma)
+    rows = []
+    for s in scales:
+        w = s * 2.0 * np.pi * k / m
+        psi = np.where(positive, amplitude * w ** beta * np.exp(-w ** gamma), 0.0)
+        rows.append(synthesis @ (np.sqrt(s) * psi * bins))
+    return np.array(rows)
+
+
 def admissibility_integral(spectrum_fn) -> float:
     """Integral of spectrum(omega)/omega over omega > 0 by adaptive quadrature."""
     value, abserr = quad(lambda w: spectrum_fn(w) / w, 0.0, np.inf, limit=400)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -154,6 +155,14 @@ class TestWptCommand:
         assert header["gamma"] == "4"
         assert np.all(np.isfinite(cols[2]))
 
+    def test_record_too_short_for_a_scale_grid_is_argument_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(4.0), np.ones(4)])
+        out = tmp_path / "out.csv"
+        assert main(["wpt", str(path), "--alpha", "0.5", "-o", str(out)]) == 3
+        assert "more than 4 samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestImagePtCommand:
     def test_quadrature_of_plane_wave(self, wave_pgm, tmp_path):
@@ -273,7 +282,8 @@ class TestErrorPaths:
                                          ["image-pt", "--alpha", "0.5"],
                                          ["pt", "--alpha", "0.5", "--basis", "dct"],
                                          ["pt", "--alpha-sweep", "0:0.5:3", "--basis", "dct"],
-                                         ["delay", "--samples", "0.5", "--basis", "dct"]])
+                                         ["delay", "--samples", "0.5", "--basis", "dct"],
+                                         ["wpt", "--alpha", "0.5"]])
     def test_overflowing_samples_are_numeric_failure(self, command, tmp_path, capsys):
         # finite samples whose spectrum overflows
         path = tmp_path / "huge.csv"
@@ -420,6 +430,25 @@ class TestHeaders:
                  if line.startswith("#")]
         assert lines == [f"# tool = phasekit {pk.__version__}", f"# command = {argv[0]}",
                          *(f"# {param}" for param in params)]
+
+    def test_input_path_that_is_not_utf8_is_recorded_as_its_bytes(self, gauss_csv, tmp_path):
+        data = gauss_csv.read_bytes()
+        outputs = {}
+        for name in (b"good.csv", b"bad\xff.csv"):
+            path = os.fsencode(tmp_path) + b"/" + name
+            with open(path, "wb") as fh:
+                fh.write(data)
+            proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", path, "--alpha", "0.3",
+                                   "-o", path + b".out"], capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            with open(path + b".out", "rb") as fh:
+                outputs[name] = fh.read().splitlines()
+        assert b"# input = " + os.fsencode(tmp_path) + b"/bad\xff.csv" in outputs[b"bad\xff.csv"]
+        assert [line for line in outputs[b"bad\xff.csv"] if not line.startswith(b"#")] \
+            == [line for line in outputs[b"good.csv"] if not line.startswith(b"#")]
+        # phasekit reads its own output back
+        header, _, _ = pkio.read_columns_csv(os.fsencode(tmp_path) + b"/bad\xff.csv.out")
+        assert header["input"] == os.fsdecode(os.fsencode(tmp_path) + b"/bad\xff.csv")
 
 
 class TestArbitraryInput:

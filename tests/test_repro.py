@@ -1,5 +1,8 @@
 """The demonstration-experiment runners produce artifacts and sane metrics."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,3 +64,20 @@ def test_example_5_wavelet_sweep(tmp_path):
 def test_rejects_unknown_example(tmp_path):
     with pytest.raises(ValueError):
         run_example(6, tmp_path, HEADER)
+
+
+def test_phase_sweep_demo_script_agrees_across_routes(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "phase_sweep_demo.py"
+    out = tmp_path / "demo.csv"
+    proc = subprocess.run([sys.executable, str(script), "-o", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    errors = {line.split()[0]: float(line.split()[-1])
+              for line in proc.stdout.splitlines() if "interior rel L2" in line}
+    # a run of the defaults printed 2.6e-15, 9.4e-4 and 7.2e-4
+    assert errors["dft"] < 1e-14
+    assert errors["dct"] < 2e-3
+    assert errors["wavelet"] < 1.5e-3
+    _, names, cols = pkio.read_columns_csv(out)
+    assert names == ["t", "original", "via_dft", "via_dct", "via_wavelet", "shifted_tone"]
+    assert len(cols) == 6

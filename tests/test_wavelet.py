@@ -9,7 +9,7 @@ import scipy.signal
 
 import phasekit as pk
 from phasekit.repro import example5_signal, interior, rel_l2
-from oracles import admissibility_integral, morse_cpsi_closed_form
+from oracles import admissibility_integral, awt_direct, morse_cpsi_closed_form
 
 # value pinned from the adaptive-quadrature run for beta=20, gamma=3 and
 # cross-checked against the closed form A Gamma(beta/gamma) / gamma
@@ -78,6 +78,15 @@ class TestScaleGrid:
         grid = pk.ScaleGrid.default(1000, pk.MorseWavelet(), voices_per_octave=400)
         assert grid.scales.size < 4096
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_default_needs_more_than_four_samples(self, n):
+        spec = pk.MorseWavelet()
+        with pytest.raises(ValueError, match="more than 4 samples"):
+            pk.ScaleGrid.default(n, spec)
+        with pytest.raises(ValueError, match="more than 4 samples"):
+            pk.wavelet_analytic_signal(np.ones(n))
+        assert pk.ScaleGrid.default(5, spec).scales.size >= 2
+
 
 class TestAwt:
     def test_zero_signal_gives_zero_scalogram(self):
@@ -111,6 +120,17 @@ class TestAwt:
         b = 2.0 * pk.awt(pk.Signal(x1), grid, spec).coeffs \
             + 0.5 * pk.awt(pk.Signal(x2), grid, spec).coeffs
         assert np.max(np.abs(a - b)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64])
+    def test_matches_direct_sums(self, n):
+        x = 3.0 * np.random.default_rng(n).standard_normal(n)
+        spec = pk.MorseWavelet()
+        grid = (pk.ScaleGrid.default(n, spec) if n > 4
+                else pk.ScaleGrid(np.array([0.7, 1.4, 2.8]), 1))
+        got = pk.awt(x, grid, spec).coeffs
+        want = awt_direct(x, grid.scales, spec.beta, spec.gamma)
+        assert np.max(np.abs(want)) > 0.1 or n == 1
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
     def test_warns_on_aliased_scales(self):
         spec = pk.MorseWavelet()
