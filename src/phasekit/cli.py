@@ -16,7 +16,9 @@ error; data only to files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -73,10 +75,29 @@ def _header(args, **params) -> dict:
     return {"tool": f"phasekit {__version__}", "command": args.command, **params}
 
 
-def _write(path, write, *args):
+def _regular_file(path: Path):
+    """(inode, size, mtime) of ``path`` if it is a regular file, else None."""
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        write(path, *args)
+        st = path.lstat()
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
+def _write(path, write, *args):
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        before = _regular_file(path)
+        try:
+            write(path, *args)
+        except BaseException:
+            # a failed write leaves no partial output: remove the regular file
+            # it made or rewrote, but no special file and no untouched file
+            if _regular_file(path) not in (None, before):
+                with contextlib.suppress(OSError):
+                    path.unlink()
+            raise
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot write {path}: {exc}")
 

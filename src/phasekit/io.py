@@ -1,11 +1,16 @@
 """File formats for the command-line tools: CSV, mono WAV, binary PGM.
 
 Column files and grid files share one CSV codec: '# key = value' header
-lines, an optional row of column names, then comma-separated numbers.  The
-writer formats blocks of rows with one '%' each on a repeated '%.17g' row
-format (round-trippable, '.' radix, '\\n' line endings, no timestamps).
-A large output is formatted in two halves on two CPUs where the platform
-allows (a forked child formats the second half), with the same bytes.  The
+lines, an optional row of column names, then comma-separated numbers, each
+the text of Python's '%.17g' (round-trippable, '.' radix, '\\n' line endings,
+no timestamps).  The writer formats a block of rows at a time with a numpy
+kernel that computes the correctly rounded 17 digits of every value at once
+from a double-double table of powers of ten; a block holding a value the
+kernel cannot decide (a tie at the 17th digit, a magnitude below about
+1e-292, a non-finite value) is formatted with one Python '%' on a repeated
+'%.17g' row format, so the bytes are those of '%' either way.  A large
+output is formatted in two halves on two CPUs where the platform allows (a
+forked child formats the second half), with the same bytes.  The
 reader parses the data rows with one ``np.loadtxt`` call on the stream
 of stripped lines, so numbers take its syntax.  The header is the
 '# key = value' pairs of the comment lines before the first data row;
@@ -15,6 +20,7 @@ through ``str``.  All writers are deterministic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -39,22 +45,155 @@ def _header_text(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-# values formatted per '%' call (whole rows, at least one): a block's text is
-# about 100 kB, and blocks of 2**10 to 2**16 values write equally fast
-_BLOCK_VALUES = 1 << 12
+# values formatted per block (whole rows, at least one): blocks of 2**13 to
+# 2**15 values write equally fast (2**12 about 8 % slower), and a block's
+# working arrays take about 2 MB at 2**13
+_BLOCK_VALUES = 1 << 13
 # outputs of at least this many values (and two rows) are formatted in two
 # halves, the second by a forked child, when this process may use two CPUs:
-# the split costs about 3.5 ms, breaks even between 12k and 16k values and,
-# on two CPUs, saved 15-47 % of every write from 2**15 values on
-_SPLIT_VALUES = 1 << 15
+# the split costs about 3 ms, breaks even between 2**15 and 2**15.5 values
+# and, on two CPUs, saved 14-32 % of every write from 2**16 values on
+_SPLIT_VALUES = 1 << 16
+
+# 10**s as the double-double hh + hl + lo (hh and hl hold 26 bits each) for s
+# in [_POW_MIN, _POW_MAX]: 17 digits of every magnitude from about 1e-292 up
+_POW_MIN, _POW_MAX = -300, 308
+# a scaled value whose fraction is this close to one half may be a tie; the
+# double-double product is good to about 4e-15 of the last digit
+_TIE = 2.0 ** -30
+_TOP26 = np.int64(~((1 << 27) - 1))  # keeps a double's top 26 significand bits
+_WORD = np.dtype("<u8")  # a record is 6 words; byte k of a word is bits 8k..8k+7
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables():
+    """The tables of the '%.17g' kernel, built on first use in a few ms:
+    10**s split as (hh, hl, lo); the digits of 0000-9999 at a word's even
+    bytes and their trailing zeros; sign and '0.000' heads; 'e+XX' tails for
+    exponents -400..399 after a blank one; the masks of the four digit words
+    that keep k digits; and the highest set bit of 0..15 (-1 for 0)."""
+    pow10 = []
+    for s in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        m, q = (num / den).as_integer_ratio()
+        shift = max(m.bit_length() - 26, 0)
+        top = (m + (1 << shift >> 1)) >> shift << shift
+        pow10.append((top / q, (m - top) / q, (num * q - m * den) / (den * q)))
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10]).astype(np.uint64)
+    groups = sum((d + np.uint64(48)) << np.uint64(16 * j) for j, d in enumerate(digits))
+    zeros = sum((g % 10 ** k == 0).astype(np.int64) for k in range(1, 5))
+    heads = [_word(sign + prefix) for sign in ("\0", "-")
+             for prefix in ("", "0.", "0.0", "0.00", "0.000")]
+    tails = [0] + [_word(f"e{x:+03d}") for x in range(-400, 400)]
+    masks = [[(1 << 16 * min(max(k - j, 0), 4)) - 1 for j in range(1, 17, 4)]
+             for k in range(18)]
+    tables = (np.array(pow10), groups.astype(_WORD), zeros,
+              np.array(heads, _WORD), np.array(tails, _WORD), np.array(masks, _WORD),
+              np.array([b.bit_length() - 1 for b in range(16)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
+    """floor(a * 10**(16 - e)) and its fraction, to about 4e-15: Dekker's
+    exact product of a and hh + hl, plus a * lo."""
+    hh, hl, lo = pow10[16 - e - _POW_MIN].T
+    p = a * (hh + hl)
+    ah = (a.view(np.int64) & _TOP26).view(np.float64)
+    al = a - ah
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    whole = np.floor(p)
+    t += p - whole
+    r = np.floor(t)
+    return whole.astype(np.int64) + r.astype(np.int64), t - r
+
+
+def _g17_records(block: np.ndarray):
+    """The '%.17g' text of each value of a 2-D ``block``, followed by ',' or,
+    at the end of a row, '\n', as 48-byte records padded with NULs; and
+    which values the kernel could not decide (non-finite, below about
+    1e-292, or within _TIE of a rounding tie), whose records are garbage.
+
+    The 17 digits D and the exponent x follow Python's correctly rounded
+    '%.17g': D = round(|v| * 10**(16 - x)) in [10**16, 10**17), with
+    x = floor(log10 |v|) moved by one where D falls outside; then the text
+    is laid out as '%g' does, with trailing zeros dropped.  A record is a
+    head word (sign, the '0.000' of -4 <= x < 0, the first digit), four
+    words of digits at their even bytes, and a tail word ('e+XX' and the
+    separator); the decimal point goes into the odd byte after its digit.
+    """
+    pow10, groups, zeros, heads, tails, masks, top_bit = _g17_tables()
+    values = block.ravel()
+    n = values.size
+    a = np.abs(values)
+    zero = a == 0
+    undecided = ~np.isfinite(a)
+    a[undecided | zero] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    outside = (x < 16 - _POW_MAX) | (x > 16 - _POW_MIN)
+    undecided |= outside
+    x[outside] = 0
+    low, frac = _g17_scaled(a, x, pow10)
+    digits = low + (frac > 0.5)
+    # log10 may put x one too high (low < 10**16) or one too low: redo those
+    redo = np.flatnonzero((low < 10 ** 16) | (digits > 10 ** 17))
+    if redo.size:
+        x2 = x[redo] + np.where(digits[redo] > 10 ** 17, 1, -1)
+        inside = (16 - x2 >= _POW_MIN) & (16 - x2 <= _POW_MAX)
+        x2[~inside] = 0
+        low2, frac[redo] = _g17_scaled(a[redo], x2, pow10)
+        digits[redo] = low2 + (frac[redo] > 0.5)
+        undecided[redo] |= ~inside | (low2 < 10 ** 16) | (digits[redo] > 10 ** 17)
+        x[redo] = x2
+    undecided |= np.abs(frac - 0.5) < _TIE
+    carry = digits == 10 ** 17  # 99999999999999999.5 and up rounds to 1e17
+    digits[carry] = 10 ** 16
+    x += carry
+    digits[zero] = 0
+    x[zero] = 0
+
+    upper = digits // 100000000
+    first = upper // 100000000
+    quads = np.empty((n, 4), np.int64)
+    quads[:, 0], quads[:, 1] = np.divmod(upper - first * 100000000, 10000)
+    quads[:, 2], quads[:, 3] = np.divmod(digits - upper * 100000000, 10000)
+    # significant digits: through the last nonzero quad, less its trailing zeros
+    last = top_bit[(quads != 0) @ np.array([1, 2, 4, 8])]
+    significant = np.where(last < 0, 1, 5 + 4 * last - zeros[quads.ravel()[4 * np.arange(n) + last]])
+    fixed = (x >= -4) & (x < 17)
+    whole = np.where(fixed & (x > 0), x + 1, 1)  # digits before the point
+    records = np.empty((n, 6), _WORD)
+    records[:, 0] = heads[np.signbit(values) * 5 + np.where(fixed & (x < 0), -x, 0)]
+    records[:, 0] |= (first + 48).astype(np.uint64) << np.uint64(48)
+    records[:, 1:5] = groups[quads]
+    records[:, 1:5] &= masks[np.maximum(significant, whole)]
+    ends = np.full(block.shape[1], _word("\0\0\0\0\0,"), np.uint64)
+    ends[-1] = _word("\0\0\0\0\0\n")
+    records[:, 5] = tails[np.where(fixed, 0, x + 401)]
+    records[:, 5] |= np.tile(ends, block.shape[0])
+    point = np.flatnonzero((significant > whole) & ~(fixed & (x < 0)))
+    records.view(np.uint8).reshape(-1)[48 * point + 5 + 2 * whole[point]] = ord(".")
+    return records, undecided
 
 
 def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
-    """Write ``rows`` to the text file ``fh``, one '%' per block of rows."""
+    """Write ``rows`` to the text file ``fh`` a block of rows at a time: the
+    '%.17g' kernel's text, or one '%' on the repeated ``row_format`` for a
+    block that holds a value the kernel cannot decide."""
     step = max(1, _BLOCK_VALUES // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
-        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        records, undecided = _g17_records(block)
+        if undecided.any():
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        else:
+            fh.write(records.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _quota_cpus(table: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
@@ -104,6 +243,7 @@ def _fork_rows(rows: np.ndarray, row_format: str):
     flushed, 1 on any exception): it never returns into the caller's frames
     and never flushes the buffers it inherited.
     """
+    _g17_tables()  # built once, before the fork, for both processes
     try:
         tmp = tempfile.TemporaryFile()
     except OSError:
@@ -112,7 +252,8 @@ def _fork_rows(rows: np.ndarray, row_format: str):
         # Python 3.12+ warns (a DeprecationWarning, hidden by the default
         # filters and never raised) that forking a multi-threaded process such
         # as numpy's BLAS pool may deadlock the child; this child calls no BLAS
-        # and runs only tolist, '%'-formatting and file writes before os._exit
+        # and runs only numpy's element-wise and integer loops, tolist,
+        # '%'-formatting and file writes before os._exit
         pid = os.fork()
     except OSError:
         tmp.close()

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,37 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "pt_dft", exhausted)
         assert main(["pt", str(gauss_csv), "--alpha", "0.5", "-o", str(tmp_path / "x.csv")]) == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "long.csv"
+        n = 20000
+        pkio.write_columns_csv(path, {}, ["t", "value"],
+                               [np.arange(n) / 1000.0, np.random.default_rng(1).standard_normal(n)])
+        out = tmp_path / "part.csv"
+
+        def limit_file_size():  # in the command's process only: about a tenth of its output
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2 ** 17, 2 ** 17))
+
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", str(path), "--alpha", "0.3",
+                               "-o", str(out)], capture_output=True, text=True,
+                              preexec_fn=limit_file_size)
+        assert proc.returncode == 2
+        assert "File too large" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_failed_write_leaves_special_and_untouched_files(self, gauss_csv, tmp_path):
+        # a device and a directory are not removed; neither is a file the
+        # writer never opened (a sample rate that fits no WAV header)
+        targets = [tmp_path] + [Path("/dev/full")] * os.path.exists("/dev/full")
+        for target in targets:
+            assert main(["pt", str(gauss_csv), "--alpha", "0.3", "-o", str(target)]) == 2
+            assert target.exists()
+        kept = tmp_path / "kept.wav"
+        kept.write_bytes(b"old")
+        with pytest.raises(ValueError, match="whole number of Hz"):
+            cli._write(kept, pkio.write_wav, pk.Signal(np.zeros(4), 0.5))
+        assert kept.read_bytes() == b"old"
 
     def test_truncated_wav_is_io_error_without_traceback(self, tmp_path):
         # the fmt chunk announces 16 bytes but holds 6

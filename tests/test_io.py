@@ -1,16 +1,18 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
 import math
 import os
+import runpy
 import struct
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasekit.io as pkio
@@ -21,6 +23,10 @@ from oracles import csv_bytes
 # subnormal, the largest finite doubles, integers, and 0.1
 EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                         -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 0.1])
+
+CHECK_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_csv_kernel.py"
+# boundary_values() and check(values) of the kernel's byte-identity check
+CHECK = runpy.run_path(str(CHECK_SCRIPT))
 
 CSV_TOKENS = ["0", "1", "-2.5", " 0.1 ", "1e308", "-1e308", "5e-324", "1e999", "nan",
               "inf", "t", "value", "", " ", "1_000", "\uff11\uff12", "0x1", "# k = v", "\x00"]
@@ -279,6 +285,38 @@ class TestCsvCodec:
         assert len(forks) == 1
         assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_split_write_beside_a_thread_that_allocates_arrays(self, tmp_path):
+        # the forked child runs numpy while another thread of the parent
+        # allocates and frees arrays; a child that deadlocked would hang the
+        # write, so it runs in a subprocess with a timeout
+        path = tmp_path / "cols.csv"
+        script = (
+            "import os, threading, numpy as np\n"
+            "import phasekit.io as pkio\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "pkio._quota_cpus = lambda: 2.0\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "stop = threading.Event()\n"
+            "def churn():\n"
+            "    while not stop.is_set():\n"
+            "        np.sqrt(np.arange(50000.0)).sum()\n"
+            "thread = threading.Thread(target=churn)\n"
+            "thread.start()\n"
+            "columns = list(np.random.default_rng(8).standard_normal((3, 131072)))\n"
+            "for _ in range(5):\n"
+            f"    pkio.write_columns_csv({str(path)!r}, {{}}, ['a', 'b', 'c'], columns)\n"
+            "stop.set()\n"
+            "thread.join()\n"
+            "print(len(forks))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "5\n"
+        data = np.random.default_rng(8).standard_normal((3, 131072)).T
+        assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+
     @given(raw=CSV_BYTES)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_arbitrary_bytes_give_a_value_or_value_error(self, tmp_path_factory, raw):
@@ -303,6 +341,60 @@ class TestCsvCodec:
         assert path.read_text().splitlines()[0] == f"# key = {text}"
         pkio.write_grid_csv(path, {"key": value}, np.zeros((1, 1)))
         assert path.read_text().splitlines()[0] == f"# key = {text}"
+
+
+class TestG17Kernel:
+    """The writer's '%.17g' kernel against Python's '%', one value at a time
+    (tests/oracles.csv_bytes), alone and through both writers."""
+
+    def write_both(self, path, values):
+        """Write ``values`` as one column and as one grid row; both must have
+        the bytes of '%'."""
+        pkio.write_columns_csv(path, {}, ["v"], [values])
+        assert path.read_bytes() == csv_bytes({}, ["v"], values[:, None])
+        pkio.write_grid_csv(path, {}, values[None, :])
+        assert path.read_bytes() == csv_bytes({}, None, values[None, :])
+
+    def test_boundary_values(self, tmp_path):
+        values = CHECK["boundary_values"]()
+        assert CHECK["check"](values)[0] is None
+        self.write_both(tmp_path / "v.csv", values)
+
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_raw_bit_patterns(self, tmp_path_factory, bits):
+        values = np.array(bits, np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]  # subnormals included
+        assume(values.size > 0)
+        assert CHECK["check"](values)[0] is None
+        self.write_both(tmp_path_factory.mktemp("g17") / "v.csv", values)
+
+    def test_block_with_an_undecided_value_is_formatted_with_percent(self, tmp_path):
+        # a tie that '%' rounds half to even, here up: 1234567890123456.75
+        # has the 18 digits ...675 and prints as ...56.8; and a subnormal
+        block = np.array([[0.5, 1234567890123456.75, 3.0], [5e-324, -2.0, 7.0]])
+        assert pkio._g17_records(block)[1].tolist() == [False, True, False, True, False, False]
+        path = tmp_path / "g.csv"
+        pkio.write_grid_csv(path, {}, block)
+        assert path.read_bytes() == csv_bytes({}, None, block)
+        assert b",1234567890123456.8," in path.read_bytes()
+
+    def test_check_script_passes(self):
+        proc = subprocess.run([sys.executable, str(CHECK_SCRIPT), "20000", "--seed", "1"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "values match '%.17g'" in proc.stdout
+
+    def test_tables_are_built_on_the_first_write(self, tmp_path):
+        script = (
+            "import numpy as np\n"
+            "import phasekit.cli, phasekit.io as pkio\n"
+            "print(pkio._g17_tables.cache_info().currsize)\n"
+            f"pkio.write_grid_csv({str(tmp_path / 'g.csv')!r}, {{}}, np.ones((2, 2)))\n"
+            "print(pkio._g17_tables.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n1\n"
 
 
 class TestColumnsCsv:
