@@ -92,7 +92,7 @@ def _g17_tables():
     tails = [0] + [_word(f"e{x:+03d}") for x in range(-400, 400)]
     masks = [[(1 << 16 * min(max(k - j, 0), 4)) - 1 for j in range(1, 17, 4)]
              for k in range(18)]
-    tables = (np.array(pow10), groups.astype(_WORD), zeros,
+    tables = (np.array(pow10).T.copy(), groups.astype(_WORD), zeros,
               np.array(heads, _WORD), np.array(tails, _WORD), np.array(masks, _WORD),
               np.array([b.bit_length() - 1 for b in range(16)]))
     for table in tables:
@@ -103,7 +103,7 @@ def _g17_tables():
 def _g17_scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
     """floor(a * 10**(16 - e)) and its fraction, to about 4e-15: Dekker's
     exact product of a and hh + hl, plus a * lo."""
-    hh, hl, lo = pow10[16 - e - _POW_MIN].T
+    hh, hl, lo = pow10[:, 16 - e - _POW_MIN]
     p = a * (hh + hl)
     ah = (a.view(np.int64) & _TOP26).view(np.float64)
     al = a - ah
@@ -172,7 +172,9 @@ def _g17_records(block: np.ndarray):
     records[:, 0] = heads[np.signbit(values) * 5 + np.where(fixed & (x < 0), -x, 0)]
     records[:, 0] |= (first + 48).astype(np.uint64) << np.uint64(48)
     records[:, 1:5] = groups[quads]
-    records[:, 1:5] &= masks[np.maximum(significant, whole)]
+    keep = np.maximum(significant, whole)
+    short = np.flatnonzero(keep < 17)
+    records[short, 1:5] &= masks[keep[short]]
     ends = np.full(block.shape[1], _word("\0\0\0\0\0,"), np.uint64)
     ends[-1] = _word("\0\0\0\0\0\n")
     records[:, 5] = tails[np.where(fixed, 0, x + 401)]
