@@ -51,9 +51,10 @@ def _header_text(value) -> str:
 _BLOCK_VALUES = 1 << 13
 # outputs of at least this many values (and two rows) are formatted in two
 # halves, the second by a forked child, when this process may use two CPUs:
-# the split costs about 3 ms, breaks even between 2**15 and 2**15.5 values
-# and, on two CPUs, saved 14-32 % of every write from 2**16 values on
-_SPLIT_VALUES = 1 << 16
+# the split costs about 3 ms and, with the '%.17g' kernel, breaks even
+# between 2**15 and 2**15.25 values; on two CPUs it saved 5-12 % of a write
+# at 2**15.5 and 13-32 % from 2**16 on
+_SPLIT_VALUES = 1 << 15
 
 # 10**s as the double-double hh + hl + lo (hh and hl hold 26 bits each) for s
 # in [_POW_MIN, _POW_MAX]: 17 digits of every magnitude from about 1e-292 up

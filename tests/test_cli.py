@@ -402,7 +402,9 @@ class TestErrorPaths:
     def test_failed_write_leaves_special_and_untouched_files(self, gauss_csv, tmp_path):
         # a device and a directory are not removed; neither is a file the
         # writer never opened (a sample rate that fits no WAV header)
-        targets = [tmp_path] + [Path("/dev/full")] * os.path.exists("/dev/full")
+        targets = [tmp_path]
+        if os.path.exists("/dev/full"):
+            targets.append(Path("/dev/full"))
         for target in targets:
             assert main(["pt", str(gauss_csv), "--alpha", "0.3", "-o", str(target)]) == 2
             assert target.exists()
