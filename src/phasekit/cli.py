@@ -10,16 +10,16 @@ Exit codes: 0 success, 2 unreadable/unwritable file, 3 invalid argument
 (also a non-finite one, or one that would make more than MAX_SWEEP_STEPS
 sweep columns, MAX_SYNTH_SAMPLES samples or ``wavelet.MAX_SCALES`` scales,
 checked before anything is allocated), 4 numeric failure (a non-finite
-result on either basis, or memory exhausted).  Warnings go to standard
-error; data only to files.
+result on either basis, or memory exhausted; a failed write leaves no
+partial file).  Warnings go to standard error as one line each,
+'phasekit: RuntimeWarning: ...'; data only to files.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,45 +66,21 @@ def _out_path(args, suffix: str) -> Path:
     return outdir / f"{stem}_{suffix}.csv"
 
 
-def _check_finite(columns):
-    if not np.all(np.isfinite(columns)):
-        raise CliError(NUMERIC_ERROR, "computation produced non-finite values")
-
-
 def _header(args, **params) -> dict:
     return {"tool": f"phasekit {__version__}", "command": args.command, **params}
-
-
-def _regular_file(path: Path):
-    """(inode, size, mtime) of ``path`` if it is a regular file, else None."""
-    try:
-        st = path.lstat()
-    except OSError:
-        return None
-    return (st.st_ino, st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
 
 
 def _write(path, write, *args):
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        before = _regular_file(path)
-        try:
-            write(path, *args)
-        except BaseException:
-            # a failed write leaves no partial output: remove the regular file
-            # it made or rewrote, but no special file and no untouched file
-            if _regular_file(path) not in (None, before):
-                with contextlib.suppress(OSError):
-                    path.unlink()
-            raise
+        write(path, *args)
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot write {path}: {exc}")
 
 
 def _write_signal(args, sig, suffix: str, names: list[str], columns, **params) -> int:
     """Write a signal command's result after the t and original columns."""
-    _check_finite(columns)
     _write(_out_path(args, suffix), pkio.write_columns_csv,
            _header(args, input=args.input, **params),
            ["t", "original", *names], [sig.times, sig.samples, *columns])
@@ -212,7 +188,6 @@ def cmd_repro(args) -> int:
     outdir = Path(args.outdir or os.environ.get("PHASEKIT_OUTDIR", "."))
     header = {"tool": f"phasekit {__version__}", "command": f"repro {args.example}"}
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         metrics = repro.run_example(args.example, outdir, header)
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot write artifacts: {exc}")
@@ -351,12 +326,17 @@ def _config_defaults(args) -> dict:
     return defaults
 
 
+def _format_warning(message, category, *_) -> str:
+    return f"phasekit: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         defaults = _config_defaults(args)
         if defaults:  # parse again so every flag given on the command line wins
@@ -375,6 +355,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, MemoryError) as exc:
         print(f"phasekit: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .phase import PhaseProfile, pt_dct, pt_dft
-from .spectral import Signal, _require_finite, apply_gain, as_signal
+from .spectral import Signal, _require_finite, _warn, apply_gain, as_signal
 
 
 class KernelScaling(enum.Enum):
@@ -135,8 +134,6 @@ def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
             out = out + dc
         # means at the round-off floor are not worth a warning
         if mu > 0 and abs(a0) > 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))):
-            warnings.warn(
-                "mean term of a fractional derivative diverges at t = 0; "
-                "that sample's contribution was set to zero",
-                RuntimeWarning, stacklevel=2)
+            _warn("mean term of a fractional derivative diverges at t = 0; "
+                  "that sample's contribution was set to zero")
     return Signal(_require_finite(out, "differintegration"), sig.sample_rate)

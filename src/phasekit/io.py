@@ -10,21 +10,24 @@ kernel cannot decide (a tie at the 17th digit, a magnitude below about
 1e-292, a non-finite value) is formatted with one Python '%' on a repeated
 '%.17g' row format, so the bytes are those of '%' either way.  A large
 output is formatted in two halves on two CPUs where the platform allows (a
-forked child formats the second half), with the same bytes.  The
-reader parses the data rows with one ``np.loadtxt`` call on the stream
-of stripped lines, so numbers take its syntax.  The header is the
-'# key = value' pairs of the comment lines before the first data row;
-later comment lines are skipped.  Header values are rendered by the
-writer: a float as '%.17g', a bool as 'true'/'false', anything else
-through ``str``.  All writers are deterministic.
+forked child formats the second half), with the same bytes.  The reader
+parses the data rows with one ``np.loadtxt`` call on the stream of stripped
+lines, so numbers take its syntax.  The header is the '# key = value' pairs
+of the comment lines before the first data row; later comment lines are
+skipped.  Header values are rendered by the writer: a float as '%.17g', a
+bool as 'true'/'false', anything else through ``str``.  All writers are
+deterministic, and each opens its file with :func:`output_file`, so a
+failed write leaves no partial file.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import os
 import shutil
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -37,6 +40,24 @@ from .spectral import Image, Signal
 def format_float(value: float) -> str:
     """Round-trippable decimal rendering of a double."""
     return f"{value:.17g}"
+
+
+@contextlib.contextmanager
+def output_file(path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` for writing.  If the body or the close
+    raises, ``path`` is removed when it is the regular file this call opened
+    (never a symlink, device, FIFO or directory); the exception propagates."""
+    opened = False
+    try:
+        with open(path, mode, **kwargs) as fh:
+            st = os.lstat(path)
+            opened = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(fh.fileno()))
+            yield fh
+    except BaseException:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _header_text(value) -> str:
@@ -298,7 +319,7 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     # UTF-8 whatever the locale; a path byte that is not UTF-8 (a surrogate
     # from os.fsdecode) is written back as itself, and _read_csv reads it
-    with open(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
+    with output_file(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
         for key, value in header.items():
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
@@ -453,7 +474,8 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
         b"RIFF", 36 + len(payload), b"WAVE",
         b"fmt ", 16, audio_format, 1, rate, rate * block, block, bits,
         b"data", len(payload))
-    Path(path).write_bytes(header + payload)
+    with output_file(path, "wb") as fh:
+        fh.write(header + payload)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +524,8 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = 255) -> None:
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + np.rint(pixels).astype(dtype).tobytes())
+    with output_file(path, "wb") as fh:
+        fh.write(header + np.rint(pixels).astype(dtype).tobytes())
 
 
 def pgm_preview(pixels: np.ndarray, maxval: int = 255) -> np.ndarray:

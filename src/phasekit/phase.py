@@ -192,14 +192,18 @@ def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
 
     By linearity y(alpha) = cos(alpha) x + sin(alpha) q, where the
     quadrature q is :func:`hilbert` on the DFT basis and :func:`fcqt` on the
-    DCT basis, so the whole sweep costs one transform.
+    DCT basis, so the whole sweep costs one transform.  A non-finite phase
+    raises ValueError and a non-finite result FloatingPointError.
     """
     sig = as_signal(signal)
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("phases must be finite")
     if basis == "dft":
         quadrature = hilbert(sig).samples
     elif basis == "dct":
         quadrature = fcqt(sig).samples
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    alphas = np.asarray(alphas, dtype=float)[:, None]
-    return np.cos(alphas) * sig.samples + np.sin(alphas) * quadrature
+    return _require_finite(np.cos(alphas) * sig.samples + np.sin(alphas) * quadrature,
+                           "phase sweep")

@@ -1,10 +1,10 @@
 """Reference experiments: signal builders, error metrics, and artifact writers.
 
-Each ``run_example_*`` regenerates one of the library's five demonstration
-experiments with fixed parameters, writes plot-ready CSV data into its
-directory and returns the error metrics the acceptance suite asserts on;
-:func:`run_example` gives it ``outdir/exampleN`` and writes the metrics
-there as a machine-readable ``summary.json``.
+Each ``run_example_*`` regenerates one of the five demonstration experiments
+with fixed parameters, writes plot-ready CSV data into its directory and
+returns the error metrics the acceptance suite asserts on; :func:`run_example`
+gives it ``outdir/exampleN`` and writes the metrics there, last, as
+``summary.json``.  Each file goes through :func:`phasekit.io.output_file`.
 """
 from __future__ import annotations
 
@@ -182,7 +182,7 @@ def run_example(number: int, outdir, header: dict) -> dict:
     directory = Path(outdir) / f"example{number}"
     directory.mkdir(parents=True, exist_ok=True)
     metrics = _RUNNERS[number](directory, header)
-    with open(directory / "summary.json", "w", newline="\n") as fh:
+    with pkio.output_file(directory / "summary.json", "w", newline="\n") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return metrics

@@ -20,6 +20,8 @@ concurrently.
 """
 from __future__ import annotations
 
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -299,6 +301,15 @@ def _require_finite(out: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"{what} produced non-finite values")
     return out
+
+
+def _warn(message: str) -> None:
+    """Issue a RuntimeWarning that names the first line outside phasekit:
+    the caller's, however deep inside the package the warning starts."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def analytic_signal(signal) -> np.ndarray:

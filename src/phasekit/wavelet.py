@@ -31,12 +31,11 @@ closed form, so this module needs no scipy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Signal, _require_finite, as_signal
+from .spectral import Signal, _require_finite, _warn, as_signal
 
 MAX_SCALES = 4096  # ScaleGrid.default; the default grids of 1e6 samples hold ~180
 RESIDUAL_WARN = 0.05  # wavelet_analytic_signal warns above this relative residual
@@ -147,14 +146,6 @@ class Scalogram:
             raise ValueError("coefficient rows must match the scale grid")
 
 
-def _warn_aliased(grid: ScaleGrid, spec: MorseWavelet) -> None:
-    aliased = int(np.sum(grid.scales * np.pi < spec.peak_omega))
-    if aliased:
-        warnings.warn(
-            f"{aliased} scale(s) place the wavelet peak above Nyquist",
-            RuntimeWarning, stacklevel=4)
-
-
 def _reflected_spectrum(signal, grid, spec):
     """Fill in the defaults, warn about aliased scales, and return
     (signal, grid, spec, X, omega): X is the real FFT of the reflected
@@ -162,7 +153,9 @@ def _reflected_spectrum(signal, grid, spec):
     sig = as_signal(signal)
     spec = spec if spec is not None else MorseWavelet()
     grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
-    _warn_aliased(grid, spec)
+    aliased = int(np.sum(grid.scales * np.pi < spec.peak_omega))
+    if aliased:
+        _warn(f"{aliased} scale(s) place the wavelet peak above Nyquist")
     n = len(sig)
     padded = np.pad(sig.samples, n, mode="symmetric") if n > 1 else sig.samples
     omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
@@ -238,10 +231,8 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
     if norm > 0:
         residual = float(np.linalg.norm(z.real - x)) / norm
         if residual > RESIDUAL_WARN:
-            warnings.warn(
-                f"wavelet reconstruction residual {residual:.3g} exceeds "
-                f"{RESIDUAL_WARN:.3g}; scale grid may not cover the signal band",
-                RuntimeWarning, stacklevel=2)
+            _warn(f"wavelet reconstruction residual {residual:.3g} exceeds "
+                  f"{RESIDUAL_WARN:.3g}; scale grid may not cover the signal band")
     return z
 
 

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import phasekit as pk
 import phasekit.cli as cli
 import phasekit.io as pkio
 from phasekit.cli import MAX_SWEEP_STEPS, main
-from test_io import CSV_BYTES, PGM_BYTES
+from test_io import CSV_BYTES, PGM_BYTES, run_with_file_limit
 
 
 @pytest.fixture()
@@ -142,6 +143,21 @@ class TestDifferintCommand:
         code = main(["differint", str(gauss_csv), "--order", "400",
                      "-o", str(tmp_path / "x.csv")])
         assert code == 4
+
+    def test_warning_is_one_line_without_a_source_location(self, tmp_path):
+        path = tmp_path / "offset.csv"
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), np.full(64, 2.0)])
+        argv = ["differint", str(path), "--order", "0.5", "-o", str(tmp_path / "out.csv")]
+        proc = subprocess.run([sys.executable, "-m", "phasekit", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ("phasekit: RuntimeWarning: mean term of a fractional derivative "
+                               "diverges at t = 0; that sample's contribution was set to zero\n")
+        # in process, main restores the format and pytest.warns still records
+        before = warnings.formatwarning
+        with pytest.warns(RuntimeWarning, match="mean term"):
+            assert main(argv) == 0
+        assert warnings.formatwarning is before
 
 
 class TestWptCommand:
@@ -381,23 +397,52 @@ class TestErrorPaths:
         assert main(["pt", str(gauss_csv), "--alpha", "0.5", "-o", str(tmp_path / "x.csv")]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_failed_write_leaves_no_partial_output(self, tmp_path):
-        resource = pytest.importorskip("resource")
-        path = tmp_path / "long.csv"
-        n = 20000
-        pkio.write_columns_csv(path, {}, ["t", "value"],
-                               [np.arange(n) / 1000.0, np.random.default_rng(1).standard_normal(n)])
-        out = tmp_path / "part.csv"
-
-        def limit_file_size():  # in the command's process only: about a tenth of its output
-            resource.setrlimit(resource.RLIMIT_FSIZE, (2 ** 17, 2 ** 17))
-
-        proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", str(path), "--alpha", "0.3",
-                               "-o", str(out)], capture_output=True, text=True,
-                              preexec_fn=limit_file_size)
+    @pytest.mark.parametrize("command", [
+        pytest.param(["pt", "{record}", "--alpha", "0.3"], id="pt"),
+        pytest.param(["pt", "{record}", "--alpha-sweep", "0:0.5:3"], id="pt-sweep"),
+        pytest.param(["delay", "{record}", "--samples", "0.5"], id="delay"),
+        pytest.param(["differint", "{record}", "--order", "0.5"], id="differint"),
+        pytest.param(["wpt", "{record}", "--alpha", "0.5"], id="wpt"),
+        pytest.param(["image-pt", "{grid}", "--alpha", "0.5"], id="image-pt"),
+        pytest.param(["synth", "--duration", "10"], id="synth"),
+        pytest.param(["repro", "1"], id="repro-1"),
+        pytest.param(["repro", "5"], id="repro-5"),
+    ])
+    def test_failed_write_leaves_no_partial_output(self, command, tmp_path):
+        # every output is ten or more times the file-size limit
+        rng = np.random.default_rng(1)
+        record, grid = tmp_path / "record.csv", tmp_path / "grid.csv"
+        pkio.write_columns_csv(record, {}, ["t", "value"],
+                               [np.arange(20000) / 1000.0, rng.standard_normal(20000)])
+        pkio.write_grid_csv(grid, {}, rng.standard_normal((128, 128)))
+        argv = [arg.format(record=record, grid=grid) for arg in command]
+        out = tmp_path / "out"
+        flag = "--outdir" if command[0] == "repro" else "-o"
+        proc = run_with_file_limit(["-m", "phasekit", *argv, flag, str(out)])
         assert proc.returncode == 2
         assert "File too large" in proc.stderr and "Traceback" not in proc.stderr
-        assert not out.exists()
+        if command[0] != "repro":
+            assert not out.exists()
+            return
+        # each artifact is complete or absent, and the summary is never written
+        assert main([*argv, "--outdir", str(tmp_path / "whole")]) == 0
+        written = out / f"example{command[1]}"
+        assert not (written / "summary.json").exists()
+        for path in written.iterdir():
+            whole = tmp_path / "whole" / written.name / path.name
+            assert path.read_bytes() == whole.read_bytes()
+
+    def test_failed_write_through_a_symlink_keeps_the_symlink(self, tmp_path):
+        record = tmp_path / "record.csv"
+        pkio.write_columns_csv(record, {}, ["t", "value"],
+                               [np.arange(20000) / 1000.0, np.ones(20000)])
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        proc = run_with_file_limit(["-m", "phasekit", "pt", str(record), "--alpha", "0.3",
+                                    "-o", str(link)])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert link.is_symlink() and target.exists()
 
     def test_failed_write_leaves_special_and_untouched_files(self, gauss_csv, tmp_path):
         # a device and a directory are not removed; neither is a file the

@@ -1,4 +1,5 @@
 """Tests for the CSV / WAV / PGM readers and writers."""
+import ast
 import math
 import os
 import runpy
@@ -41,6 +42,56 @@ PGM_BYTES = st.one_of(
     st.binary(max_size=100),
     st.tuples(_PGM_SIZE, _PGM_SIZE, st.integers(-1, 70000), st.binary(max_size=64)).map(
         lambda f: b"P5\n%d %d\n%d\n" % f[:3] + f[3]))
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "phasekit"
+FILE_LIMIT = 2 ** 17  # RLIMIT_FSIZE of a limited run: a tenth or less of each output
+
+
+def run_with_file_limit(args):
+    """Run ``python *args`` with the file-size limit set in the child only."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_LIMIT, FILE_LIMIT))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          preexec_fn=limit_file_size)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call of ``open`` has a write mode on anything but a file
+    descriptor (``x.fileno()``); a mode that is not a literal counts."""
+    path = call.args[0] if call.args else None
+    if (isinstance(path, ast.Call) and isinstance(path.func, ast.Attribute)
+            and path.func.attr == "fileno"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
+
+
+def unguarded_writes(package: Path) -> list[str]:
+    """'module:line' of every write in ``package`` that bypasses
+    ``io.output_file``: a write-mode ``open`` on a path, or a
+    ``write_bytes``/``write_text`` call, outside that function."""
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        opener = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef) and source.name == "io.py"
+                  and function.name == "output_file" for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in opener:
+                continue
+            func = node.func
+            if ((isinstance(func, ast.Attribute) and func.attr in ("write_bytes", "write_text"))
+                    or (isinstance(func, ast.Name) and func.id == "open"
+                        and _opens_for_writing(node))):
+                found.append(f"{source.name}:{node.lineno}")
+    return found
 
 
 def bit_pattern(values):
@@ -613,3 +664,32 @@ class TestGridCsv:
         pkio.write_pgm(tmp_path / "g.pgm", pixels, maxval=255)
         assert isinstance(pkio.read_image(tmp_path / "g.csv"), Image)
         assert isinstance(pkio.read_image(tmp_path / "g.pgm"), Image)
+
+
+class TestOutputFile:
+    def test_failed_body_removes_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with pkio.output_file(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("failed")
+        assert not path.exists()
+        with pkio.output_file(path) as fh:
+            fh.write("whole")
+        assert path.read_text() == "whole"
+
+    @pytest.mark.parametrize("call", [
+        "pkio.write_pgm(path, np.zeros((512, 512)))",
+        "pkio.write_wav(path, Signal(np.zeros(1 << 17), 8000.0))",
+    ], ids=["pgm", "wav"])
+    def test_library_writer_leaves_no_partial_file(self, tmp_path, call):
+        path = tmp_path / "out.bin"
+        script = ("import sys; import numpy as np; import phasekit.io as pkio; "
+                  f"from phasekit import Signal; path = sys.argv[1]; {call}")
+        proc = run_with_file_limit(["-c", script, str(path)])
+        assert proc.returncode == 1 and "File too large" in proc.stderr
+        assert not path.exists()
+
+    def test_every_written_path_goes_through_the_opener(self):
+        assert unguarded_writes(SOURCE) == []

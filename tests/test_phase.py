@@ -194,6 +194,11 @@ class TestPtSweep:
         with pytest.raises(ValueError):
             pk.pt_sweep(np.ones(8), [0.0], "dst")
 
+    @pytest.mark.parametrize("basis", ["dft", "dct"])
+    def test_rejects_non_finite_phases(self, basis):
+        with pytest.raises(ValueError, match="finite"):
+            pk.pt_sweep(np.ones(8), [np.nan], basis)
+
 
 class TestPtProperties:
     def test_composition_and_inversion(self):

@@ -1,4 +1,6 @@
 """Tests for the core transforms and the generalized Fourier synthesizer."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,3 +289,35 @@ class TestDomainTypes:
             pk.FourierSeriesCoeffs(0.0, np.array([-1.0]), np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             pk.FourierSeriesCoeffs(0.0, np.array([1.0]), np.array([0.0]), -2.0)
+
+
+def _aliased_grid():
+    spec = pk.MorseWavelet()
+    return pk.ScaleGrid(np.array([0.1, 1.0, 10.0]) * spec.peak_omega / np.pi, 1), spec
+
+
+def _uncovered_trend():
+    # a trend far beyond a grid made for 64 samples leaves a large residual
+    spec = pk.MorseWavelet()
+    return pk.Signal(np.linspace(-1.0, 1.0, 400), 10.0), pk.ScaleGrid.default(64, spec), spec
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: pk.awt(np.ones(64), *_aliased_grid()), id="awt-aliased"),
+    pytest.param(lambda: pk.wavelet_analytic_signal(np.ones(64), *_aliased_grid()),
+                 id="analytic-aliased"),
+    pytest.param(lambda: pk.wavelet_analytic_signal(*_uncovered_trend()), id="analytic-residual"),
+    pytest.param(lambda: pk.wpt(np.ones(64), 0.5, *_aliased_grid()), id="wpt-aliased"),
+    pytest.param(lambda: pk.wpt(_uncovered_trend()[0], 0.5, *_uncovered_trend()[1:]),
+                 id="wpt-residual"),
+    pytest.param(lambda: pk.wqt(np.ones(64), *_aliased_grid()), id="wqt-aliased"),
+    pytest.param(lambda: pk.wqt(*_uncovered_trend()), id="wqt-residual"),
+    pytest.param(lambda: pk.frac_differintegrate(pk.Signal(np.full(16, 2.0)), 0.5),
+                 id="differint-mean"),
+])
+def test_library_warnings_name_the_callers_line(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert caught and all(w.category is RuntimeWarning for w in caught)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
