@@ -303,13 +303,14 @@ def _config_defaults(args) -> dict:
 
     Only the subcommand's own flags can be set; each value goes through
     that flag's type, choices or store_true, so it is checked like the flag.
-    Keys that name no flag of the subcommand are ignored.
+    Keys that name no flag of the subcommand are ignored.  The file is read
+    as UTF-8 with surrogateescape, whatever the locale, like a CSV.
     """
     path = getattr(args, "config", None)
     if not path:
         return {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()
     except OSError as exc:
         raise CliError(IO_ERROR, f"cannot read config {path}: {exc}")
     flags = {action.dest: action for action in args.parser._actions

@@ -86,10 +86,9 @@ def frac_delay_dct(signal, n0: float) -> Signal:
 
     Equivalent to :func:`phasekit.phase.pt_dct` with the per-bin delay
     profile alpha_k = pi k n0 / N.  The symmetric extension avoids the
-    wrap-around leakage of the DFT route at the signal ends.
+    wrap-around leakage of the DFT route at the signal ends.  A non-finite
+    delay raises ValueError, as on the DFT route.
     """
-    if not np.isfinite(n0):
-        raise ValueError("delay must be finite")
     return pt_dct(signal, PhaseProfile.delay(float(n0)))
 
 

@@ -46,17 +46,20 @@ def format_float(value: float) -> str:
 def output_file(path, mode: str = "w", **kwargs):
     """``open(path, mode, **kwargs)`` for writing.  If the body or the close
     raises, ``path`` is removed when it is the regular file this call opened
-    (never a symlink, device, FIFO or directory); the exception propagates."""
+    (never a symlink, device, FIFO or directory); the exception propagates,
+    and an OSError that names no file (a failed write) is given ``path``."""
     opened = False
     try:
         with open(path, mode, **kwargs) as fh:
             st = os.lstat(path)
             opened = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(fh.fileno()))
             yield fh
-    except BaseException:
+    except BaseException as exc:
         if opened:
             with contextlib.suppress(OSError):
                 os.unlink(path)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = os.fspath(path)
         raise
 
 

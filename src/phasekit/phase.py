@@ -5,8 +5,9 @@ frequencies of a signal and +alpha to the negative ones; the Hilbert
 transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
 extension), which differ whenever those extensions disagree.  The DFT route
-runs on ``numpy.fft``; the DCT route's transforms come from ``scipy.fft``
-through :mod:`phasekit.spectral`, which imports it on first use.
+runs on ``numpy.fft``; the DCT route is idct(X cos alpha) plus the sine
+companion idst(X[1] sin alpha_1, ..., X[N-1] sin alpha_{N-1}, 0), orthonormal
+type-2 transforms from ``scipy.fft`` (see :mod:`phasekit.spectral`).
 """
 from __future__ import annotations
 
@@ -132,41 +133,31 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
 
 
 def hilbert(signal) -> Signal:
-    """Hilbert transform: the pi/2 phase transform (zero-mean output)."""
-    return pt_dft(signal, PhaseProfile.constant(np.pi / 2.0))
-
-
-def _sine_resynthesis(coeffs: np.ndarray) -> np.ndarray:
-    """sqrt(2/N) sum_k coeffs[k] sin(pi k (2n+1) / 2N) in O(N log N).
-
-    The k = 0 term vanishes, so this maps onto a type-3 DST of the
-    half-weighted coefficients 1..N-1 padded with a trailing zero.
-    """
-    n = coeffs.size
-    if n == 1:
-        return np.zeros(1)
-    staged = np.zeros(n)
-    staged[:n - 1] = coeffs[1:] / 2.0
-    return np.sqrt(2.0 / n) * _real_trig("dst", staged, 3)
+    """Hilbert transform: the pi/2 phase transform with the exact gain -j of
+    :func:`phasekit.spectral.analytic_signal` (zero-mean output)."""
+    sig = as_signal(signal)
+    return Signal(apply_gain(sig.samples, -1j), sig.sample_rate)
 
 
 def fcqt(signal) -> Signal:
     """Fourier cosine quadrature transform.
 
     Resynthesizes the DCT-2 coefficients on the sine companion basis:
-    xq[n] = sqrt(2/N) sum_k X[k] sin(pi k (2n+1) / 2N).  This is the
-    quadrature of the signal's symmetric 2N-periodic extension and the
-    alpha = pi/2 case of :func:`pt_dct`.
+    xq[n] = sqrt(2/N) sum_k X[k] sin(pi k (2n+1) / 2N) = idst(X[1:], 0).
+    This is the quadrature of the signal's symmetric 2N-periodic extension
+    and the alpha = pi/2 case of :func:`pt_dct`.
     """
     sig = as_signal(signal)
     bins = dct2_forward(sig).bins
-    return Signal(_require_finite(_sine_resynthesis(bins), "spectral gain"), sig.sample_rate)
+    out = _real_trig("idst", np.append(bins[1:], 0.0))
+    return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 
 def pt_dct(signal, profile: PhaseProfile) -> Signal:
     """Phase transform of a real signal via the DCT-2.
 
     y[n] = sqrt(2/N) sum_k sigma_k X[k] cos(pi k (2n+1) / 2N - alpha_k)
+         = idct(X cos(alpha)) + idst(X[1:] sin(alpha[1:]), 0)
 
     For a constant profile this reduces to cos(alpha) x + sin(alpha) fcqt(x);
     the DC term is carried entirely by the cosine branch since the k = 0
@@ -178,12 +169,11 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
         If the result is not finite, as on the DFT route.
     """
     sig = as_signal(signal)
-    n = len(sig)
-    alphas = profile.bin_phases(n, basis="dct")
+    alphas = profile.bin_phases(len(sig), basis="dct")
     bins = dct2_forward(sig).bins
     with np.errstate(over="ignore", invalid="ignore"):
-        in_phase = _real_trig("idct", bins * np.cos(alphas), 2, "ortho")
-        out = in_phase + _sine_resynthesis(bins * np.sin(alphas))
+        sine = np.append(bins[1:] * np.sin(alphas[1:]), 0.0)
+        out = _real_trig("idct", bins * np.cos(alphas)) + _real_trig("idst", sine)
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 

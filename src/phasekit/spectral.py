@@ -10,10 +10,10 @@ fractional delay and differintegration, the wavelet multiplier, the image
 phase transform), is applied through :func:`apply_gain`, the one place that
 decides how a positive-frequency gain acts on real samples.
 
-Every DFT route runs on ``numpy.fft``.  The DCT/DST calls of the DCT basis
-(:func:`dct2_forward`, :func:`dct2_inverse` and the DCT phase transform in
-:mod:`phasekit.phase`) go through ``scipy.fft``, imported on first use, so
-importing the package loads no scipy module.
+Every DFT route runs on ``numpy.fft``.  The DCT basis is one orthonormal
+type-2 family from ``scipy.fft``, imported on first use so importing the
+package loads no scipy module: the DCT-2 pair, and the sine companion
+sqrt(2/N) sum_{k>=1} c[k] sin(pi k (2n+1) / 2N) = idst(c[1], ..., c[N-1], 0).
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -229,7 +229,7 @@ def dct2_forward(signal) -> Spectrum:
     sigma_0 = 1/sqrt(2) and sigma_k = 1 otherwise, computed in O(N log N).
     """
     sig = as_signal(signal)
-    bins = _real_trig("dct", sig.samples, 2, "ortho")
+    bins = _real_trig("dct", sig.samples)
     return Spectrum(bins, "dct2", sig.sample_rate)
 
 
@@ -237,19 +237,19 @@ def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    samples = _real_trig("idct", np.asarray(spectrum.bins, dtype=float), 2, "ortho")
+    samples = _real_trig("idct", np.asarray(spectrum.bins, dtype=float))
     return Signal(samples, spectrum.sample_rate)
 
 
-def _real_trig(kind: str, x: np.ndarray, variant: int, norm: str | None = None) -> np.ndarray:
-    """``scipy.fft.<kind>(x, type=variant, norm=norm)`` for kind "dct", "idct" or "dst".
+def _real_trig(kind: str, x: np.ndarray) -> np.ndarray:
+    """Orthonormal type-2 ``scipy.fft.<kind>(x)`` for kind "dct", "idct" or "idst".
 
     The DCT basis is the package's only use of scipy, so scipy.fft is
     imported here on first use and ``import phasekit`` loads no scipy module.
     """
     import scipy.fft
 
-    return getattr(scipy.fft, kind)(x, type=variant, norm=norm)
+    return getattr(scipy.fft, kind)(x, norm="ortho")
 
 
 def dft2d(image) -> np.ndarray:
@@ -335,8 +335,8 @@ def harmonic_series(signal, n_harmonics: int) -> FourierSeriesCoeffs:
     bins = dft(sig.samples).bins
     a0 = float(np.real(bins[0]))
     k = np.arange(1, n_harmonics + 1)
-    amplitudes = 2.0 * np.abs(bins[k]) if n_harmonics else np.zeros(0)
-    phases = np.angle(bins[k]) if n_harmonics else np.zeros(0)
+    amplitudes = 2.0 * np.abs(bins[k])
+    phases = np.angle(bins[k])
     omega0 = 2.0 * np.pi * sig.sample_rate / n
     return FourierSeriesCoeffs(a0, amplitudes, phases, omega0)
 

@@ -149,15 +149,14 @@ class Scalogram:
 def _reflected_spectrum(signal, grid, spec):
     """Fill in the defaults, warn about aliased scales, and return
     (signal, grid, spec, X, omega): X is the real FFT of the reflected
-    extension (none for one sample) and omega its bin frequencies."""
+    extension and omega its bin frequencies."""
     sig = as_signal(signal)
     spec = spec if spec is not None else MorseWavelet()
     grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
     aliased = int(np.sum(grid.scales * np.pi < spec.peak_omega))
     if aliased:
         _warn(f"{aliased} scale(s) place the wavelet peak above Nyquist")
-    n = len(sig)
-    padded = np.pad(sig.samples, n, mode="symmetric") if n > 1 else sig.samples
+    padded = np.pad(sig.samples, len(sig), mode="symmetric")
     omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
     if padded.size % 2 == 0:
         omega[-1] = 0.0  # Nyquist is also the negative frequency -1/2
@@ -167,8 +166,6 @@ def _reflected_spectrum(signal, grid, spec):
 def _inverse(products: np.ndarray, n: int) -> np.ndarray:
     """Complex inverse FFT of one-sided products on the reflected extension
     of an n-sample record (negative bins zero), trimmed to the record."""
-    if n == 1:
-        return np.fft.ifft(products)
     return np.fft.ifft(products, 3 * n)[n:2 * n]
 
 

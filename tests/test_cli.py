@@ -424,9 +424,11 @@ class TestErrorPaths:
         if command[0] != "repro":
             assert not out.exists()
             return
+        # the message names the artifact whose write failed
+        written = out / f"example{command[1]}"
+        assert f"File too large: '{written}{os.sep}" in proc.stderr
         # each artifact is complete or absent, and the summary is never written
         assert main([*argv, "--outdir", str(tmp_path / "whole")]) == 0
-        written = out / f"example{command[1]}"
         assert not (written / "summary.json").exists()
         for path in written.iterdir():
             whole = tmp_path / "whole" / written.name / path.name
@@ -626,6 +628,21 @@ class TestConfigAndEnvironment:
                      "-o", str(out)]) == 3
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_is_read_as_utf8(self, gauss_csv, tmp_path, capsys):
+        # a Latin-1 byte in a comment is skipped with the comment
+        config = tmp_path / "conf.txt"
+        config.write_bytes(b"# caf\xe9 settings\nalpha = 0.5\n")
+        out = tmp_path / "out.csv"
+        assert main(["pt", str(gauss_csv), "--config", str(config), "-o", str(out)]) == 0
+        assert pkio.read_columns_csv(out)[0]["alpha"] == "0.5"
+        # inside a value it fails that value's check, which names the key
+        config.write_bytes(b"alpha = 0.5\xe9\n")
+        out.unlink()
+        assert main(["pt", str(gauss_csv), "--config", str(config), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config key alpha" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_config_output_is_a_path(self, gauss_csv, tmp_path, monkeypatch):

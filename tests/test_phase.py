@@ -9,6 +9,9 @@ from phasekit.repro import example1_signal, example2_signal
 from oracles import (circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direct,
                      zero_mean_zero_nyquist)
 
+# every DCT-basis length from 1 to 16
+SMALL_LENGTHS = list(range(1, 17))
+
 
 def random_clean_signal(rng, n):
     return zero_mean_zero_nyquist(rng.standard_normal(n))
@@ -73,8 +76,16 @@ class TestHilbert:
         assert np.max(np.abs(out.samples - np.sin(theta))) < 1e-10
 
     def test_constant_maps_to_zero(self):
-        out = pk.hilbert(np.full(9, 4.2))
-        assert np.max(np.abs(out.samples)) < 1e-12
+        # the real FFT of a constant of this length has exactly zero bins
+        # past DC, so only the gain at DC is left: exactly -j, not cos(pi/2)
+        x = np.full(9, 4.2)
+        assert np.all(np.fft.rfft(x)[1:] == 0)
+        assert np.all(pk.hilbert(x).samples == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 101])
+    def test_equals_analytic_signal_imag_bit_for_bit(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(pk.hilbert(x).samples, pk.analytic_signal(x).imag)
 
     def test_output_is_orthogonal_to_input(self):
         rng = np.random.default_rng(1)
@@ -110,7 +121,7 @@ class TestFcqt:
         want = np.sin(np.pi * k0 * (2 * grid + 1) / (2 * n))
         assert np.max(np.abs(pk.fcqt(x).samples - want)) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 128, 511])
+    @pytest.mark.parametrize("n", [*SMALL_LENGTHS, 17, 128, 511])
     def test_matches_direct_summation(self, n):
         rng = np.random.default_rng(n + 7)
         x = rng.standard_normal(n)
@@ -140,6 +151,17 @@ class TestPtDct:
         alphas = rng.uniform(0, 2 * np.pi, n)
         out = pk.pt_dct(x, pk.PhaseProfile.per_bin(alphas))
         assert np.max(np.abs(out.samples - pt_dct_direct(x, alphas))) < 1e-10
+
+    @pytest.mark.parametrize("n", SMALL_LENGTHS)
+    def test_matches_direct_summation_on_small_lengths(self, n):
+        rng = np.random.default_rng(n + 100)
+        x = rng.standard_normal(n)
+        alphas = rng.uniform(0, 2 * np.pi, n)
+        out = pk.pt_dct(x, pk.PhaseProfile.per_bin(alphas)).samples
+        assert np.max(np.abs(out - pt_dct_direct(x, alphas))) < 1e-12
+        delayed = pk.pt_dct(x, pk.PhaseProfile.delay(0.37)).samples
+        ramp = np.pi * np.arange(n) * 0.37 / n
+        assert np.max(np.abs(delayed - pt_dct_direct(x, ramp))) < 1e-12
 
     def test_gaussian_family_matches_dft_family(self):
         sig = example1_signal()

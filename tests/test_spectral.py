@@ -1,5 +1,9 @@
 """Tests for the core transforms and the generalized Fourier synthesizer."""
+import ast
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
+import phasekit.io as pkio
 from oracles import (
     dct2_direct,
     dft2d_direct,
     dft_direct,
+    idct2_direct,
     idft_direct,
 )
 
@@ -111,15 +117,56 @@ class TestDct2:
         bins = pk.dct2_forward(pk.Signal(x)).bins
         assert abs(np.sum(x**2) - np.sum(bins**2)) < 1e-10
 
-    @pytest.mark.parametrize("n", [3, 64, 255, 512])
+    @pytest.mark.parametrize("n", [*range(1, 17), 64, 255, 512])
     def test_matches_direct_summation(self, n):
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n)
         assert np.max(np.abs(pk.dct2_forward(pk.Signal(x)).bins - dct2_direct(x))) < 1e-9
+        back = pk.dct2_inverse(pk.Spectrum(x, "dct2")).samples
+        assert np.max(np.abs(back - idct2_direct(x))) < 1e-9
 
     def test_inverse_rejects_dft_spectrum(self):
         with pytest.raises(ValueError):
             pk.dct2_inverse(pk.dft(np.ones(8)))
+
+
+class TestScipyBoundary:
+    def test_scipy_is_imported_once_inside_real_trig(self):
+        # the DCT basis is the only user of scipy; every other route runs on
+        # numpy.fft, so importing or running them loads no scipy module
+        found = []
+        for path in sorted(Path(pk.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parent = {child: node for node in ast.walk(tree)
+                      for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if not any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                    continue
+                scope = parent.get(node)
+                while scope is not None and not isinstance(scope, ast.FunctionDef):
+                    scope = parent.get(scope)
+                found.append((path.name, scope.name if scope else None))
+        assert found == [("spectral.py", "_real_trig")]
+
+    @pytest.mark.parametrize("mode", [["--alpha", "0.5"], ["--alpha-sweep", "0:0.5:3"]])
+    def test_dft_pt_run_loads_no_scipy(self, tmp_path, mode):
+        record, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        t = np.arange(64) / 8.0
+        pkio.write_columns_csv(record, {}, ["t", "value"], [t, np.cos(t)])
+        argv = ["pt", str(record), *mode, "--basis", "dft", "-o", str(out)]
+        code = ("import sys; from phasekit.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+        assert out.exists()
 
 
 class TestDft2d:

@@ -196,6 +196,16 @@ class TestSingleMultiplier:
         z = pk.wavelet_analytic_signal(x, grid, spec)
         assert np.max(np.abs(z - rows)) < 1e-12 * max(1.0, np.max(np.abs(x)))
 
+    def test_one_sample_gives_zeros(self):
+        # one sample reflects to a constant of three, which has no content
+        # at the wavelet's positive frequencies
+        grid = pk.ScaleGrid(np.array([2.0, 4.0]), 10)
+        coeffs = pk.awt(np.array([1.5]), grid).coeffs
+        assert coeffs.shape == (2, 1) and np.all(coeffs == 0)
+        with pytest.warns(RuntimeWarning, match="residual"):
+            z = pk.wavelet_analytic_signal(np.array([1.5]), grid)
+        assert z.shape == (1,) and np.all(z == 0)
+
     @pytest.mark.parametrize("module", ["phasekit", "phasekit.cli"])
     def test_import_loads_no_scipy(self, module):
         code = (f"import sys, {module}; "
