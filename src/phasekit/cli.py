@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from . import io as pkio
-from . import repro
 from .fractional import KernelScaling, DifferintegrationOrder, frac_delay_dct, frac_delay_dft, frac_differintegrate
 from .image import pt2d
 from .phase import PhaseProfile, pt_dct, pt_dft, pt_sweep
@@ -185,6 +184,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    from . import repro  # only this command needs it (and its json)
+
     outdir = Path(args.outdir or os.environ.get("PHASEKIT_OUTDIR", "."))
     header = {"tool": f"phasekit {__version__}", "command": f"repro {args.example}"}
     try:

@@ -241,6 +241,12 @@ class TestReproCommand:
     def test_rejects_unknown_example(self, tmp_path):
         assert main(["repro", "9", "--outdir", str(tmp_path)]) == 3
 
+    def test_cli_import_leaves_repro_unloaded(self):
+        code = "import sys, phasekit.cli; print(sorted({'phasekit.repro', 'json'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestErrorPaths:
     def test_missing_input_file_is_io_error(self, tmp_path):

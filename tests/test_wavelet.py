@@ -8,6 +8,7 @@ import pytest
 import scipy.signal
 
 import phasekit as pk
+import phasekit.wavelet as wavelet
 from phasekit.repro import example5_signal, interior, rel_l2
 from oracles import admissibility_integral, awt_direct, morse_cpsi_closed_form
 
@@ -213,6 +214,90 @@ class TestSingleMultiplier:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _multiplier(n, spec, errors="raise"):
+    """The response R on the reflected extension of an n-sample record, its
+    scale grid and its bin frequencies."""
+    x = np.random.default_rng(n).standard_normal(n)
+    _, grid, spec, _, omega = wavelet._reflected_spectrum(x, None, spec)
+    with np.errstate(all=errors, under="ignore"):
+        return wavelet._response(spec, grid, omega), grid, omega
+
+
+def _assert_cut_drops_only_zeros(spec, scales, coef, omega, monkeypatch):
+    """Each scale's term on its interval, zero elsewhere, is bit for bit the
+    same formula evaluated on every positive bin."""
+    def terms():  # each term is a view of a buffer the next step reuses
+        return [(bins, term.copy()) for bins, term in
+                wavelet._scale_terms(spec, scales, coef, omega)]
+
+    rows = terms()
+    with monkeypatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(wavelet, "_morse_support", lambda spec, floor: (0.0, np.inf))
+        full_rows = terms()
+    for (bins, term), (every, full) in zip(rows, full_rows):
+        got = np.zeros(omega.size)
+        got[bins] = term
+        want = np.zeros(omega.size)
+        want[every] = full
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+LOG_SPACE_CASES = [(beta, gamma, n) for beta in (0.5, 20.0, 200.0)
+                   for gamma in (0.25, 1.0, 3.0, 60.0, 300.0)
+                   for n in (5, 6, 7, 64, 1000, 1001)]
+
+
+@pytest.mark.filterwarnings("ignore:.*peak above Nyquist:RuntimeWarning")
+class TestLogSpaceResponse:
+    @pytest.mark.parametrize("beta, gamma, n", LOG_SPACE_CASES)
+    def test_matches_morse_spectrum_sum(self, beta, gamma, n):
+        spec = pk.MorseWavelet(beta, gamma)
+        got, grid, omega = _multiplier(n, spec)
+        want = np.zeros_like(omega)
+        with np.errstate(over="ignore"):  # (s omega)^gamma overflows where Psi is 0
+            for scale, weight in zip(grid.scales, grid.log_weights()):
+                want += weight * pk.morse_spectrum(spec, scale * omega)
+        want *= 2.0 / pk.cpsi_delta(spec)
+        assert np.all(np.isfinite(got))
+        if n % 2 == 0:  # the extension has 3n samples and a Nyquist bin
+            assert got[-1] == 0.0
+        # both sides round beta ln u in double precision; with beta = 200 and
+        # gamma = 1/4 the peak sits at ln u ~ 27, and that rounding alone
+        # moves the morse_spectrum sum by 2.6e-13 of max|R| (measured against
+        # an extended-precision sum)
+        bound = 1e-13 * max(1.0, beta / 20.0)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("beta, gamma, n", LOG_SPACE_CASES)
+    def test_cut_drops_only_zeros(self, beta, gamma, n, monkeypatch):
+        spec = pk.MorseWavelet(beta, gamma)
+        cut, grid, omega = _multiplier(n, spec)
+        # awt's coefficients sqrt(s) and the response's (2/C) dln(s) weights
+        for coef in (0.5 * np.log(grid.scales),
+                     np.log(2.0 / pk.cpsi_delta(spec) * grid.log_weights())):
+            _assert_cut_drops_only_zeros(spec, grid.scales, coef, omega, monkeypatch)
+        monkeypatch.setattr(wavelet, "_morse_support", lambda spec, floor: (0.0, np.inf))
+        # off the interval (s omega)^gamma may overflow, which exp turns into 0
+        every_bin, _, _ = _multiplier(n, spec, errors="ignore")
+        assert np.array_equal(cut.view(np.int64), every_bin.view(np.int64))
+
+    def test_cut_allows_for_large_coefficients(self, monkeypatch):
+        # sqrt(s) reaches e^6.9 here, past the 4.87 between -750 and where
+        # exp starts to round to 0.0
+        scales = np.geomspace(1.0, 1e12, 40)
+        omega = 2.0 * np.pi * np.fft.rfftfreq(192)
+        omega[-1] = 0.0
+        _assert_cut_drops_only_zeros(pk.MorseWavelet(), scales, 0.5 * np.log(scales), omega,
+                                     monkeypatch)
+
+    def test_cut_skips_most_bins_of_the_default_grid(self):
+        spec = pk.MorseWavelet()
+        _, grid, omega = _multiplier(20000, spec)
+        terms = wavelet._scale_terms(spec, grid.scales, grid.log_weights(), omega)
+        evaluated = sum(term.size for _, term in terms)
+        assert evaluated < 0.4 * grid.scales.size * (omega.size - 1)
 
 
 class TestWpt:
