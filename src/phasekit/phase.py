@@ -61,38 +61,36 @@ class PhaseProfile:
     def delay(cls, n_samples) -> "PhaseProfile":
         return cls("delay", n_samples)
 
-    def bin_phases(self, n: int, basis: str = "dft") -> np.ndarray:
+    def bin_phases(self, n: int, basis: str = "dft") -> float | np.ndarray:
         """Resolve to a phase per non-negative bin of an N-point transform.
 
         Returns bins 0..N//2 for ``basis="dft"`` and bins 0..N-1 for
-        ``basis="dct"``.
+        ``basis="dct"``; a constant profile returns its float, which
+        broadcasts over those bins.
         """
         if basis == "dft":
-            n_bins = n // 2 + 1
-            digital = 2.0 * np.pi * np.arange(n_bins) / n
+            n_bins, scale = n // 2 + 1, 2.0 * np.pi
         elif basis == "dct":
-            n_bins = n
-            digital = np.pi * np.arange(n_bins) / n
+            n_bins, scale = n, np.pi
         else:
             raise ValueError(f"unknown basis {basis!r}")
         if self.kind == "constant":
-            return np.full(n_bins, self.value)
+            return self.value
         if self.kind == "per_bin":
             if self.value.size != n_bins:
                 raise ValueError(
                     f"per-bin profile has {self.value.size} values, "
                     f"{basis} length {n} needs {n_bins}")
             return self.value.copy()
-        # delay: alpha_k = Omega_k * n_k, alpha_0 = 0
-        delays = np.zeros(n_bins)
+        # delay: alpha_k = Omega_k * n_k, alpha_0 = 0 since Omega_0 = 0
         if self.value.size == 1:
-            delays[1:] = self.value[0]
+            delays = self.value[0]
         elif self.value.size == n_bins - 1:
-            delays[1:] = self.value
+            delays = np.append(0.0, self.value)
         else:
             raise ValueError(
                 f"delay profile needs 1 or {n_bins - 1} values, got {self.value.size}")
-        return digital * delays
+        return scale * np.arange(n_bins) / n * delays
 
 
 def pt_kernel(alpha: float, n: int) -> Signal:
@@ -128,8 +126,9 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
         Phase per non-negative bin.
     """
     sig = as_signal(signal)
-    alphas = profile.bin_phases(len(sig), basis="dft")
-    return Signal(apply_gain(sig.samples, np.exp(-1j * alphas)), sig.sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # apply_gain raises on overflow
+        gain = np.exp(-1j * profile.bin_phases(len(sig), basis="dft"))
+    return Signal(apply_gain(sig.samples, gain), sig.sample_rate)
 
 
 def hilbert(signal) -> Signal:
@@ -169,10 +168,10 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
         If the result is not finite, as on the DFT route.
     """
     sig = as_signal(signal)
-    alphas = profile.bin_phases(len(sig), basis="dct")
-    bins = dct2_forward(sig).bins
     with np.errstate(over="ignore", invalid="ignore"):
-        sine = np.append(bins[1:] * np.sin(alphas[1:]), 0.0)
+        alphas = profile.bin_phases(len(sig), basis="dct")
+        bins = dct2_forward(sig).bins
+        sine = np.append((bins * np.sin(alphas))[1:], 0.0)
         out = _real_trig("idct", bins * np.cos(alphas)) + _real_trig("idst", sine)
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 

@@ -23,8 +23,8 @@ signal is computed through R without forming the scale-by-time
 coefficients; :func:`awt` remains for callers who want the scalogram.
 
 Both share one front, the real FFT of the record extended by reflection
-(one length each side) on whose even-length Nyquist bin Psi is taken as 0,
-and one inverse, a complex inverse FFT with zero negative bins trimmed back
+(one length each side), kept on the bins below Nyquist, and one inverse, a
+complex inverse FFT with the Nyquist and negative bins zero, trimmed back
 to the record.  Both run on ``numpy.fft``, and the pairing constant has a
 closed form, so this module needs no scipy.
 
@@ -61,7 +61,8 @@ class MorseWavelet:
 
     The amplitude A is fixed so the peak value is 2, which makes the
     analytic-signal convention line up with the one-sided DFT masks used
-    elsewhere in the package.
+    elsewhere in the package.  A (beta, gamma) pair whose peak frequency,
+    amplitude or pairing constant is not a finite float raises ValueError.
     """
 
     beta: float = 20.0
@@ -72,6 +73,16 @@ class MorseWavelet:
             raise ValueError("beta must be positive")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be positive")
+        try:
+            with np.errstate(all="ignore"):
+                representable = (math.isfinite(self.log_amplitude)
+                                 and 0 < self.peak_omega < math.inf
+                                 and 0 < cpsi_delta(self) < math.inf)
+        except (OverflowError, ValueError):  # from float power, math.lgamma or math.exp
+            representable = False
+        if not representable:
+            raise ValueError(f"Morse wavelet with beta = {self.beta:g} and gamma = "
+                             f"{self.gamma:g} has no finite peak, amplitude or pairing constant")
 
     @property
     def peak_omega(self) -> float:
@@ -163,7 +174,9 @@ class Scalogram:
 def _reflected_spectrum(signal, grid, spec):
     """Fill in the defaults, warn about aliased scales, and return
     (signal, grid, spec, X, omega): X is the real FFT of the reflected
-    extension and omega its bin frequencies."""
+    extension on its bins below Nyquist (an even extension's Nyquist bin is
+    also the negative frequency -1/2, so it is left out) and omega their
+    frequencies."""
     sig = as_signal(signal)
     spec = spec if spec is not None else MorseWavelet()
     grid = grid if grid is not None else ScaleGrid.default(len(sig), spec)
@@ -171,16 +184,16 @@ def _reflected_spectrum(signal, grid, spec):
     if aliased:
         _warn(f"{aliased} scale(s) place the wavelet peak above Nyquist")
     padded = np.pad(sig.samples, len(sig), mode="symmetric")
-    omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)
-    if padded.size % 2 == 0:
-        omega[-1] = 0.0  # Nyquist is also the negative frequency -1/2
-    return sig, grid, spec, np.fft.rfft(padded), omega
+    below_nyquist = (padded.size + 1) // 2
+    omega = 2.0 * np.pi * np.fft.rfftfreq(padded.size)[:below_nyquist]
+    return sig, grid, spec, np.fft.rfft(padded)[:below_nyquist], omega
 
 
 def _inverse(products: np.ndarray, n: int) -> np.ndarray:
     """Complex inverse FFT of one-sided products on the reflected extension
-    of an n-sample record (negative bins zero), trimmed to the record."""
-    return np.fft.ifft(products, 3 * n)[n:2 * n]
+    of an n-sample record (Nyquist and negative bins zero), trimmed to the
+    record; FloatingPointError if it is not finite."""
+    return _require_finite(np.fft.ifft(products, 3 * n)[n:2 * n], "spectral gain")
 
 
 def _morse_support(spec, floor):
@@ -219,7 +232,8 @@ def _scale_terms(spec, scales, log_coef, omega):
     """Yield (bins, term) per scale: term = w_j Psi(s_j omega[bins]) with
     ln w_j = ``log_coef[j]``, computed as exp(ln w_j + ln A + beta ln s_j
     + beta ln omega - s_j^gamma omega^gamma); the term is zero on every
-    other bin.
+    other bin.  ``omega`` runs from DC up to, not including, Nyquist, so
+    every bin after DC is a positive frequency.
 
     ``bins`` is the scale's interval of positive bins outside which the
     exponent is below UNDERFLOW_CUT, so that exp would give exactly 0.0.
@@ -229,8 +243,7 @@ def _scale_terms(spec, scales, log_coef, omega):
     the next step, so no scale allocates.
     """
     beta, gamma = spec.beta, spec.gamma
-    top = omega.size - int(omega[-1] == 0)  # an even extension's Nyquist bin is 0
-    w = omega[1:top]
+    w = omega[1:]
     beta_ln_w = beta * np.log(w)
     with np.errstate(over="ignore", under="ignore"):
         w_g = w ** gamma
@@ -275,14 +288,15 @@ def awt(signal, grid: ScaleGrid | None = None,
     Scales whose peak frequency exceeds Nyquist cannot be represented and
     trigger a RuntimeWarning.
     """
-    sig, grid, spec, spectrum, omega = _reflected_spectrum(signal, grid, spec)
-    coeffs = np.empty((grid.scales.size, len(sig)), dtype=complex)
-    product = np.empty_like(spectrum)
-    terms = _scale_terms(spec, grid.scales, 0.5 * np.log(grid.scales), omega)
-    for row, (bins, term) in zip(coeffs, terms):
-        product.fill(0.0)
-        np.multiply(term, spectrum[bins], out=product[bins])
-        row[:] = _inverse(product, len(sig))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _inverse
+        sig, grid, spec, spectrum, omega = _reflected_spectrum(signal, grid, spec)
+        coeffs = np.empty((grid.scales.size, len(sig)), dtype=complex)
+        product = np.empty_like(spectrum)
+        terms = _scale_terms(spec, grid.scales, 0.5 * np.log(grid.scales), omega)
+        for row, (bins, term) in zip(coeffs, terms):
+            product.fill(0.0)
+            np.multiply(term, spectrum[bins], out=product[bins])
+            row[:] = _inverse(product, len(sig))
     return Scalogram(coeffs, grid, spec, sig.sample_rate)
 
 
@@ -311,10 +325,9 @@ def wavelet_analytic_signal(signal, grid: ScaleGrid | None = None,
     exceeds ``RESIDUAL_WARN`` (content outside the scale grid's band, e.g.
     strong trends or near-Nyquist components, ends up there).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in _inverse
         sig, grid, spec, spectrum, omega = _reflected_spectrum(signal, grid, spec)
         z = _inverse(_response(spec, grid, omega) * spectrum, len(sig))
-    _require_finite(z, "spectral gain")
     x = sig.samples
     norm = float(np.linalg.norm(x))
     if norm > 0:

@@ -340,6 +340,26 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("basis", ["dft", "dct"])
+    def test_huge_delay_exits_4_without_warning(self, gauss_csv, tmp_path, basis):
+        # the phases 2 pi k n0 / N overflow although the delay is finite
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "delay", str(gauss_csv),
+                               "--samples", "1e308", "--basis", basis, "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+    def test_huge_gamma_is_accepted(self, gauss_csv, tmp_path):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the residual warning of a degenerate wavelet
+            code = main(["wpt", str(gauss_csv), "--alpha", "0.5", "--gamma", "1e308",
+                         "-o", str(out)])
+        assert code == 0 and out.exists()
+
     @pytest.mark.parametrize("order, own_warning, rate", [
         # the mean term t^200 overflows
         pytest.param("-200", False, 1.0, id="-200-False"),
@@ -382,6 +402,9 @@ class TestErrorPaths:
         ["synth", "--duration", "inf"],
         ["synth", "--duration", "1e12"],
         ["synth", "--rate", "1e300", "--duration", "1e300"],
+        # Morse wavelets whose amplitude or peak frequency is not a float
+        ["wpt", "{input}", "--alpha", "0.5", "--beta", "1e308"],
+        ["wpt", "{input}", "--alpha", "0.5", "--gamma", "1e-300"],
     ])
     def test_bad_or_oversized_argument_is_argument_error(self, gauss_csv, tmp_path, command):
         out = tmp_path / "out.csv"

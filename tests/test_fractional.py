@@ -81,6 +81,14 @@ class TestFracDelayDft:
         with pytest.raises(ValueError):
             pk.frac_delay_dft(x, np.zeros(5))
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 101, 1000, 1001])
+    @pytest.mark.parametrize("delay", [0.9, -2.6, 17.0])
+    def test_scalar_delay_equals_per_bin_vector_bit_for_bit(self, n, delay):
+        x = np.random.default_rng(n).standard_normal(n)
+        scalar = pk.frac_delay_dft(x, delay).samples
+        uniform = pk.frac_delay_dft(x, np.full(n // 2, delay)).samples
+        assert np.array_equal(scalar.view(np.int64), uniform.view(np.int64))
+
     def test_rejects_non_finite_delay(self):
         with pytest.raises(ValueError):
             pk.frac_delay_dft(np.ones(8), np.nan)

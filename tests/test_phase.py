@@ -68,6 +68,27 @@ class TestPtDft:
         assert np.max(np.abs(a - b)) < 1e-14
 
 
+CONSTANT_CASES = [(n, alpha) for n in (1, 2, 3, 8, 101, 1000, 1001)
+                  for alpha in (0.0, 0.3, np.pi / 2, 2.0, np.pi, 5.9)]
+
+
+@pytest.mark.parametrize("n, alpha", CONSTANT_CASES)
+@pytest.mark.parametrize("transform, n_bins", [(pk.pt_dft, lambda n: n // 2 + 1),
+                                               (pk.pt_dct, lambda n: n)])
+def test_constant_profile_equals_per_bin_bit_for_bit(transform, n_bins, n, alpha):
+    # a constant is one scalar gain, broadcast over the bins
+    x = np.random.default_rng(n).standard_normal(n)
+    got = transform(x, pk.PhaseProfile.constant(alpha)).samples
+    want = transform(x, pk.PhaseProfile.per_bin(np.full(n_bins(n), alpha))).samples
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_constant_bin_phases_is_the_float():
+    for basis in ("dft", "dct"):
+        phase = pk.PhaseProfile.constant(0.7).bin_phases(16, basis)
+        assert type(phase) is float and phase == 0.7
+
+
 class TestHilbert:
     def test_cosine_to_sine(self):
         n = 128

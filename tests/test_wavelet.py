@@ -1,4 +1,5 @@
 """Tests for the analytic wavelet transform and wavelet phase transforms."""
+import re
 import subprocess
 import sys
 import warnings
@@ -54,6 +55,17 @@ class TestMorseSpectrum:
             pk.MorseWavelet(beta=-1.0)
         with pytest.raises(ValueError):
             pk.MorseWavelet(gamma=0.0)
+
+    @pytest.mark.parametrize("beta, gamma", [(1e308, 3.0), (20.0, 1e-300)])
+    def test_rejects_unrepresentable_wavelet(self, beta, gamma):
+        # ln A overflows and lgamma raises at beta = 1e308; the peak
+        # (beta / gamma)^(1 / gamma) overflows at gamma = 1e-300
+        with pytest.raises(ValueError, match=re.escape(f"beta = {beta:g} and gamma = {gamma:g}")):
+            pk.MorseWavelet(beta, gamma)
+
+    def test_accepts_huge_gamma(self):
+        spec = pk.MorseWavelet(20.0, 1e308)
+        assert spec.peak_omega == 1.0 and 0.0 < pk.cpsi_delta(spec) < np.inf
 
 
 class TestScaleGrid:
@@ -132,6 +144,12 @@ class TestAwt:
         want = awt_direct(x, grid.scales, spec.beta, spec.gamma)
         assert np.max(np.abs(want)) > 0.1 or n == 1
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spectrum_is_floating_point_error(self):
+        # the same error as wavelet_analytic_signal, and no numpy warning
+        with pytest.raises(FloatingPointError, match="spectral gain"):
+            pk.awt(np.where(np.arange(64) % 2 == 0, 1e308, -1e308))
 
     def test_warns_on_aliased_scales(self):
         spec = pk.MorseWavelet()
@@ -261,8 +279,8 @@ class TestLogSpaceResponse:
                 want += weight * pk.morse_spectrum(spec, scale * omega)
         want *= 2.0 / pk.cpsi_delta(spec)
         assert np.all(np.isfinite(got))
-        if n % 2 == 0:  # the extension has 3n samples and a Nyquist bin
-            assert got[-1] == 0.0
+        # the 3n-sample extension carries only its bins below Nyquist
+        assert omega.size == (3 * n + 1) // 2
         # both sides round beta ln u in double precision; with beta = 200 and
         # gamma = 1/4 the peak sits at ln u ~ 27, and that rounding alone
         # moves the morse_spectrum sum by 2.6e-13 of max|R| (measured against
@@ -287,8 +305,7 @@ class TestLogSpaceResponse:
         # sqrt(s) reaches e^13.8 here, past the 4.87 between -750 and where
         # exp starts to round to 0.0
         scales = np.geomspace(1.0, 1e12, 40)
-        omega = 2.0 * np.pi * np.fft.rfftfreq(192)
-        omega[-1] = 0.0
+        omega = 2.0 * np.pi * np.fft.rfftfreq(192)[:96]
         _assert_cut_drops_only_zeros(pk.MorseWavelet(), scales, 0.5 * np.log(scales), omega,
                                      monkeypatch)
 
