@@ -8,8 +8,9 @@ for seeds 1-3 on every workload of BENCHMARK.json, then one ``--trace 1``
 run per workload (seed 1), and writes BENCH_<LABEL>.json at the repository
 root.  The file holds the commit and whether the working tree differed from
 it, a digest of the measured sources, and for each workload every run's
-``correct``/``attempted``/``failed`` and metrics, the per-metric medians
-over the seeds, the traced per-layer metrics, and each run's mean time of
+``correct``/``attempted``/``failed`` and metrics (as reported, scaled by
+the reference task where run.py scales them, and raw), the per-metric
+medians over the seeds, the traced per-layer metrics, and each run's mean time of
 the phasekit-free reference task (perfbench/reference.py).  An untraced run
 times that task itself and scales its times by it; a traced run reports raw
 times and times none, so the reference is timed five times right before it,
@@ -53,6 +54,13 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
+def raw_values(stdout: str) -> dict:
+    """Each metric's raw value from the '(raw ...)' column that perfbench/run.py
+    prints beside the reported one."""
+    return {name: float(raw) for name, raw in
+            re.findall(r"^(\S+) +\S+ +\S* *\(raw (\S+)\)$", stdout, re.M)}
+
+
 def bench(workload: str, seed: int, trace: int) -> dict:
     """One perfbench run; its last line of standard output is the JSON result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -65,10 +73,12 @@ def bench(workload: str, seed: int, trace: int) -> dict:
     result = json.loads(lines[-1])
     # traced runs time no reference task; record_workload times it for them
     reference = re.search(r"^reference task: mean ([0-9.]+) ms", proc.stdout, re.M)
+    raw = raw_values(proc.stdout)
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "reference_ms": float(reference.group(1)) if reference else None,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "raw": {name: raw[name] for name in result["metrics"]},
             "units": {name: m["unit"] for name, m in result["metrics"].items()}}
 
 

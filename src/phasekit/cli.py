@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 unreadable/unwritable file, 3 invalid argument
 sweep columns, MAX_SYNTH_SAMPLES samples or ``wavelet.MAX_SCALES`` scales,
 checked before anything is allocated), 4 numeric failure (a non-finite
 result on either basis, or memory exhausted; a failed write leaves no
-partial file).  Warnings go to standard error as one line each,
-'phasekit: RuntimeWarning: ...'; data only to files.
+partial file), 128 + N stopped by signal N (SIGINT, SIGTERM or SIGHUP;
+the file being written is removed).  Warnings go to standard error as one
+line each, 'phasekit: RuntimeWarning: ...'; data only to files.
 """
 from __future__ import annotations
 
@@ -328,6 +329,15 @@ def _config_defaults(args) -> dict:
     return defaults
 
 
+class _Stopped(BaseException):
+    """A SIGTERM or SIGHUP, raised like KeyboardInterrupt so that no
+    ``except Exception`` catches it and the writer's cleanup runs."""
+
+
+def _stop(signum, frame):
+    raise _Stopped(signum)
+
+
 def _format_warning(message, category, *_) -> str:
     return f"phasekit: {category.__name__}: {message}\n"
 
@@ -338,7 +348,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    import signal  # not needed by --version
+    import threading
+
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
+    handlers = {}
+    if threading.current_thread() is threading.main_thread():  # the one that may set them
+        for signum in (getattr(signal, name, None) for name in ("SIGTERM", "SIGHUP")):
+            # a signal the command was started with ignored (nohup) stays ignored
+            if signum is not None and signal.getsignal(signum) == signal.SIG_DFL:
+                handlers[signum] = signal.signal(signum, _stop)
     try:
         defaults = _config_defaults(args)
         if defaults:  # parse again so every flag given on the command line wins
@@ -357,8 +376,14 @@ def main(argv=None) -> int:
     except (ArithmeticError, MemoryError) as exc:
         print(f"phasekit: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except (KeyboardInterrupt, _Stopped) as exc:
+        signum = exc.args[0] if isinstance(exc, _Stopped) else signal.SIGINT
+        print(f"phasekit: stopped by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
     finally:
         warnings.formatwarning = saved
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -12,12 +12,19 @@ kernel cannot decide (a tie at the 17th digit, a magnitude below about
 output is formatted in two halves on two CPUs where the platform allows (a
 forked child formats the second half), with the same bytes.  The reader
 parses the data rows with one ``np.loadtxt`` call on the stream of stripped
-lines, so numbers take its syntax.  The header is the '# key = value' pairs
-of the comment lines before the first data row; later comment lines are
-skipped.  Header values are rendered by the writer: a float as '%.17g', a
-bool as 'true'/'false', anything else through ``str``.  All writers are
-deterministic, and each opens its file with :func:`output_file`, so a
-failed write leaves no partial file.
+lines, so numbers take its syntax.  A large regular file is parsed in two
+halves on two CPUs instead, cut at the first '\n' past the midpoint of the
+bytes after the first data row: a forked child parses the second half with
+the same call and hands back its float64 rows.  A pipe, a file with no '\n'
+to cut at, a failed or late child, a parse error in either half and column
+counts that differ fall back to the one stream parse, so the data, the
+errors and the warnings are those of that parse.  Both splits run through
+one fork helper, whose wait for the child is bounded.  The header is the
+'# key = value' pairs of the comment lines before the first data row; later
+comment lines are skipped.  Header values are rendered by the writer: a
+float as '%.17g', a bool as 'true'/'false', anything else through ``str``.
+All writers are deterministic, and each opens its file with
+:func:`output_file`, so a failed write leaves no partial file.
 """
 from __future__ import annotations
 
@@ -30,6 +37,9 @@ import shutil
 import stat
 import struct
 import tempfile
+import time
+import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +83,22 @@ def _header_text(value) -> str:
 # 2**15 values write equally fast (2**12 about 8 % slower), and a block's
 # working arrays take about 2 MB at 2**13
 _BLOCK_VALUES = 1 << 13
+# a forked child may run this long, and as long again as the parent's own
+# half took, after that half is done; then it is killed and its half redone
+_CHILD_GRACE_S = 1.0
 # outputs of at least this many values (and two rows) are formatted in two
 # halves, the second by a forked child, when this process may use two CPUs:
 # the split costs about 3 ms and, with the '%.17g' kernel, breaks even
 # between 2**15 and 2**15.25 values; on two CPUs it saved 5-12 % of a write
 # at 2**15.5 and 13-32 % from 2**16 on
 _SPLIT_VALUES = 1 << 15
+# inputs with at least this many bytes after the first data row are parsed
+# in two halves, the second by a forked child, when this process may use two
+# CPUs: the split costs about 4 ms and breaks even near 2**18.6 bytes (two
+# CPUs, 8 kHz t,value rows); it saved 8 % of a read at 2**19 bytes and
+# 19-24 % from 2**19.3 on
+_SPLIT_BYTES = 1 << 19
+_CHUNK_BYTES = 1 << 16  # bytes read at a time by a half's parse
 
 # 10**s as the double-double hh + hl + lo (hh and hl hold 26 bits each) for s
 # in [_POW_MIN, _POW_MAX]: 17 digits of every magnitude from about 1e-292 up
@@ -254,59 +274,78 @@ def _quota_cpus(table: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") 
     return cpus
 
 
-def _splits(rows: np.ndarray) -> bool:
+def _two_cpus() -> bool:
     # without sched_getaffinity (Windows, macOS) the CPU count is unknown; a
     # cgroup quota (a container's CPU limit) leaves the affinity mask alone
-    return (rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
             and _quota_cpus() >= 2)
 
 
-def _fork_rows(rows: np.ndarray, row_format: str):
-    """Format ``rows`` into an unnamed temporary file in a forked child.
+def _forked(child, parent):
+    """Run ``child(file)`` in a forked child process, ``file`` being an
+    unnamed temporary binary file, while this process runs ``parent()``.
 
-    Returns (child pid, binary file), or None if the file or the fork cannot
-    be made.  The child leaves through ``os._exit`` (0 once its text is
-    flushed, 1 on any exception): it never returns into the caller's frames
-    and never flushes the buffers it inherited.
+    Returns ``parent()``'s result and the child's file, rewound, or None in
+    its place if the file or the fork cannot be made or the child fails.
+    The child leaves through ``os._exit`` (1 on any exception): it never
+    returns into the caller's frames nor flushes the buffers it inherited.
+    A child still running when ``parent()`` raises, or _CHILD_GRACE_S plus
+    as long as ``parent()`` took after ``parent()`` returned, is killed with
+    SIGKILL and reaped, and counts as failed.
     """
-    _g17_tables()  # built once, before the fork, for both processes
     try:
         tmp = tempfile.TemporaryFile()
     except OSError:
-        return None
+        return parent(), None
     try:
-        # Python 3.12+ warns (a DeprecationWarning, hidden by the default
-        # filters and never raised) that forking a multi-threaded process such
-        # as numpy's BLAS pool may deadlock the child; this child calls no BLAS
-        # and runs only numpy's element-wise and integer loops, tolist,
-        # '%'-formatting and file writes before os._exit
+        # Python 3.12+ warns (hidden by the default filters) that forking a
+        # multi-threaded process such as numpy's BLAS pool may deadlock the
+        # child; no child here calls BLAS, and one that deadlocks is killed
         pid = os.fork()
     except OSError:
         tmp.close()
-        return None
+        return parent(), None
     if pid == 0:
         status = 1
         try:
-            with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
-                _write_rows(out, rows, row_format)
+            child(tmp)
+            tmp.flush()
             status = 0
         finally:
             os._exit(status)
-    return pid, tmp
-
-
-def _join(pid: int, tmp):
-    """Wait for the child; return its file if it exited 0, else close the
-    file and return None."""
+    status = None  # the child's wait status once reaped, -1 if reaped elsewhere
     try:
-        _, status = os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped elsewhere: its exit status is unknown
-        status = -1
-    if status == 0:
-        return tmp
-    tmp.close()
-    return None
+        start = time.monotonic()
+        result = parent()
+        deadline, delay = 2 * time.monotonic() - start + _CHILD_GRACE_S, 1e-4
+        while status is None and time.monotonic() < deadline:  # polled: a bounded wait
+            try:
+                done, code, _ = os.wait4(pid, os.WNOHANG)
+            except ChildProcessError:
+                done, code = pid, -1
+            if done:
+                status = code
+            else:
+                time.sleep(delay)
+                delay = min(2 * delay, 2e-3)
+    finally:
+        if status is None:
+            import signal  # only this path needs it
+
+            os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.wait4(pid, 0)
+        if status != 0:
+            tmp.close()
+    if status != 0:
+        return result, None
+    tmp.seek(0)
+    return result, tmp
+
+
+def _write_text(rows: np.ndarray, row_format: str, tmp) -> None:
+    with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
+        _write_rows(out, rows, row_format)
 
 
 def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
@@ -314,10 +353,10 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
     row, then one '%.17g' row per row of ``rows`` (2-D, at least one column),
     formatted a block of rows at a time.
 
-    A large output is written in two halves: a forked child formats the
-    second into a temporary file while this process formats the first, then
-    this process appends the child's text.  If the file, the fork or the
-    child fails, this process formats the second half itself.
+    A large output is written in two halves (see ``_forked``): a forked child
+    formats the second into a temporary file while this process formats the
+    first, then this process appends the child's text.  If the file, the fork
+    or the child fails, this process formats the second half itself.
     """
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     # UTF-8 whatever the locale; a path byte that is not UTF-8 (a surrogate
@@ -327,19 +366,16 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
             fh.write(",".join(names) + "\n")
-        mid = rows.shape[0] // 2 if _splits(rows) else rows.shape[0]
-        tail = _fork_rows(rows[mid:], row) if mid < rows.shape[0] else None
-        try:
-            _write_rows(fh, rows[:mid], row)
-        finally:
-            # the child is reaped also when the first half raised
-            if tail is not None:
-                tail = _join(*tail)
+        mid, tail = 0, None
+        if rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2 and _two_cpus():
+            mid = rows.shape[0] // 2
+            _g17_tables()  # built once, before the fork, for both processes
+            _, tail = _forked(functools.partial(_write_text, rows[mid:], row),
+                              functools.partial(_write_rows, fh, rows[:mid], row))
         if tail is None:
             _write_rows(fh, rows[mid:], row)
             return
         with tail:
-            tail.seek(0)
             fh.flush()
             shutil.copyfileobj(tail, fh.buffer)
 
@@ -352,6 +388,53 @@ def _parses(line: str) -> bool:
     return True
 
 
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", ndmin=2)
+
+
+def _lines(fd: int, start: int, stop: int):
+    """The stripped lines of bytes ``start`` to ``stop`` of the file ``fd``, read with
+    ``os.pread`` in chunks ending at '\\n' or '\\r' (a cut '\\r\\n' adds a blank line)."""
+    rest = b""
+    while start < stop and (data := os.pread(fd, min(_CHUNK_BYTES, stop - start), start)):
+        start += len(data)
+        chunk = rest + data
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1 if start < stop else len(chunk)
+        rest = chunk[cut:]
+        yield from map(str.strip, StringIO(chunk[:cut].decode("utf-8", "surrogateescape"),
+                                           newline=""))
+
+
+def _put_rows(fd: int, start: int, stop: int, tmp) -> None:
+    warnings.simplefilter("error")  # the child's own filters: no data fails it
+    np.save(tmp, _loadtxt(_lines(fd, start, stop)))
+
+
+def _split_rows(fd: int, body: str, start: int):
+    """The rows of the file ``fd`` from ``body``, whose line ends at byte
+    ``start``, parsed in two halves on two CPUs, or None where the module
+    docstring says the one stream parse runs instead."""
+    st = os.fstat(fd)
+    if not (stat.S_ISREG(st.st_mode) and st.st_size - start >= _SPLIT_BYTES and _two_cpus()):
+        return None
+    split = (start + st.st_size) // 2
+    while (window := os.pread(fd, _CHUNK_BYTES, split)) and b"\n" not in window:
+        split += len(window)
+    split += window.find(b"\n") + 1
+    if split >= st.st_size:  # no '\n' past the midpoint, or none before the end
+        return None
+    try:
+        head, tail = _forked(functools.partial(_put_rows, fd, split, st.st_size),
+                             lambda: _loadtxt(itertools.chain([body], _lines(fd, start, split))))
+    except ValueError:
+        return None
+    if tail is not None:
+        with tail:
+            rows = np.load(tail)
+        if rows.shape[1] == head.shape[1]:
+            return np.concatenate([head, rows])
+    return None
+
+
 def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
     """Parse phasekit's CSV layout into (header, names or None, 2-D data).
 
@@ -359,12 +442,15 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
     data row; the first non-comment, non-blank row is the names row unless
     it parses as numbers.  The rest of the file goes to one ``np.loadtxt``
     call as a stream of stripped lines, which skips blank and comment lines;
-    the file is read once, front to back, so a pipe works too.
+    the file is read once, front to back, so a pipe works too.  A large
+    regular file is parsed in two halves instead, with the same result.
     """
     header = {}
     names = None
+    start = 0  # bytes of the lines read so far
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
+            start += len(line.encode("utf-8", "surrogateescape"))
             body = line.strip()
             if body.startswith("#"):
                 key, eq, value = body.lstrip("#").partition("=")
@@ -376,7 +462,9 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
                 names = [p.strip() for p in body.split(",")]
         else:
             raise ValueError(f"no data rows in {path}")
-        data = np.loadtxt(itertools.chain([body], map(str.strip, fh)), delimiter=",", ndmin=2)
+        data = _split_rows(fh.fileno(), body, start)
+        if data is None:
+            data = _loadtxt(itertools.chain([body], map(str.strip, fh)))
     return header, names, data
 
 

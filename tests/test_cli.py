@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -501,6 +503,41 @@ class TestErrorPaths:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX signals")
+    @pytest.mark.parametrize("name, status", [("SIGTERM", 143), ("SIGINT", 130),
+                                              ("SIGHUP", 129)])
+    def test_signal_leaves_no_partial_output(self, tmp_path, name, status):
+        # a 126-column sweep of 8,192 samples writes about 23 MB; the signal
+        # comes once the output passes 1 MB
+        record, out = tmp_path / "record.csv", tmp_path / "out.csv"
+        pkio.write_columns_csv(record, {}, ["t", "value"],
+                               [np.arange(8192) / 8000.0,
+                                np.random.default_rng(2).standard_normal(8192)])
+        signum = getattr(signal, name)
+
+        def default_handlers():  # as from a shell, whatever this process ignores
+            for default in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+                signal.signal(default, signal.SIG_DFL)
+
+        proc = subprocess.Popen([sys.executable, "-m", "phasekit", "pt", str(record),
+                                 "--alpha-sweep", "0:0.05:6.28", "-o", str(out)],
+                                stderr=subprocess.PIPE, text=True, preexec_fn=default_handlers)
+        try:
+            while proc.poll() is None and not (out.exists() and out.stat().st_size > 2 ** 20):
+                time.sleep(1e-3)
+            assert proc.poll() is None, "the command finished before the signal"
+            proc.send_signal(signum)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == status
+        assert stderr == f"phasekit: stopped by {name}\n"
+        assert not out.exists()
+        # in process, main restores the handlers it set
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["pt", str(record), "--alpha", "0.5", "-o", str(out)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestHeaders:

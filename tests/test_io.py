@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -106,6 +107,90 @@ def edge_case_grid(rng, shape):
     return grid
 
 
+def signal_rows(n, seed=0, cols=2):
+    """n 't,value' rows of an 8 kHz record (more columns repeat the value)."""
+    values = np.random.default_rng(seed).standard_normal(n).tolist()
+    return [",".join([repr(i / 8000.0)] + [repr(v)] * (cols - 1)) for i, v in enumerate(values)]
+
+
+ROWS = signal_rows(60)
+# split reads of small files (the threshold is lowered in the test): the
+# input, whether it forks, and whether the two halves give the result (an
+# all-comment tail fails the child, and the one stream parse runs instead)
+SPLIT_READS = {
+    "lf": ("t,value\n" + "\n".join(ROWS) + "\n", True, True),
+    "crlf": ("t,value\r\n" + "\r\n".join(ROWS) + "\r\n", True, True),
+    "lone cr": ("t,value\r" + "\r".join(ROWS) + "\r", False, False),
+    "lone cr, then lf": ("\r".join(ROWS[:30]) + "\r" + "\n".join(ROWS[30:]), True, True),
+    "no names, no final line end": ("\n".join(ROWS), True, True),
+    # separators that end a line for str.splitlines but not for the reader
+    "comments and blanks": ("# a = 1\n\nt,value\n# b = " + "\u00e9" * 40 + "\n" + "".join(
+        f"{row}\n# note {i} \u00fc\x0c\x1c\u0085\u2028 x\n\n  \n" if i % 3 else f"{row}\r\n"
+        for i, row in enumerate(ROWS)), True, True),
+    "one-row tail": ("t,value\n" + "\n".join(ROWS[:20]) + "\n# " + "x" * 2000 + "\n"
+                     + ROWS[20] + "\n", True, True),
+    "all-comment tail": ("\n".join(ROWS[:20]) + "\n" + "# tail\n" * 200, True, False),
+    "all-comment tail, one column": ("\n".join(row.split(",")[1] for row in ROWS[:20])
+                                     + "\n" + "# tail\n" * 200, True, False),
+    "one column": ("x\n" + "\n".join(row.split(",")[1] for row in ROWS), True, True),
+    "wide rows": ("\n".join(signal_rows(40, cols=30)), True, True),
+}
+SPLIT_ERRORS = {
+    "bad cell in the head": ROWS[:5] + ["0.1,x"] + ROWS[6:],
+    "bad cell in the tail": ROWS[:-5] + ["0.1,x"] + ROWS[-4:],
+    "columns change in the tail": ROWS[:-5] + ["1,2,3"] + ROWS[-4:],
+    # both halves parse, with two and three columns
+    "columns change at the cut": ROWS[:30] + ["# " + "x" * 2000] + [r + ",0" for r in ROWS[30:]],
+}
+
+
+def read_outcome(path):
+    """_read_csv's (header, names, data bits and shape), or its ValueError text."""
+    try:
+        header, names, data = pkio._read_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return header, names, data.shape, bit_pattern(data).tolist()
+
+
+def split_results(monkeypatch) -> list:
+    """What each _split_rows call returns from now on: its rows, or None."""
+    results, split_rows = [], pkio._split_rows
+    monkeypatch.setattr(pkio, "_split_rows",
+                        lambda *args: results.append(split_rows(*args)) or results[-1])
+    return results
+
+
+def unsplit_outcome(path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(pkio, "_SPLIT_BYTES", math.inf)
+        return read_outcome(path)
+
+
+def fork_and_wait_calls(package: Path, helper: str | None = "_forked") -> list[str]:
+    """'module:line' of every call of a fork or wait function of ``os`` in
+    ``package`` outside the function ``helper`` of io.py, and every import of
+    one from ``os``."""
+    names = {"fork", "forkpty", "wait", "wait3", "wait4", "waitid", "waitpid"}
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        allowed = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and source.name == "io.py"
+                   and function.name == helper for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in names and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "os"):
+                found.append(f"{source.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and names & {alias.name for alias in node.names}):
+                found.append(f"{source.name}:{node.lineno}")
+    return found
+
+
 class TestCsvCodec:
     @pytest.mark.parametrize("rows, cols", [(40, 2), (30, 43)])
     def test_column_bytes_match_per_value_reference(self, tmp_path, rows, cols):
@@ -158,7 +243,9 @@ class TestCsvCodec:
             assert np.array_equal(np.column_stack(cols), [[0, 1], [1, 2]])
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
-    def test_reads_a_pipe(self, tmp_path):
+    def test_reads_a_pipe(self, tmp_path, forks, monkeypatch):
+        # a pipe is read as one stream, however large
+        monkeypatch.setattr(pkio, "_SPLIT_BYTES", 1)
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_text, args=("# k = v\nt,value\n0,1\n1,2\n",),
@@ -169,6 +256,7 @@ class TestCsvCodec:
         assert not writer.is_alive()
         assert (header, names) == ({"k": "v"}, ["t", "value"])
         assert np.array_equal(np.column_stack(cols), [[0, 1], [1, 2]])
+        assert forks == []
 
     def test_read_peak_memory(self, tmp_path):
         n = 131072
@@ -198,8 +286,8 @@ class TestCsvCodec:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Let the writer see two CPUs and no cgroup quota; returns the list of
-        its fork() calls."""
+        """Let the writer and the reader see two CPUs and no cgroup quota;
+        returns the list of their fork() calls."""
         calls = []
         fork = os.fork
 
@@ -269,8 +357,11 @@ class TestCsvCodec:
             monkeypatch.setattr(pkio, "_quota_cpus", lambda: 1.5)
         data = np.random.default_rng(6).standard_normal((30000, 3))
         pkio.write_columns_csv(tmp_path / "cols.csv", {}, ["a", "b", "c"], list(data.T))
-        assert forks == []
         assert (tmp_path / "cols.csv").read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+        assert (tmp_path / "cols.csv").stat().st_size > 2 * pkio._SPLIT_BYTES
+        assert np.array_equal(np.column_stack(pkio.read_columns_csv(tmp_path / "cols.csv")[2]),
+                              data)
+        assert forks == []
 
     @pytest.mark.parametrize("table, files, cpus", [
         # v2: the least quota over the cgroup and its ancestors
@@ -329,12 +420,14 @@ class TestCsvCodec:
                 warnings.simplefilter("error")
                 filters = list(warnings.filters)
                 pkio.write_columns_csv(path, {}, ["a", "b", "c"], list(data.T))
+                back = np.column_stack(pkio.read_columns_csv(path)[2])
                 assert warnings.filters == filters
         finally:
             stop.set()
             thread.join()
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+        assert np.array_equal(back, data)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_split_write_beside_a_thread_that_allocates_arrays(self, tmp_path):
@@ -365,6 +458,119 @@ class TestCsvCodec:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "5\n"
+        data = np.random.default_rng(8).standard_normal((3, 131072)).T
+        assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
+
+    @pytest.mark.parametrize("chunk", [7, pkio._CHUNK_BYTES])
+    @pytest.mark.parametrize("case", SPLIT_READS)
+    def test_split_read_matches_one_parse(self, tmp_path, forks, monkeypatch, capfd, case,
+                                          chunk):
+        text, splits, halves = SPLIT_READS[case]
+        path = tmp_path / "in.csv"
+        # a header value that is not UTF-8 counts as its bytes
+        path.write_bytes(b"# raw = \xff\xfe\n" + text.encode("utf-8"))
+        monkeypatch.setattr(pkio, "_SPLIT_BYTES", 64)
+        monkeypatch.setattr(pkio, "_CHUNK_BYTES", chunk)
+        results = split_results(monkeypatch)
+        outcome = read_outcome(path)
+        assert len(forks) == splits
+        assert [rows is not None for rows in results] == [halves]
+        assert not isinstance(outcome, str)
+        assert outcome == unsplit_outcome(path, monkeypatch)
+        # no warning or traceback from either process
+        assert capfd.readouterr().err == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", SPLIT_ERRORS)
+    def test_split_read_errors_match_one_parse(self, tmp_path, forks, monkeypatch, case):
+        path = tmp_path / "in.csv"
+        path.write_text("t,value\n" + "\n".join(SPLIT_ERRORS[case]) + "\n")
+        monkeypatch.setattr(pkio, "_SPLIT_BYTES", 64)
+        results = split_results(monkeypatch)
+        outcome = read_outcome(path)
+        assert len(forks) == 1 and results == [None]
+        assert isinstance(outcome, str) and "row" in outcome
+        assert outcome == unsplit_outcome(path, monkeypatch)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_split_read_of_an_all_comment_tail_prints_no_warning(self, tmp_path):
+        # the child's loadtxt finds no data, which would warn on its standard
+        # error; a subprocess, since pytest records the warnings of the tests
+        path = tmp_path / "in.csv"
+        path.write_text(SPLIT_READS["all-comment tail"][0])
+        script = (
+            "import os, numpy as np\n"
+            "import phasekit.io as pkio\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "pkio._quota_cpus = lambda: 2.0\n"
+            "pkio._SPLIT_BYTES = 64\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"rows = pkio._read_csv({str(path)!r})[2]\n"
+            "print(rows.shape, len(forks))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(20, 2) 1\n", "")
+
+    @pytest.mark.parametrize("extra, splits", [
+        (-1, False),  # one byte short of the threshold
+        (0, True),  # exactly at it
+        (1, True)])  # one byte past it
+    def test_split_read_threshold(self, tmp_path, forks, monkeypatch, extra, splits):
+        size = pkio._SPLIT_BYTES + extra  # bytes after the first data row
+        rows = "".join(row + "\n" for row in signal_rows(size // 50, seed=3))
+        path = tmp_path / "in.csv"
+        path.write_text("0,0\n" + rows + "#" + "x" * (size - len(rows) - 2) + "\n")
+        assert path.stat().st_size == 4 + size
+        results = split_results(monkeypatch)
+        outcome = read_outcome(path)
+        assert len(forks) == splits
+        assert [rows is not None for rows in results] == [splits]
+        assert outcome[2] == (size // 50 + 1, 2)
+        assert outcome == unsplit_outcome(path, monkeypatch)
+
+    def test_raising_parent_kills_the_child(self, forks):
+        def parent():
+            raise RuntimeError("this half failed")
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="this half failed"):
+            pkio._forked(lambda tmp: time.sleep(60), parent)
+        # killed at once, not at the deadline, and reaped
+        assert time.monotonic() - start < pkio._CHILD_GRACE_S
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_that_never_exits_is_killed_and_its_half_redone(self, tmp_path):
+        # a child that deadlocks (here: sleeps for a minute, far past the
+        # deadline) costs the deadline and no more; run in a subprocess with a
+        # timeout in case it did not
+        path = tmp_path / "cols.csv"
+        script = (
+            "import os, time, numpy as np\n"
+            "import phasekit.io as pkio\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "pkio._quota_cpus = lambda: 2.0\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "pkio._write_text = pkio._put_rows = lambda *args: time.sleep(60)\n"
+            "columns = list(np.random.default_rng(8).standard_normal((3, 131072)))\n"
+            f"pkio.write_columns_csv({str(path)!r}, {{}}, ['a', 'b', 'c'], columns)\n"
+            f"_, _, back = pkio.read_columns_csv({str(path)!r})\n"
+            "assert np.array_equal(np.column_stack(back), np.column_stack(columns))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print(len(forks), 'forks, no child left')\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2 forks, no child left\n"
         data = np.random.default_rng(8).standard_normal((3, 131072)).T
         assert path.read_bytes() == csv_bytes({}, ["a", "b", "c"], data)
 
@@ -693,3 +899,8 @@ class TestOutputFile:
 
     def test_every_written_path_goes_through_the_opener(self):
         assert unguarded_writes(SOURCE) == []
+
+    def test_only_the_fork_helper_forks_and_waits(self):
+        assert fork_and_wait_calls(SOURCE) == []
+        # the scan sees the helper's own fork and waits
+        assert len(fork_and_wait_calls(SOURCE, helper=None)) >= 3
