@@ -230,17 +230,18 @@ def _g17_records(block: np.ndarray):
 
 
 def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
-    """Write ``rows`` to the text file ``fh`` a block of rows at a time: the
+    """Write ``rows`` to the binary file ``fh`` a block of rows at a time: the
     '%.17g' kernel's text, or one '%' on the repeated ``row_format`` for a
-    block that holds a value the kernel cannot decide."""
+    block that holds a value the kernel cannot decide; both are ASCII."""
     step = max(1, _BLOCK_VALUES // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
         records, undecided = _g17_records(block)
         if undecided.any():
-            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+            text = (row_format * block.shape[0]) % tuple(block.ravel().tolist())
+            fh.write(text.encode("ascii"))
         else:
-            fh.write(records.tobytes().translate(None, b"\0").decode("ascii"))
+            fh.write(records.tobytes().translate(None, b"\0"))
 
 
 def _quota_cpus(table: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
@@ -343,11 +344,6 @@ def _forked(child, parent):
     return result, tmp
 
 
-def _write_text(rows: np.ndarray, row_format: str, tmp) -> None:
-    with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
-        _write_rows(out, rows, row_format)
-
-
 def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
     """Write phasekit's CSV layout: '# key = value' lines, an optional names
     row, then one '%.17g' row per row of ``rows`` (2-D, at least one column),
@@ -366,18 +362,19 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
             fh.write(f"# {key} = {_header_text(value)}\n")
         if names is not None:
             fh.write(",".join(names) + "\n")
+        fh.flush()
+        out = fh.buffer  # the rows are ASCII bytes
         mid, tail = 0, None
         if rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2 and _two_cpus():
             mid = rows.shape[0] // 2
             _g17_tables()  # built once, before the fork, for both processes
-            _, tail = _forked(functools.partial(_write_text, rows[mid:], row),
-                              functools.partial(_write_rows, fh, rows[:mid], row))
+            _, tail = _forked(functools.partial(_write_rows, rows=rows[mid:], row_format=row),
+                              functools.partial(_write_rows, out, rows[:mid], row))
         if tail is None:
-            _write_rows(fh, rows[mid:], row)
+            _write_rows(out, rows[mid:], row)
             return
         with tail:
-            fh.flush()
-            shutil.copyfileobj(tail, fh.buffer)
+            shutil.copyfileobj(tail, out)
 
 
 def _parses(line: str) -> bool:

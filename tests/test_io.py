@@ -558,7 +558,13 @@ class TestCsvCodec:
             "pkio._quota_cpus = lambda: 2.0\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
-            "pkio._write_text = pkio._put_rows = lambda *args: time.sleep(60)\n"
+            "parent, write_rows = os.getpid(), pkio._write_rows\n"
+            "def child_sleeps(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        time.sleep(60)\n"
+            "    write_rows(*args, **kwargs)\n"
+            "pkio._write_rows = child_sleeps\n"
+            "pkio._put_rows = lambda *args: time.sleep(60)\n"
             "columns = list(np.random.default_rng(8).standard_normal((3, 131072)))\n"
             f"pkio.write_columns_csv({str(path)!r}, {{}}, ['a', 'b', 'c'], columns)\n"
             f"_, _, back = pkio.read_columns_csv({str(path)!r})\n"
