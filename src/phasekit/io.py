@@ -330,12 +330,14 @@ def _forked(child, parent):
                 time.sleep(delay)
                 delay = min(2 * delay, 2e-3)
     finally:
-        if status is None:
+        if status is None:  # parent() raised, or the child is late
             import signal  # only this path needs it
 
-            os.kill(pid, signal.SIGKILL)
+            # only a live child: one reaped elsewhere (SIGCHLD ignored) frees its pid
             with contextlib.suppress(ChildProcessError):
-                os.wait4(pid, 0)
+                if not os.wait4(pid, os.WNOHANG)[0]:
+                    os.kill(pid, signal.SIGKILL)
+                    os.wait4(pid, 0)
         if status != 0:
             tmp.close()
     if status != 0:

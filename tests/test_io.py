@@ -3,6 +3,7 @@ import ast
 import math
 import os
 import runpy
+import signal
 import struct
 import subprocess
 import sys
@@ -544,6 +545,26 @@ class TestCsvCodec:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_reaped_elsewhere_is_not_killed(self, forks, monkeypatch):
+        # with SIGCHLD ignored the kernel reaps the child, and its pid may be
+        # another process's by the time this one's half raises
+        kills = []
+        monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+
+        def parent():
+            time.sleep(0.2)  # the child has exited by now
+            raise RuntimeError("this half failed")
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with pytest.raises(RuntimeError, match="this half failed"):
+                pkio._forked(lambda tmp: None, parent)
+            assert pkio._forked(lambda tmp: None, lambda: 7) == (7, None)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2 and kills == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_child_that_never_exits_is_killed_and_its_half_redone(self, tmp_path):
