@@ -508,8 +508,10 @@ class TestCsvCodec:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "pkio._quota_cpus = lambda: 2.0\n"
             "pkio._SPLIT_BYTES = 64\n"
-            "forks, fork = [], os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
+            # os.fork itself stays unwrapped: Python 3.12+ shows its warning
+            # about threads when the caller is in __main__
+            "forks, forked = [], pkio._forked\n"
+            "pkio._forked = lambda *args: forks.append(1) or forked(*args)\n"
             f"rows = pkio._read_csv({str(path)!r})[2]\n"
             "print(rows.shape, len(forks))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
