@@ -72,11 +72,8 @@ def _header(args, **params) -> dict:
 
 def _write(path, write, *args):
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path, *args)
-    except OSError as exc:
-        raise CliError(IO_ERROR, f"cannot write {path}: {exc}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(path, *args)
 
 
 def _write_signal(args, sig, suffix: str, names: list[str], columns, **params) -> int:
@@ -189,10 +186,7 @@ def cmd_repro(args) -> int:
 
     outdir = Path(args.outdir or os.environ.get("PHASEKIT_OUTDIR", "."))
     header = {"tool": f"phasekit {__version__}", "command": f"repro {args.example}"}
-    try:
-        metrics = repro.run_example(args.example, outdir, header)
-    except OSError as exc:
-        raise CliError(IO_ERROR, f"cannot write artifacts: {exc}")
+    metrics = repro.run_example(args.example, outdir, header)
     for key, value in metrics.items():
         print(f"example {args.example}: {key} = {value:.6e}")
     return 0

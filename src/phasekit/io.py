@@ -23,8 +23,10 @@ one fork helper, whose wait for the child is bounded.  The header is the
 '# key = value' pairs of the comment lines before the first data row; later
 comment lines are skipped.  Header values are rendered by the writer: a
 float as '%.17g', a bool as 'true'/'false', anything else through ``str``.
-All writers are deterministic, and each opens its file with
-:func:`output_file`, so a failed write leaves no partial file.
+All writers are deterministic.  Each writes one binary stream to the file
+it opens with :func:`output_file`, so a failed write leaves no partial file;
+a CSV's header lines and names row are encoded once as UTF-8 and go to the
+same stream as its ASCII rows.
 """
 from __future__ import annotations
 
@@ -47,20 +49,15 @@ import numpy as np
 from .spectral import Image, Signal
 
 
-def format_float(value: float) -> str:
-    """Round-trippable decimal rendering of a double."""
-    return f"{value:.17g}"
-
-
 @contextlib.contextmanager
-def output_file(path, mode: str = "w", **kwargs):
-    """``open(path, mode, **kwargs)`` for writing.  If the body or the close
-    raises, ``path`` is removed when it is the regular file this call opened
-    (never a symlink, device, FIFO or directory); the exception propagates,
-    and an OSError that names no file (a failed write) is given ``path``."""
+def output_file(path):
+    """``open(path, "wb")``.  If the body or the close raises, ``path`` is
+    removed when it is the regular file this call opened (never a symlink,
+    device, FIFO or directory); the exception propagates, and an OSError
+    that names no file (a failed write) is given ``path``."""
     opened = False
     try:
-        with open(path, mode, **kwargs) as fh:
+        with open(path, "wb") as fh:
             st = os.lstat(path)
             opened = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(fh.fileno()))
             yield fh
@@ -76,7 +73,7 @@ def output_file(path, mode: str = "w", **kwargs):
 def _header_text(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    return format_float(value) if isinstance(value, float) else str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 # values formatted per block (whole rows, at least one): blocks of 2**13 to
@@ -229,10 +226,11 @@ def _g17_records(block: np.ndarray):
     return records, undecided
 
 
-def _write_rows(fh, rows: np.ndarray, row_format: str) -> None:
+def _write_rows(fh, rows: np.ndarray) -> None:
     """Write ``rows`` to the binary file ``fh`` a block of rows at a time: the
-    '%.17g' kernel's text, or one '%' on the repeated ``row_format`` for a
+    '%.17g' kernel's text, or one '%' on a repeated '%.17g' row format for a
     block that holds a value the kernel cannot decide; both are ASCII."""
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     step = max(1, _BLOCK_VALUES // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
@@ -356,27 +354,25 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
     first, then this process appends the child's text.  If the file, the fork
     or the child fails, this process formats the second half itself.
     """
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     # UTF-8 whatever the locale; a path byte that is not UTF-8 (a surrogate
     # from os.fsdecode) is written back as itself, and _read_csv reads it
-    with output_file(path, "w", newline="\n", encoding="utf-8", errors="surrogateescape") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key} = {_header_text(value)}\n")
-        if names is not None:
-            fh.write(",".join(names) + "\n")
-        fh.flush()
-        out = fh.buffer  # the rows are ASCII bytes
+    head = "".join(f"# {key} = {_header_text(value)}\n" for key, value in header.items())
+    if names is not None:
+        head += ",".join(names) + "\n"
+    with output_file(path) as fh:
+        # may sit in the buffer at the fork below, which the child never flushes
+        fh.write(head.encode("utf-8", "surrogateescape"))
         mid, tail = 0, None
         if rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2 and _two_cpus():
             mid = rows.shape[0] // 2
             _g17_tables()  # built once, before the fork, for both processes
-            _, tail = _forked(functools.partial(_write_rows, rows=rows[mid:], row_format=row),
-                              functools.partial(_write_rows, out, rows[:mid], row))
+            _, tail = _forked(functools.partial(_write_rows, rows=rows[mid:]),
+                              functools.partial(_write_rows, fh, rows[:mid]))
         if tail is None:
-            _write_rows(out, rows[mid:], row)
+            _write_rows(fh, rows[mid:])
             return
         with tail:
-            shutil.copyfileobj(tail, out)
+            shutil.copyfileobj(tail, fh)
 
 
 def _parses(line: str) -> bool:
@@ -564,7 +560,7 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
         b"RIFF", 36 + len(payload), b"WAVE",
         b"fmt ", 16, audio_format, 1, rate, rate * block, block, bits,
         b"data", len(payload))
-    with output_file(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header + payload)
 
 
@@ -614,7 +610,7 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = 255) -> None:
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    with output_file(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header + np.rint(pixels).astype(dtype).tobytes())
 
 

@@ -182,7 +182,6 @@ def run_example(number: int, outdir, header: dict) -> dict:
     directory = Path(outdir) / f"example{number}"
     directory.mkdir(parents=True, exist_ok=True)
     metrics = _RUNNERS[number](directory, header)
-    with pkio.output_file(directory / "summary.json", "w", newline="\n") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with pkio.output_file(directory / "summary.json") as fh:
+        fh.write((json.dumps(metrics, indent=2, sort_keys=True) + "\n").encode())
     return metrics

@@ -332,7 +332,7 @@ def harmonic_series(signal, n_harmonics: int) -> FourierSeriesCoeffs:
     n = len(sig)
     if not 0 <= n_harmonics <= (n - 1) // 2:
         raise ValueError(f"n_harmonics must be in [0, {(n - 1) // 2}] for length {n}")
-    bins = dft(sig.samples).bins
+    bins = np.fft.rfft(sig.samples) / n
     a0 = float(np.real(bins[0]))
     k = np.arange(1, n_harmonics + 1)
     amplitudes = 2.0 * np.abs(bins[k])

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import errno
 import json
 import os
 import signal
@@ -19,7 +20,7 @@ import phasekit as pk
 import phasekit.cli as cli
 import phasekit.io as pkio
 from phasekit.cli import MAX_SWEEP_STEPS, main
-from test_io import CSV_BYTES, PGM_BYTES, run_with_file_limit
+from test_io import CSV_BYTES, PGM_BYTES, run_with_file_limit, wav_bytes
 
 
 @pytest.fixture()
@@ -465,6 +466,27 @@ class TestErrorPaths:
             whole = tmp_path / "whole" / written.name / path.name
             assert path.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("command", [["pt", "{record}", "--alpha", "0.3", "-o", "{out}"],
+                                         ["repro", "1", "--outdir", "{out}"]], ids=["pt", "repro"])
+    def test_failed_write_is_one_line_naming_the_file_once(self, tmp_path, command):
+        record = tmp_path / "record.csv"
+        pkio.write_columns_csv(record, {}, ["t", "value"],
+                               [np.arange(20000) / 1000.0, np.ones(20000)])
+        out = tmp_path / "out"
+        argv = [arg.format(record=record, out=out) for arg in command]
+        proc = run_with_file_limit(["-m", "phasekit", *argv])
+        written = out if command[0] == "pt" else out / "example1" / "phase_sweep_dft.csv"
+        assert proc.returncode == 2
+        assert proc.stderr == (f"phasekit: i/o error: [Errno {errno.EFBIG}] "
+                               f"{os.strerror(errno.EFBIG)}: '{written}'\n")
+        assert not written.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_to_a_full_device_is_one_line(self, gauss_csv, capsys):
+        assert main(["pt", str(gauss_csv), "--alpha", "0.3", "-o", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (f"phasekit: i/o error: [Errno {errno.ENOSPC}] "
+                                           f"{os.strerror(errno.ENOSPC)}: '/dev/full'\n")
+
     def test_failed_write_through_a_symlink_keeps_the_symlink(self, tmp_path):
         record = tmp_path / "record.csv"
         pkio.write_columns_csv(record, {}, ["t", "value"],
@@ -503,6 +525,19 @@ class TestErrorPaths:
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("channels, bits, reason", [
+        (2, 16, "only mono WAV is supported (got 2 channels)"),
+        (1, 8, "unsupported WAV format (format=1, bits=8)")], ids=["stereo", "8-bit"])
+    def test_unsupported_wav_is_one_line_io_error(self, tmp_path, channels, bits, reason):
+        path, out = tmp_path / "in.wav", tmp_path / "x.csv"
+        path.write_bytes(wav_bytes(channels, bits))
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "pt", str(path),
+                               "--alpha", "0.5", "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"phasekit: cannot read signal from {path}: {path}: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX signals")
     @pytest.mark.parametrize("name, status", [("SIGTERM", 143), ("SIGINT", 130),

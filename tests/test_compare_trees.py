@@ -1,0 +1,60 @@
+"""scripts/compare_trees.py: the tree comparison on a tiny matrix."""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("compare_trees",
+                                               REPO / "scripts" / "compare_trees.py")
+compare_trees = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_trees)
+Case = compare_trees.Case
+
+TINY = [Case("synth", ["synth", "--duration", "0.05"]),
+        Case("pt", ["pt", "{in}/small.csv", "--alpha", "0.5", "--basis", "dct"]),
+        Case("missing", ["pt", "{in}/missing.csv", "--alpha", "0.5"])]
+
+
+def small_inputs(directory: Path) -> Path:
+    directory.mkdir()
+    (directory / "small.csv").write_text("t,value\n0,1\n0.5,-2\n1,0.25\n")
+    return directory
+
+
+def test_a_tree_matches_itself(tmp_path, capsys):
+    inputs = small_inputs(tmp_path / "in")
+    assert compare_trees.compare(REPO, REPO, TINY, inputs, tmp_path) == 0
+    out = capsys.readouterr().out
+    assert out == ("synth: exit 0\n  out.csv: identical\n"
+                   "pt: exit 0\n  out.csv: identical\n"
+                   "missing: exit 2\n"
+                   "2 of 2 outputs identical; every exit code unchanged\n")
+
+
+def test_a_changed_exit_code_fails_the_comparison(tmp_path, capsys):
+    # a tree whose phasekit exits 3 on every command and writes nothing
+    package = tmp_path / "broken" / "src" / "phasekit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import sys\nprint('broken', file=sys.stderr)\nsys.exit(3)\n")
+    assert compare_trees.compare(REPO, tmp_path / "broken", TINY[:1], tmp_path, tmp_path) == 1
+    assert capsys.readouterr().out == ("synth: exit 0 -> 3 CHANGED\n"
+                                       "  out.csv: only in PARENT\n"
+                                       "  stderr differs:\n"
+                                       "    + broken\n"
+                                       "0 of 1 outputs identical; an exit code changed\n")
+
+
+def test_describe_reports_the_relative_change(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("# tool = a\nt,x\n0,4\n1,-8\n")
+    new.write_text("# tool = b\nt,x\n0,4\n1,-8.000000000000002\n")
+    assert compare_trees.describe(old, old) == "identical"
+    assert compare_trees.describe(old, new) == "max|delta|/max|out| = 2.22e-16, header differs"
+    old.write_text("P5\n2 1\n255\n\x00\x10")
+    new.write_text("P5\n2 1\n255\n\x00\x0c")
+    assert compare_trees.describe(old.rename(tmp_path / "old.pgm"),
+                                  new.rename(tmp_path / "new.pgm")) == "max|delta|/max|out| = 0.25"

@@ -2,6 +2,7 @@
 import ast
 import math
 import os
+import re
 import runpy
 import signal
 import struct
@@ -59,6 +60,15 @@ def run_with_file_limit(args):
 
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           preexec_fn=limit_file_size)
+
+
+def wav_bytes(channels: int, bits: int) -> bytes:
+    """A PCM WAV of 8 sample frames of silence."""
+    block = channels * bits // 8
+    payload = bytes(8 * block)
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+                         1, channels, 8000, 8000 * block, block, bits, b"data", len(payload))
+    return header + payload
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -325,10 +335,10 @@ class TestCsvCodec:
         parent = os.getpid()
         write_rows = pkio._write_rows
 
-        def child_raises(fh, rows, row_format):
+        def child_raises(fh, rows):
             if os.getpid() != parent:
                 raise RuntimeError("child formatting failed")
-            write_rows(fh, rows, row_format)
+            write_rows(fh, rows)
 
         def raise_os_error(*args):
             raise OSError("no resources")
@@ -750,6 +760,13 @@ class TestColumnsCsv:
             pkio.write_columns_csv(tmp_path / "x.csv", {}, ["a"],
                                    [np.ones(3), np.ones(3)])
 
+    @pytest.mark.parametrize("lengths", [(3, 2), (1, 4, 4)])
+    def test_rejects_columns_of_different_lengths(self, tmp_path, lengths):
+        with pytest.raises(ValueError, match="columns must share one length"):
+            pkio.write_columns_csv(tmp_path / "x.csv", {}, [f"c{n}" for n in lengths],
+                                   [np.ones(n) for n in lengths])
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestWav:
     def test_float32_round_trip(self, tmp_path):
@@ -779,6 +796,15 @@ class TestWav:
     def test_rejects_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             pkio.write_wav(tmp_path / "x.wav", Signal(np.zeros(4)), encoding="mp3")
+
+    @pytest.mark.parametrize("channels, bits, message", [
+        (2, 16, "only mono WAV is supported (got 2 channels)"),
+        (1, 8, "unsupported WAV format (format=1, bits=8)")])
+    def test_rejects_unsupported_layout(self, tmp_path, channels, bits, message):
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(channels, bits))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            pkio.read_wav(path)
 
     # the byte-rate field, rate * bytes per sample, is also an unsigned 32-bit word
     @pytest.mark.parametrize("encoding, rate", [("float32", 8000.5), ("pcm16", 2.0 ** 32),
@@ -862,6 +888,12 @@ class TestPgm:
         with pytest.raises(ValueError):
             pkio.write_pgm(tmp_path / "x.pgm", np.array([[300.0]]), maxval=255)
 
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_rejects_bad_maxval(self, tmp_path, maxval):
+        with pytest.raises(ValueError, match=f"bad maxval {maxval}"):
+            pkio.write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=maxval)
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_preview_rescales_to_full_range(self):
         pixels = np.array([[-2.0, 0.0], [1.0, 6.0]])
         preview = pkio.pgm_preview(pixels, maxval=255)
@@ -907,12 +939,12 @@ class TestOutputFile:
         path.write_text("old")
         with pytest.raises(RuntimeError):
             with pkio.output_file(path) as fh:
-                fh.write("partial")
+                fh.write(b"partial")
                 raise RuntimeError("failed")
         assert not path.exists()
         with pkio.output_file(path) as fh:
-            fh.write("whole")
-        assert path.read_text() == "whole"
+            fh.write(b"whole")
+        assert path.read_bytes() == b"whole"
 
     @pytest.mark.parametrize("call", [
         "pkio.write_pgm(path, np.zeros((512, 512)))",

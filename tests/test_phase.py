@@ -60,6 +60,14 @@ class TestPtDft:
         with pytest.raises(ValueError):
             pk.pt_dft(np.ones(8), pk.PhaseProfile.per_bin(np.zeros(3)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pk.PhaseProfile("ramp", 1.0), "unknown profile kind 'ramp'"),
+        (lambda: pk.PhaseProfile.constant(0.5).bin_phases(8, "dst"), "unknown basis 'dst'")],
+        ids=["kind", "basis"])
+    def test_rejects_unknown_kind_or_basis(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_per_bin_profile_matches_constant(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(32)

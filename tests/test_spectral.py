@@ -60,6 +60,11 @@ class TestDft:
         k = np.arange(1, n)
         assert np.allclose(bins[n - k], np.conj(bins[k]), atol=1e-12)
 
+    def test_signal_keeps_its_rate(self):
+        spectrum = pk.dft(pk.Signal(np.ones(4), 250.0))
+        assert spectrum.sample_rate == 250.0
+        assert np.allclose(spectrum.bins, [1, 0, 0, 0], atol=1e-15)
+
 
 class TestIdft:
     def test_dc_bin_gives_constant(self):
@@ -197,6 +202,11 @@ class TestDft2d:
         with pytest.raises(ValueError):
             pk.dft2d(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("grid", [np.zeros(4), np.zeros((0, 4)), np.zeros((2, 2, 2))])
+    def test_inverse_rejects_a_grid_that_is_not_2d(self, grid):
+        with pytest.raises(ValueError, match="idft2d input must be a non-empty 2-D grid"):
+            pk.idft2d(grid)
+
 
 class TestAnalyticSignal:
     def test_cosine_becomes_complex_exponential(self):
@@ -320,6 +330,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             pk.Spectrum(np.ones(3), origin="mdct")
 
+    @pytest.mark.parametrize("bins", [np.ones((2, 2)), np.ones(0)], ids=["2-D", "empty"])
+    def test_spectrum_rejects_bins_that_are_not_a_sequence(self, bins):
+        with pytest.raises(ValueError, match="spectrum must be a non-empty 1-D sequence"):
+            pk.Spectrum(bins)
+
     def test_image_validation(self):
         with pytest.raises(ValueError):
             pk.Image(np.ones(3))
@@ -336,6 +351,15 @@ class TestDomainTypes:
             pk.FourierSeriesCoeffs(0.0, np.array([-1.0]), np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             pk.FourierSeriesCoeffs(0.0, np.array([1.0]), np.array([0.0]), -2.0)
+
+    @pytest.mark.parametrize("amplitudes, phases, message", [
+        ([1.0, 2.0], [0.0], "amplitudes and phases must be 1-D and equal length"),
+        ([[1.0]], [[0.0]], "amplitudes and phases must be 1-D and equal length"),
+        ([1.0], [np.nan], "harmonic phases must be finite"),
+        ([1.0], [np.inf], "harmonic phases must be finite")])
+    def test_fourier_series_coeffs_rejects_bad_phases(self, amplitudes, phases, message):
+        with pytest.raises(ValueError, match=message):
+            pk.FourierSeriesCoeffs(0.0, np.array(amplitudes), np.array(phases), 1.0)
 
 
 def _aliased_grid():

@@ -56,6 +56,11 @@ class TestMorseSpectrum:
         with pytest.raises(ValueError):
             pk.MorseWavelet(gamma=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="omega_grid must be finite"):
+            pk.morse_spectrum(pk.MorseWavelet(), np.array([1.0, bad]))
+
     @pytest.mark.parametrize("beta, gamma", [(1e308, 3.0), (20.0, 1e-300)])
     def test_rejects_unrepresentable_wavelet(self, beta, gamma):
         # ln A overflows and lgamma raises at beta = 1e308; the peak
@@ -105,6 +110,12 @@ class TestAwt:
     def test_zero_signal_gives_zero_scalogram(self):
         out = pk.awt(pk.Signal(np.zeros(256), 10.0))
         assert np.max(np.abs(out.coeffs)) == 0.0
+
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_scalogram_rows_must_match_the_grid(self, rows):
+        grid = pk.ScaleGrid(np.array([1.0, 2.0, 4.0]), 1)
+        with pytest.raises(ValueError, match="coefficient rows must match the scale grid"):
+            pk.Scalogram(np.zeros((rows, 8), complex), grid, pk.MorseWavelet(), 1.0)
 
     def test_time_axis_matches_signal_length(self):
         sig = pk.Signal(np.random.default_rng(0).standard_normal(300), 5.0)
