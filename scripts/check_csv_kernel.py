@@ -3,16 +3,20 @@
 
     python3 scripts/check_csv_kernel.py N [--seed S]
 
-Formats the finite values among N random 64-bit patterns (seeded), and the
-boundary list below with both signs, through ``phasekit.io._g17_records``.
-Every value the kernel decides must give the text of '%.17g'; every value it
-leaves undecided (the writer formats its block with '%' instead) must be
-below 1e-291 or an exact tie at the 17th digit.  Prints the counts and exits
-0, or prints the first failing value and exits 1.
+Formats three populations through ``phasekit.io._g17_records``: the
+boundary list below with both signs; 200,000 float32 samples widened to
+doubles, log-uniform over 1e-8..1e8 with both signs (seeded); and the finite
+values among N random 64-bit patterns (seeded).  Every value the kernel
+decides must give the text of '%.17g'; every value it leaves undecided must
+be below 1e-291 or an exact tie at the 17th digit.  The writer
+(``phasekit.io._write_rows``), which formats each undecided value with '%'
+alone, must give the text of '%.17g' for every value.  Prints the counts of
+each population and exits 0, or prints the first failing value and exits 1.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +55,16 @@ def boundary_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
+def float32_values(rng: np.random.Generator, count: int = 200_000) -> np.ndarray:
+    """``count`` float32 samples widened to doubles, log-uniform in magnitude
+    over 1e-8..1e8, with random signs.  Their exact decimal expansions are
+    short, so they tie at the 17th digit far more often than random bit
+    patterns do: these are the undecided values of a float32 WAV's output."""
+    magnitudes = 10.0 ** rng.uniform(-8.0, 8.0, count)
+    signs = rng.choice([-1.0, 1.0], count)
+    return (signs * magnitudes).astype(np.float32).astype(np.float64)
+
+
 def exact_tie(value: float) -> bool:
     """Whether |value| lies exactly halfway between two 17-digit decimals."""
     scaled = abs(Fraction(value))
@@ -62,8 +76,9 @@ def exact_tie(value: float) -> bool:
 
 
 def check(values: np.ndarray, chunk: int = 1 << 16):
-    """(The first value that fails the check, with the kernel's text or
-    'undecided', and its '%.17g' text, or None; how many were undecided)."""
+    """(The first value that fails the check, with what went wrong (the
+    kernel's or the writer's text, or 'undecided') and its '%.17g' text, or
+    None; how many were undecided)."""
     undecided_count = 0
     for start in range(0, values.size, chunk):
         part = values[start:start + chunk]
@@ -74,10 +89,16 @@ def check(values: np.ndarray, chunk: int = 1 << 16):
         if texts != "".join(f"{v:.17g}\n" for v in decided.tolist()):
             for value, text in zip(decided.tolist(), texts.split("\n")):
                 if text != f"{value:.17g}":
-                    return (value, text, f"{value:.17g}"), undecided_count
+                    return (value, f"kernel {text}", f"{value:.17g}"), undecided_count
         for value in part[undecided].tolist():
             if abs(value) >= 1e-291 and not exact_tie(value):
                 return (value, "undecided", f"{value:.17g}"), undecided_count
+        written = io.BytesIO()
+        pkio._write_rows(written, part.reshape(-1, 1))
+        if written.getvalue() != "".join(f"{v:.17g}\n" for v in part.tolist()).encode("ascii"):
+            for value, text in zip(part.tolist(), written.getvalue().decode("ascii").split("\n")):
+                if text != f"{value:.17g}":
+                    return (value, f"writer {text}", f"{value:.17g}"), undecided_count
     return None, undecided_count
 
 
@@ -88,16 +109,19 @@ def main() -> int:
     args = parser.parse_args()
     patterns = np.random.default_rng(args.seed).integers(0, 2 ** 64, args.n, np.uint64,
                                                          endpoint=False)
-    values = patterns.view(np.float64)
-    values = np.concatenate([boundary_values(), values[np.isfinite(values)]])
-    failure, undecided = check(values)
-    if failure is not None:
-        value, got, want = failure
-        print(f"mismatch at {value!r} (bits {np.float64(value).view(np.uint64):#018x}): "
-              f"kernel {got}, '%.17g' {want}")
-        return 1
-    print(f"{values.size} values match '%.17g'; {undecided} undecided, each below 1e-291 "
-          "or an exact tie")
+    randoms = patterns.view(np.float64)
+    populations = {"boundary": boundary_values(),
+                   "float32": float32_values(np.random.default_rng(args.seed)),
+                   "random": randoms[np.isfinite(randoms)]}
+    for name, values in populations.items():
+        failure, undecided = check(values)
+        if failure is not None:
+            value, got, want = failure
+            print(f"{name}: mismatch at {value!r} (bits "
+                  f"{np.float64(value).view(np.uint64):#018x}): {got}, '%.17g' {want}")
+            return 1
+        print(f"{name}: {values.size} values match '%.17g'; {undecided} undecided, each "
+              "below 1e-291 or an exact tie")
     return 0
 
 

@@ -9,7 +9,8 @@ per tree and command.  The inputs are the benchmark's seed-1 files, written
 by ``perfbench/inputs.py`` of this repository (so both trees read the same
 bytes), plus a 3,001-sample CSV, per-bin phase files for it and the
 benchmark's hostile inputs.  The matrix covers ``pt`` (``--alpha``,
-``--alpha-per-bin``, ``--alpha-sweep``) and ``delay`` on both bases,
+``--alpha-per-bin``, ``--alpha-sweep``) and ``delay`` on both bases, both
+also on the float32 WAV (whose output is rich in 17th-digit ties),
 ``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
 and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), and failed writes: to
@@ -110,6 +111,7 @@ def matrix() -> list[Case]:
         ]
     cases += [
         Case("pt-wav", ["pt", "{in}/record.wav", "--alpha", alpha]),
+        Case("delay-wav", ["delay", "{in}/record.wav", "--samples", delay]),
         Case("differint-record", ["differint", "{in}/record.csv", "--order", order]),
         Case("differint-small", ["differint", "{in}/small.csv", "--order", order,
                                  "--scaling", "normalized", "--no-dc-term"]),

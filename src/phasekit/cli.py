@@ -18,6 +18,7 @@ line each, 'phasekit: RuntimeWarning: ...'; data only to files.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import warnings
@@ -72,7 +73,10 @@ def _header(args, **params) -> dict:
 
 def _write(path, write, *args):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # exist_ok forgives only a directory
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path.parent))
     write(path, *args)
 
 

@@ -5,10 +5,10 @@ lines, an optional row of column names, then comma-separated numbers, each
 the text of Python's '%.17g' (round-trippable, '.' radix, '\\n' line endings,
 no timestamps).  The writer formats a block of rows at a time with a numpy
 kernel that computes the correctly rounded 17 digits of every value at once
-from a double-double table of powers of ten; a block holding a value the
-kernel cannot decide (a tie at the 17th digit, a magnitude below about
-1e-292, a non-finite value) is formatted with one Python '%' on a repeated
-'%.17g' row format, so the bytes are those of '%' either way.  A large
+from a double-double table of powers of ten; a value the kernel cannot
+decide (a tie at the 17th digit, a magnitude below about 1e-292, a
+non-finite value) is formatted with Python's '%' alone, while the rest of
+its block keeps the kernel's text, so the bytes are those of '%'.  A large
 output is formatted in two halves on two CPUs where the platform allows (a
 forked child formats the second half), with the same bytes.  The reader
 parses the data rows with one ``np.loadtxt`` call on the stream of stripped
@@ -227,19 +227,19 @@ def _g17_records(block: np.ndarray):
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
-    """Write ``rows`` to the binary file ``fh`` a block of rows at a time: the
-    '%.17g' kernel's text, or one '%' on a repeated '%.17g' row format for a
-    block that holds a value the kernel cannot decide; both are ASCII."""
-    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    """Write ``rows`` to the binary file ``fh`` a block of rows at a time as
+    the '%.17g' kernel's ASCII text; the record of each value the kernel
+    cannot decide is overwritten with the text of '%' for that value alone."""
+    cols = rows.shape[1]
+    step = max(1, _BLOCK_VALUES // cols)
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
         records, undecided = _g17_records(block)
-        if undecided.any():
-            text = (row_format * block.shape[0]) % tuple(block.ravel().tolist())
-            fh.write(text.encode("ascii"))
-        else:
-            fh.write(records.tobytes().translate(None, b"\0"))
+        texts = records.view("S48")[:, 0]  # a record per value; assigning pads with NULs
+        for i in np.flatnonzero(undecided).tolist():
+            end = b"\n" if i % cols == cols - 1 else b","
+            texts[i] = b"%.17g" % block.flat[i] + end
+        fh.write(records.tobytes().translate(None, b"\0"))
 
 
 def _quota_cpus(table: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
@@ -456,7 +456,7 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
                     break
                 names = [p.strip() for p in body.split(",")]
         else:
-            raise ValueError(f"no data rows in {path}")
+            raise ValueError("no data rows")
         data = _split_rows(fh.fileno(), body, start)
         if data is None:
             data = _loadtxt(itertools.chain([body], map(str.strip, fh)))
@@ -497,7 +497,7 @@ def read_signal_csv(path) -> Signal:
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(t)
     if not 0 < steps[0] < np.inf or not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
-        raise ValueError(f"time column of {path} is not uniformly increasing")
+        raise ValueError("time column is not uniformly increasing")
     return Signal(x, 1.0 / steps[0])
 
 
@@ -509,7 +509,7 @@ def read_wav(path) -> Signal:
     """Read a mono WAV file (16-bit PCM or 32-bit float) into [-1, 1]."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise ValueError(f"{path} is not a RIFF/WAVE file")
+        raise ValueError("not a RIFF/WAVE file")
     pos = 12
     fmt = None
     data = None
@@ -519,22 +519,22 @@ def read_wav(path) -> Signal:
         body = raw[pos + 8:pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise ValueError(f"{path}: truncated fmt chunk")
+                raise ValueError("truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             data = body
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
-        raise ValueError(f"{path} is missing fmt/data chunks")
+        raise ValueError("missing fmt/data chunks")
     audio_format, channels, rate, _, _, bits = fmt
     if channels != 1:
-        raise ValueError(f"{path}: only mono WAV is supported (got {channels} channels)")
+        raise ValueError(f"only mono WAV is supported (got {channels} channels)")
     if audio_format == 1 and bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
     elif audio_format == 3 and bits == 32:
         samples = np.frombuffer(data, dtype="<f4").astype(float)
     else:
-        raise ValueError(f"{path}: unsupported WAV format (format={audio_format}, bits={bits})")
+        raise ValueError(f"unsupported WAV format (format={audio_format}, bits={bits})")
     return Signal(samples, float(rate))
 
 
@@ -572,7 +572,7 @@ def read_pgm(path) -> Image:
     """Read an 8- or 16-bit binary (P5) portable graymap."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM (P5) file")
+        raise ValueError("not a binary PGM (P5) file")
     fields = []
     pos = 2
     while len(fields) < 3:
@@ -585,17 +585,19 @@ def read_pgm(path) -> Image:
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise ValueError("truncated header")
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if width <= 0 or height <= 0:
-        raise ValueError(f"{path}: bad size {width}x{height}")
+        raise ValueError(f"bad size {width}x{height}")
     if not 0 < maxval < 65536:
-        raise ValueError(f"{path}: bad maxval {maxval}")
+        raise ValueError(f"bad maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     if count * dtype.itemsize > len(raw) - pos:
-        raise ValueError(f"{path}: truncated pixel data")
+        raise ValueError("truncated pixel data")
     pixels = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return Image(pixels.reshape(height, width).astype(float))
 
@@ -636,7 +638,7 @@ def read_grid_csv(path) -> Image:
     """Read a CSV grid (comment lines ignored) as an Image."""
     _, names, data = _read_csv(path)
     if names is not None:
-        raise ValueError(f"{path}: non-numeric row {','.join(names)!r}")
+        raise ValueError(f"non-numeric row {','.join(names)!r}")
     return Image(data)
 
 

@@ -137,6 +137,8 @@ class ScaleGrid:
         """
         if not n_samples > 4:
             raise ValueError("a default scale grid needs more than 4 samples")
+        if voices_per_octave < 1:  # before it divides the grid exponents
+            raise ValueError("voices_per_octave must be >= 1")
         s_min = spec.peak_omega * 2.0 / (2.0 * np.pi)
         s_max = spec.peak_omega * (n_samples / 2.0) / (2.0 * np.pi)
         n_octaves = np.log2(s_max / s_min)

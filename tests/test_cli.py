@@ -536,7 +536,41 @@ class TestErrorPaths:
                                "--alpha", "0.5", "-o", str(out)],
                               capture_output=True, text=True)
         assert proc.returncode == 2
-        assert proc.stderr == f"phasekit: cannot read signal from {path}: {path}: {reason}\n"
+        assert proc.stderr == f"phasekit: cannot read signal from {path}: {reason}\n"
+        assert proc.stderr.count(str(path)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, raw, what, reason", [
+        ("in.wav", b"RIFX", "signal", "not a RIFF/WAVE file"),
+        ("in.csv", b"0,1\n1,2\n3,3\n", "signal", "time column is not uniformly increasing"),
+        ("in.csv", b"# k = v\n", "signal", "no data rows"),
+        ("in.pgm", b"P5\n4\n", "image", "truncated header"),
+        ("in.pgm", b"P5\n2 2\n255\n" + bytes(3), "image", "truncated pixel data"),
+        ("in.csv", b"a,b\n1,2\n", "image", "non-numeric row 'a,b'")],
+        ids=["wav", "csv-time", "csv-empty", "pgm-header", "pgm-pixels", "grid"])
+    def test_read_error_names_the_path_once(self, tmp_path, capsys, name, raw, what, reason):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        command = ["image-pt", str(path)] if what == "image" else ["pt", str(path)]
+        assert main([*command, "--alpha", "0.5", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"phasekit: cannot read {what} from {path}: {reason}\n"
+
+    def test_output_under_a_regular_file_is_not_a_directory(self, gauss_csv, tmp_path, capsys):
+        parent = tmp_path / "rec.csv"
+        parent.write_text("kept\n")
+        assert main(["pt", str(gauss_csv), "--alpha", "0.5", "-o", str(parent / "x.csv")]) == 2
+        assert capsys.readouterr().err == (f"phasekit: i/o error: [Errno {errno.ENOTDIR}] "
+                                           f"{os.strerror(errno.ENOTDIR)}: '{parent}'\n")
+        assert parent.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("voices", ["0", "-2"])
+    def test_non_positive_voices_is_one_line_argument_error(self, gauss_csv, tmp_path, voices):
+        out = tmp_path / "x.csv"
+        proc = subprocess.run([sys.executable, "-m", "phasekit", "wpt", str(gauss_csv),
+                               "--alpha", "0.5", "--voices", voices, "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "phasekit: invalid parameter: voices_per_octave must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX signals")

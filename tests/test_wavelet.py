@@ -96,6 +96,13 @@ class TestScaleGrid:
         grid = pk.ScaleGrid.default(1000, pk.MorseWavelet(), voices_per_octave=400)
         assert grid.scales.size < 4096
 
+    @pytest.mark.parametrize("voices", [0, -3])
+    def test_default_rejects_voices_below_one_before_dividing(self, voices):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="voices_per_octave must be >= 1"):
+                pk.ScaleGrid.default(1000, pk.MorseWavelet(), voices_per_octave=voices)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_default_needs_more_than_four_samples(self, n):
         spec = pk.MorseWavelet()
