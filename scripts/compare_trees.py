@@ -13,19 +13,21 @@ benchmark's hostile inputs.  The matrix covers ``pt`` (``--alpha``,
 also on the float32 WAV (whose output is rich in 17th-digit ties),
 ``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
 and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
-overflowing CSV, a missing file, a bad sweep), and failed writes: to
-``/dev/full`` where it exists, and under a file-size limit where the
-platform has one.
+overflowing CSV, a missing file, a bad sweep), ``--version``, and failed
+writes: to ``/dev/full`` where it exists (an output file, and ``--version``'s
+standard output), and under a file-size limit where the platform has one.
 
 For each command it prints the exit code of each tree, and for each output
 file "identical" or the largest |delta| / max|out| over its numbers (CSV,
-PGM and JSON; the header is compared as text); then any difference in
-standard error.  Exits 1 when an exit code changes, else 0.  Takes about
-20 s on a 2-vCPU machine.
+PGM and JSON; the header is compared as text); then, when a tree wrote to
+standard output, "identical" or each tree's lines; then each tree's standard
+error when they differ.  Exits 1 when an exit code changes, else 0.  Takes
+about 20 s on a 2-vCPU machine.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.util
 import json
@@ -64,6 +66,7 @@ class Case:
     name: str
     argv: list[str]  # '{in}' stands for the inputs directory
     file_limit: int | None = None  # RLIMIT_FSIZE of the run, in bytes
+    stdout: str | None = None  # a file standard output goes to, else it is captured
 
 
 def _pcm_wav(channels: int, bits: int) -> bytes:
@@ -125,10 +128,12 @@ def matrix() -> list[Case]:
         Case("pcm8-wav", ["pt", "{in}/pcm8.wav", "--alpha", "0.5"]),
         Case("missing-input", ["pt", "{in}/missing.csv", "--alpha", "0.5"]),
         Case("bad-sweep", ["pt", "{in}/small.csv", "--alpha-sweep", "0:-1:3"]),
+        Case("version", ["--version"]),
     ]
     if os.path.exists("/dev/full"):
-        cases.append(Case("write-dev-full", ["pt", "{in}/small.csv", "--alpha", alpha,
-                                             "-o", "/dev/full"]))
+        cases += [Case("write-dev-full", ["pt", "{in}/small.csv", "--alpha", alpha,
+                                          "-o", "/dev/full"]),
+                  Case("version-dev-full", ["--version"], stdout="/dev/full")]
     if resource is not None:  # each output is at least ten times the limit
         cases += [Case("write-file-limit", ["pt", "{in}/record.csv", "--alpha", alpha], 1 << 17),
                   Case("repro-1-file-limit", ["repro", "1", "--outdir", "."], 1 << 17)]
@@ -137,10 +142,11 @@ def matrix() -> list[Case]:
 
 def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path) -> subprocess.CompletedProcess:
     """Run ``case`` from ``tree``'s src in a new directory ``cwd``; a
-    command other than ``repro`` writes ``out.csv`` unless it has ``-o``."""
+    command other than ``repro`` and ``--version`` writes ``out.csv``
+    unless it has ``-o``."""
     cwd.mkdir(parents=True)
     argv = [arg.replace("{in}", str(inputs_dir)) for arg in case.argv]
-    if "-o" not in argv and case.argv[0] != "repro":
+    if "-o" not in argv and case.argv[0] not in ("repro", "--version"):
         argv += ["-o", "out.csv"]
     env = {key: value for key, value in os.environ.items() if key != "PHASEKIT_OUTDIR"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -148,8 +154,10 @@ def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path) -> subprocess.Compl
     if case.file_limit is not None:
         def limit():
             resource.setrlimit(resource.RLIMIT_FSIZE, (case.file_limit, case.file_limit))
-    return subprocess.run([sys.executable, "-m", "phasekit", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, errors="replace", preexec_fn=limit)
+    with open(case.stdout, "w") if case.stdout else contextlib.nullcontext() as stdout:
+        return subprocess.run([sys.executable, "-m", "phasekit", *argv], cwd=cwd, env=env,
+                              stdout=stdout or subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, errors="replace", preexec_fn=limit)
 
 
 def _numbers(path: Path):
@@ -194,6 +202,12 @@ def describe(old: Path, new: Path) -> str:
     return f"max|delta|/max|out| = {delta:.3g}{note}"
 
 
+def _print_lines(old: str, new: str) -> None:
+    """Print a stream's lines from each tree, marked - and +."""
+    print("".join(f"    - {line}\n" for line in old.splitlines()), end="")
+    print("".join(f"    + {line}\n" for line in new.splitlines()), end="")
+
+
 def _outputs(directory: Path) -> set[Path]:
     return {path.relative_to(directory) for path in directory.rglob("*") if path.is_file()}
 
@@ -222,10 +236,17 @@ def compare(parent: Path, change: Path, cases: list[Case], inputs_dir: Path, wor
             outputs += 1
             identical += status == "identical"
             print(f"  {name}: {status}")
+        if old.stdout or new.stdout:  # None when it went to case.stdout
+            outputs += 1
+            if old.stdout == new.stdout:
+                identical += 1
+                print("  stdout: identical")
+            else:
+                print("  stdout differs:")
+                _print_lines(old.stdout, new.stdout)
         if old.stderr != new.stderr:
             print("  stderr differs:")
-            print("".join(f"    - {line}\n" for line in old.stderr.splitlines()), end="")
-            print("".join(f"    + {line}\n" for line in new.stderr.splitlines()), end="")
+            _print_lines(old.stderr, new.stderr)
     print(f"{identical} of {outputs} outputs identical; "
           + ("an exit code changed" if changed else "every exit code unchanged"))
     return changed

@@ -14,15 +14,21 @@ result on either basis, or memory exhausted; a failed write leaves no
 partial file), 128 + N stopped by signal N (SIGINT, SIGTERM or SIGHUP;
 the file being written is removed).  Warnings go to standard error as one
 line each, 'phasekit: RuntimeWarning: ...'; data only to files.
+
+``run`` is the console entry point (also ``python -m phasekit``) and ends
+the process through ``os._exit``; in-process callers use ``main``, which
+returns the exit code.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -50,6 +56,15 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for I/O problems and uses 3 for argument problems
     def error(self, message):
         self.exit(ARG_ERROR, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse ignores a failed write, which would lose --version or
+        # --help output and still exit 0; main() reports it as exit 2
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)  # stderr, or stdout closed
+        if message:
+            file.write(message)
+            file.flush()
 
 
 def _read(read, path, what: str):
@@ -346,6 +361,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    except OSError as exc:  # --version or --help output
+        print(f"phasekit: i/o error: {exc}", file=sys.stderr)
+        return IO_ERROR
     import signal  # not needed by --version
     import threading
 
@@ -384,5 +402,33 @@ def main(argv=None) -> int:
             signal.signal(signum, handler)
 
 
+def run() -> NoReturn:
+    """Run ``main`` as a whole process and leave through ``os._exit``.
+
+    Every file is closed when ``main`` returns, so after the registered
+    atexit handlers (coverage, site hooks) and a flush of both streams no
+    output byte is left, and the interpreter's teardown (its final
+    collections and the freeing of every module) is skipped, as the forked
+    children in ``io._forked`` skip it.  A failed stdout flush after a
+    successful command prints one line and exits 2; after a failed command,
+    that command's message and exit code stand.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            print(f"phasekit: i/o error: {exc}", file=sys.stderr)
+            code = IO_ERROR
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -587,7 +587,11 @@ def read_pgm(path) -> Image:
             pos += 1
         if pos == start:
             raise ValueError("truncated header")
-        fields.append(int(raw[start:pos]))
+        field = raw[start:pos]
+        # ASCII digits only, unlike int(); a minus is left for the size check
+        if not field.removeprefix(b"-").isdigit():
+            raise ValueError(f"bad header field '{field.decode('ascii', 'backslashreplace')}'")
+        fields.append(int(field))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if width <= 0 or height <= 0:

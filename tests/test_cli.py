@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 import errno
+import importlib
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -801,3 +803,107 @@ def test_module_entry_point_reports_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "phasekit" in proc.stdout
+
+
+# both ways Python may buffer standard output: block-buffered, as usual
+# under a pipe or file, and unbuffered (PYTHONUNBUFFERED=1)
+BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
+def run_module(argv, unbuffered="", **kwargs):
+    """``python -m phasekit ARGV`` in a fresh process, through ``cli.run``."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "phasekit", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+class TestEntryPoint:
+    @BUFFERING
+    def test_repro_metric_lines_arrive_through_a_pipe(self, tmp_path, capsys, unbuffered):
+        assert main(["repro", "3", "--outdir", str(tmp_path / "in-process")]) == 0
+        expected = capsys.readouterr().out
+        assert expected.count("\n") == 2
+        proc = run_module(["repro", "3", "--outdir", str(tmp_path)], unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    @BUFFERING
+    def test_warning_line_arrives_on_stderr(self, tmp_path, unbuffered):
+        path = tmp_path / "offset.csv"
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), np.full(64, 2.0)])
+        proc = run_module(["differint", str(path), "--order", "0.5",
+                           "-o", str(tmp_path / "out.csv")], unbuffered)
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("phasekit: RuntimeWarning: mean term")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["synth", "--duration", "0.01"], 0),
+        (["pt", "{tmp}/missing.csv", "--alpha", "0.5"], 2),
+        (["synth", "--duration", "inf"], 3),
+        (["synth", "--amplitude", "1e308", "--mean", "1e308"], 4),
+    ])
+    def test_exit_codes(self, tmp_path, argv, code):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        out = tmp_path / "out.csv"
+        proc = run_module([*argv, "-o", str(out)])
+        assert proc.returncode == code
+        assert proc.stdout == "" and proc.stderr.count("\n") == (code != 0)
+        assert out.exists() == (code == 0)
+
+    def test_atexit_handler_registered_before_phasekit_runs(self):
+        code = ("import atexit, runpy, sys\n"
+                "atexit.register(print, 'handler ran')\n"
+                "sys.argv = ['phasekit', '--version']\n"
+                "runpy.run_module('phasekit', run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"phasekit {pk.__version__}\nhandler ran\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    @BUFFERING
+    def test_unwritable_stdout_is_one_line_io_error(self, flag, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = run_module([flag], unbuffered, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "phasekit: i/o error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX file descriptors")
+    def test_version_with_stdout_closed(self):
+        # Python starts with sys.stdout None; argparse writes to stderr instead
+        proc = run_module(["--version"], stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, f"phasekit {pk.__version__}\n")
+
+    def test_console_script_names_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^phasekit = "([\w.]+):(\w+)"$', text, re.M)
+        assert target is not None
+        module, name = target.groups()
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+    @pytest.mark.parametrize("code, message", [
+        (0, "phasekit: i/o error: [Errno 28] No space left on device\n"),
+        (3, ""),  # the failed command's own message and code stand
+    ])
+    def test_failed_flush_after_main(self, monkeypatch, capsys, code, message):
+        class Full:
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            raise Exited(status)
+
+        handlers = []
+        monkeypatch.setattr(cli, "main", lambda: code)
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: handlers.append(1))
+        monkeypatch.setattr(cli.os, "_exit", exit_)
+        monkeypatch.setattr(sys, "stdout", Full())
+        with pytest.raises(Exited) as exited:
+            cli.run()
+        assert exited.value.args == (2 if code == 0 else code,)
+        assert handlers == [1]
+        assert capsys.readouterr().err == message

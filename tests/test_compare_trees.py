@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
+
+import pytest
+
+from phasekit import __version__
 
 REPO = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_trees",
@@ -58,3 +63,29 @@ def test_describe_reports_the_relative_change(tmp_path):
     new.write_text("P5\n2 1\n255\n\x00\x0c")
     assert compare_trees.describe(old.rename(tmp_path / "old.pgm"),
                                   new.rename(tmp_path / "new.pgm")) == "max|delta|/max|out| = 0.25"
+
+
+def test_standard_output_is_compared(tmp_path, capsys):
+    # a tree whose phasekit prints another version
+    package = tmp_path / "other" / "src" / "phasekit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("print('phasekit 9')\n")
+    version = [Case("version", ["--version"])]
+    assert compare_trees.compare(REPO, REPO, version, tmp_path, tmp_path / "same") == 0
+    assert compare_trees.compare(REPO, tmp_path / "other", version, tmp_path,
+                                 tmp_path / "differs") == 0
+    assert capsys.readouterr().out == (
+        "version: exit 0\n  stdout: identical\n"
+        "1 of 1 outputs identical; every exit code unchanged\n"
+        f"version: exit 0\n  stdout differs:\n    - phasekit {__version__}\n    + phasekit 9\n"
+        "0 of 1 outputs identical; every exit code unchanged\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_version_to_a_full_device_exits_2(tmp_path, capsys):
+    case = Case("version-dev-full", ["--version"], stdout="/dev/full")
+    assert case in compare_trees.matrix()
+    assert compare_trees.compare(REPO, REPO, [case], tmp_path, tmp_path) == 0
+    assert capsys.readouterr().out == ("version-dev-full: exit 2\n"
+                                       "0 of 0 outputs identical; every exit code unchanged\n")

@@ -897,6 +897,18 @@ class TestPgm:
         with pytest.raises(ValueError, match="^truncated header$"):
             pkio.read_pgm(path)
 
+    @pytest.mark.parametrize("field, shown", [
+        (b"abc", "abc"),
+        (b"1_0", "1_0"),  # int() would read 10
+        ("\u0661".encode(), "\\xd9\\xa1"),  # ARABIC-INDIC DIGIT ONE in UTF-8
+    ])
+    def test_rejects_a_header_field_that_is_not_ascii_digits(self, tmp_path, field, shown):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n" + field + b" 4\n255\n" + bytes(16))
+        with pytest.raises(ValueError) as raised:
+            pkio.read_pgm(path)
+        assert str(raised.value) == f"bad header field '{shown}'"
+
     @pytest.mark.parametrize("size", [b"-2 -2", b"-4 1", b"0 4", b"4 0"])
     def test_rejects_non_positive_size(self, tmp_path, size):
         path = tmp_path / "neg.pgm"
