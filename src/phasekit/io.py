@@ -588,9 +588,12 @@ def read_pgm(path) -> Image:
         if pos == start:
             raise ValueError("truncated header")
         field = raw[start:pos]
-        # ASCII digits only, unlike int(); a minus is left for the size check
-        if not field.removeprefix(b"-").isdigit():
-            raise ValueError(f"bad header field '{field.decode('ascii', 'backslashreplace')}'")
+        # ASCII digits only, unlike int(); a minus is left for the size check.
+        # A size or maxval of more than 20 digits fits no file, and int()
+        # refuses more than 4,300 digits.
+        if not field.removeprefix(b"-").isdigit() or len(field) > 20:
+            shown = field[:20].decode("ascii", "backslashreplace") + "..." * (len(field) > 20)
+            raise ValueError(f"bad header field '{shown}'")
         fields.append(int(field))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields

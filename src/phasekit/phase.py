@@ -4,10 +4,10 @@ A phase transform (PT) applies a phase shift -alpha to the positive
 frequencies of a signal and +alpha to the negative ones; the Hilbert
 transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
-extension), which differ whenever those extensions disagree.  The DFT route
-runs on ``numpy.fft``; the DCT route is idct(X cos alpha) plus the sine
-companion idst(X[1] sin alpha_1, ..., X[N-1] sin alpha_{N-1}, 0), orthonormal
-type-2 transforms from ``scipy.fft`` (see :mod:`phasekit.spectral`).
+extension), which differ whenever those extensions disagree.  Both run on
+``numpy.fft``: the DFT route as one real-FFT gain, the DCT route as one
+DCT-2 and one inverse that resynthesizes X cos alpha on the cosine basis and
+X sin alpha on the sine basis together (see :mod:`phasekit.spectral`).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Signal, _real_trig, _require_finite, apply_gain, as_signal, dct2_forward
+from .spectral import Signal, _dct2, _dct3_pair, _require_finite, apply_gain, as_signal
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,12 @@ def fcqt(signal) -> Signal:
     """Fourier cosine quadrature transform.
 
     Resynthesizes the DCT-2 coefficients on the sine companion basis:
-    xq[n] = sqrt(2/N) sum_k X[k] sin(pi k (2n+1) / 2N) = idst(X[1:], 0).
+    xq[n] = sqrt(2/N) sum_k X[k] sin(pi k (2n+1) / 2N).
     This is the quadrature of the signal's symmetric 2N-periodic extension
     and the alpha = pi/2 case of :func:`pt_dct`.
     """
     sig = as_signal(signal)
-    bins = dct2_forward(sig).bins
-    out = _real_trig("idst", np.append(bins[1:], 0.0))
+    out = _dct3_pair(np.zeros(len(sig)), _dct2(sig.samples))
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 
@@ -156,11 +155,13 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     """Phase transform of a real signal via the DCT-2.
 
     y[n] = sqrt(2/N) sum_k sigma_k X[k] cos(pi k (2n+1) / 2N - alpha_k)
-         = idct(X cos(alpha)) + idst(X[1:] sin(alpha[1:]), 0)
 
-    For a constant profile this reduces to cos(alpha) x + sin(alpha) fcqt(x);
-    the DC term is carried entirely by the cosine branch since the k = 0
-    sine basis vector is identically zero.
+    resynthesizes X cos(alpha) on the cosine basis and X sin(alpha) on the
+    sine basis in one inverse transform.  Every profile, a constant too,
+    takes the same arithmetic.  For a constant profile this equals
+    cos(alpha) x + sin(alpha) fcqt(x) to round-off; the DC term is carried
+    entirely by the cosine branch since the k = 0 sine basis vector is
+    identically zero.
 
     Raises
     ------
@@ -170,9 +171,8 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     sig = as_signal(signal)
     with np.errstate(over="ignore", invalid="ignore"):
         alphas = profile.bin_phases(len(sig), basis="dct")
-        bins = dct2_forward(sig).bins
-        sine = np.append((bins * np.sin(alphas))[1:], 0.0)
-        out = _real_trig("idct", bins * np.cos(alphas)) + _real_trig("idst", sine)
+        bins = _dct2(sig.samples)
+        out = _dct3_pair(bins * np.cos(alphas), bins * np.sin(alphas))
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 

@@ -10,16 +10,19 @@ fractional delay and differintegration, the wavelet multiplier, the image
 phase transform), is applied through :func:`apply_gain`, the one place that
 decides how a positive-frequency gain acts on real samples.
 
-Every DFT route runs on ``numpy.fft``.  The DCT basis is one orthonormal
-type-2 family from ``scipy.fft``, imported on first use so importing the
-package loads no scipy module: the DCT-2 pair, and the sine companion
-sqrt(2/N) sum_{k>=1} c[k] sin(pi k (2n+1) / 2N) = idst(c[1], ..., c[N-1], 0).
+Every transform runs on ``numpy.fft``; the package needs no scipy.  The
+DCT basis is one orthonormal type-2 family on Makhoul's N-point route
+(Makhoul 1980, "A fast cosine transform in one and two dimensions"): the
+DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
+and every inverse, the phase transforms included, is one complex ``ifft``
+that carries two real DCT-3s at once (see :func:`_dct3_pair`).
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
 """
 from __future__ import annotations
 
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -229,27 +232,82 @@ def dct2_forward(signal) -> Spectrum:
     sigma_0 = 1/sqrt(2) and sigma_k = 1 otherwise, computed in O(N log N).
     """
     sig = as_signal(signal)
-    bins = _real_trig("dct", sig.samples)
-    return Spectrum(bins, "dct2", sig.sample_rate)
+    return Spectrum(_dct2(sig.samples), "dct2", sig.sample_rate)
 
 
 def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    samples = _real_trig("idct", np.asarray(spectrum.bins, dtype=float))
-    return Signal(samples, spectrum.sample_rate)
+    bins = np.asarray(spectrum.bins, dtype=float)
+    return Signal(_dct3_pair(bins, np.zeros(bins.size)), spectrum.sample_rate)
 
 
-def _real_trig(kind: str, x: np.ndarray) -> np.ndarray:
-    """Orthonormal type-2 ``scipy.fft.<kind>(x)`` for kind "dct", "idct" or "idst".
+@functools.lru_cache(maxsize=8)
+def _dct_twiddles(n: int, forward: bool) -> np.ndarray:
+    """The twiddles of :func:`_dct2` (``forward``) or :func:`_dct3_pair`.
 
-    The DCT basis is the package's only use of scipy, so scipy.fft is
-    imported here on first use and ``import phasekit`` loads no scipy module.
+    Forward: sqrt(2/N) e^{-j pi k / 2N} on k = 0..N//2; inverse:
+    sqrt(1/2N) e^{j pi k / 2N} on k = 0..N-1; both sqrt(1/N) at k = 0.  The
+    table is cached per length and shared by every caller, so it is
+    read-only.  It is allocated before its temporaries, which then free back
+    to the top of the heap instead of leaving a hole below a cached table.
     """
-    import scipy.fft
+    size, sign, scale = (n // 2 + 1, -1.0, 2.0 / n) if forward else (n, 1.0, 0.5 / n)
+    table = np.empty(size, dtype=complex)
+    angle = np.arange(size) * (sign * np.pi / (2 * n))
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    table *= np.sqrt(scale)
+    table[0] = np.sqrt(1.0 / n)
+    table.setflags(write=False)
+    return table
 
-    return getattr(scipy.fft, kind)(x, norm="ortho")
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-2 of real x through one N-point ``rfft``.
+
+    W = rfft(x[0], x[2], ..., x[3], x[1]) times the forward twiddles gives
+    X[k] = Re W[k] for k <= N//2 and X[N-k] = -Im W[k].  An overflow leaves
+    non-finite bins, without a warning.
+    """
+    n = x.size
+    twiddles = _dct_twiddles(n, True)
+    out = np.empty(n)  # before the temporaries, as in _dct_twiddles
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])))
+        w *= twiddles
+    out[:n // 2 + 1] = w.real
+    np.negative(w.imag[(n - 1) // 2:0:-1], out=out[n // 2 + 1:])
+    return out
+
+
+def _dct3_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y[n] = sqrt(2/N) sum_k sigma_k (a[k] cos t_kn + b[k] sin t_kn), t_kn = pi k (2n+1) / 2N.
+
+    Since sin t_{N-k,n} = (-1)^n cos t_kn, this is the orthonormal DCT-3 of
+    a plus (-1)^n times that of (0, b[N-1], ..., b[1]); b[0] drops out.
+    Both ride on one complex sequence d = a + j(0, b[N-1], ..., b[1]), whose
+    DCT-3 is u = N ifft(v) with v[k] = e^{j pi k / 2N} (d[k] - j d[N-k]) / 2
+    and v[0] = d[0], the weights folded into the twiddles.  u holds the
+    even outputs first and the odd ones reversed: y[2m] = Re u[m] + Im u[m]
+    and y[2m+1] = Re u[N-1-m] - Im u[N-1-m].  An overflow leaves non-finite
+    samples, without a warning.
+    """
+    n = a.size
+    half = (n + 1) // 2
+    twiddles = _dct_twiddles(n, False)
+    out = np.empty(n)  # before the temporaries, as in _dct_twiddles
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.empty(n, dtype=complex)
+        np.add(a, b, out=v.real)
+        np.subtract(b[:0:-1], a[:0:-1], out=v.imag[1:])
+        v[0] = a[0]
+        v *= twiddles
+        u = np.fft.ifft(v, norm="forward")
+        np.add(u.real[:half], u.imag[:half], out=out[::2])
+        np.subtract(u.real[:half - 1:-1], u.imag[:half - 1:-1], out=out[1::2])
+    return out
 
 
 def dft2d(image) -> np.ndarray:

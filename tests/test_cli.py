@@ -357,6 +357,22 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5", "--basis", "dct"],
+                                         ["pt", "--alpha-sweep", "0:0.5:3", "--basis", "dct"],
+                                         ["delay", "--samples", "0.5", "--basis", "dct"]],
+                             ids=["pt", "pt-sweep", "delay"])
+    def test_overflowing_dct_samples_exit_4_without_warning(self, command, tmp_path):
+        # the DCT-2 of these finite samples overflows inside numpy.fft
+        path, out = tmp_path / "huge.csv", tmp_path / "out.csv"
+        x = np.where(np.arange(64) % 2 == 0, 1e308, -1e308)
+        pkio.write_columns_csv(path, {}, ["t", "value"], [np.arange(64.0), x])
+        proc = subprocess.run([sys.executable, "-m", "phasekit", command[0], str(path),
+                               *command[1:], "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr == "phasekit: numeric failure: spectral gain produced non-finite values\n"
+        assert not out.exists()
+
     def test_huge_gamma_is_accepted(self, gauss_csv, tmp_path):
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
@@ -548,8 +564,11 @@ class TestErrorPaths:
         ("in.csv", b"# k = v\n", "signal", "no data rows"),
         ("in.pgm", b"P5\n4\n", "image", "truncated header"),
         ("in.pgm", b"P5\n2 2\n255\n" + bytes(3), "image", "truncated pixel data"),
-        ("in.csv", b"a,b\n1,2\n", "image", "non-numeric row 'a,b'")],
-        ids=["wav", "csv-time", "csv-empty", "pgm-header", "pgm-pixels", "grid"])
+        ("in.csv", b"a,b\n1,2\n", "image", "non-numeric row 'a,b'"),
+        # past int()'s limit of 4,300 digits
+        ("in.pgm", b"P5\n" + b"1" * 5000 + b" 4\n255\n", "image",
+         f"bad header field '{'1' * 20}...'")],
+        ids=["wav", "csv-time", "csv-empty", "pgm-header", "pgm-pixels", "grid", "pgm-digits"])
     def test_read_error_names_the_path_once(self, tmp_path, capsys, name, raw, what, reason):
         path = tmp_path / name
         path.write_bytes(raw)

@@ -909,6 +909,19 @@ class TestPgm:
             pkio.read_pgm(path)
         assert str(raised.value) == f"bad header field '{shown}'"
 
+    def test_rejects_a_header_field_past_int_digit_limit(self, tmp_path):
+        # 5,000 digits: int() would refuse it with its own message
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 4\n255\n" + bytes(16))
+        with pytest.raises(ValueError) as raised:
+            pkio.read_pgm(path)
+        assert str(raised.value) == f"bad header field '{'1' * 20}...'"
+
+    def test_accepts_a_twenty_digit_header_field(self, tmp_path):
+        path = tmp_path / "padded.pgm"
+        path.write_bytes(b"P5\n" + b"0" * 19 + b"2 2\n255\n" + bytes(range(4)))
+        assert pkio.read_pgm(path).pixels.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
     @pytest.mark.parametrize("size", [b"-2 -2", b"-4 1", b"0 4", b"4 0"])
     def test_rejects_non_positive_size(self, tmp_path, size):
         path = tmp_path / "neg.pgm"

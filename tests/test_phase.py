@@ -1,6 +1,9 @@
 """Tests for the DFT- and DCT-based phase transforms."""
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,18 @@ from oracles import (circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direc
 
 # every DCT-basis length from 1 to 16
 SMALL_LENGTHS = list(range(1, 17))
+# lengths for the DCT route: 1 and 2 (no odd or no mirrored bins), primes,
+# both parities around 1000 and a prime past 4096
+MAKHOUL_LENGTHS = [1, 2, 3, 7, 8, 101, 1000, 1001, 4099]
+# against scipy.fft on standard-normal input: about 45 ulp of 1.0
+SCIPY_BOUND = 1e-14
+
+
+def scipy_pt_dct(x, alphas):
+    """The DCT route on scipy.fft: idct(X cos alpha) + idst(X[1:] sin alpha[1:], 0)."""
+    bins = scipy.fft.dct(x, norm="ortho")
+    sine = np.append((bins * np.sin(alphas))[1:], 0.0)
+    return scipy.fft.idct(bins * np.cos(alphas), norm="ortho") + scipy.fft.idst(sine, norm="ortho")
 
 
 def random_clean_signal(rng, n):
@@ -211,11 +226,41 @@ class TestPtDct:
 
     @pytest.mark.parametrize("transform", [
         lambda x: pk.pt_dct(x, pk.PhaseProfile.constant(0.5)), pk.fcqt,
-        lambda x: pk.pt_sweep(x, [0.5], "dct")])
+        lambda x: pk.pt_sweep(x, [0.5], "dct"),
+        lambda x: pk.pt_dct(x, pk.PhaseProfile.per_bin(np.linspace(0.0, 3.0, 64))),
+        lambda x: pk.frac_delay_dct(x, 0.5)])
     def test_overflowing_spectrum_is_floating_point_error(self, transform):
-        # the same error as the DFT route's spectral.apply_gain
-        with pytest.raises(FloatingPointError, match="spectral gain"):
-            transform(np.where(np.arange(64) % 2 == 0, 1e308, -1e308))
+        # the same error as the DFT route's spectral.apply_gain, and no numpy
+        # warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="spectral gain"):
+                transform(np.where(np.arange(64) % 2 == 0, 1e308, -1e308))
+
+
+class TestDctRouteOracles:
+    @pytest.mark.parametrize("n", MAKHOUL_LENGTHS)
+    def test_fcqt(self, n):
+        x = np.random.default_rng(n + 11).standard_normal(n)
+        got = pk.fcqt(x).samples
+        bins = scipy.fft.dct(x, norm="ortho")
+        assert np.max(np.abs(got - fcqt_direct(x))) < 1e-9
+        assert np.max(np.abs(got - scipy.fft.idst(np.append(bins[1:], 0.0), norm="ortho"))) \
+            < SCIPY_BOUND
+
+    @pytest.mark.parametrize("kind", ["constant", "per_bin", "delay"])
+    @pytest.mark.parametrize("n", MAKHOUL_LENGTHS)
+    def test_pt_dct(self, n, kind):
+        rng = np.random.default_rng(n + 13)
+        x = rng.standard_normal(n)
+        alphas = {"constant": np.full(n, 0.9), "per_bin": rng.uniform(0, 2 * np.pi, n),
+                  "delay": np.pi * np.arange(n) * 0.37 / n}[kind]
+        profile = {"constant": pk.PhaseProfile.constant(0.9),
+                   "per_bin": pk.PhaseProfile.per_bin(alphas),
+                   "delay": pk.PhaseProfile.delay(0.37)}[kind]
+        got = pk.pt_dct(x, profile).samples
+        assert np.max(np.abs(got - pt_dct_direct(x, alphas))) < 1e-10
+        assert np.max(np.abs(got - scipy_pt_dct(x, profile.bin_phases(n, "dct")))) < SCIPY_BOUND
 
 
 class TestPtSweep:

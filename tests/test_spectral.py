@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
 import phasekit.io as pkio
+from phasekit.spectral import _dct_twiddles
 from oracles import (
     dct2_direct,
     dft2d_direct,
@@ -99,6 +101,13 @@ def test_transform_pairs_are_mutual_inverses(n):
     assert back.sample_rate == 5.0
 
 
+# lengths for the DCT route: 1 and 2 (no odd or no mirrored bins), primes,
+# both parities around 1000 and a prime past 4096
+MAKHOUL_LENGTHS = [1, 2, 3, 7, 8, 101, 1000, 1001, 4099]
+# against scipy.fft on standard-normal input: about 40 ulp of the largest bin
+SCIPY_BOUND = 1e-14
+
+
 class TestDct2:
     def test_constant_concentrates_in_dc(self):
         c, n = 0.7, 16
@@ -134,30 +143,66 @@ class TestDct2:
         with pytest.raises(ValueError):
             pk.dct2_inverse(pk.dft(np.ones(8)))
 
+    @pytest.mark.parametrize("n", MAKHOUL_LENGTHS)
+    def test_numpy_route_matches_direct_summation_and_scipy(self, n):
+        x = np.random.default_rng(n + 2).standard_normal(n)
+        bins = pk.dct2_forward(pk.Signal(x)).bins
+        back = pk.dct2_inverse(pk.Spectrum(x, "dct2")).samples
+        assert np.max(np.abs(bins - dct2_direct(x))) < 1e-9
+        assert np.max(np.abs(back - idct2_direct(x))) < 1e-9
+        assert np.max(np.abs(bins - scipy.fft.dct(x, norm="ortho"))) < SCIPY_BOUND
+        assert np.max(np.abs(back - scipy.fft.idct(x, norm="ortho"))) < SCIPY_BOUND
+
+    def test_twiddle_tables_are_cached_read_only(self):
+        for n, forward, size in [(12, True, 7), (12, False, 12), (7, True, 4), (7, False, 7)]:
+            table = _dct_twiddles(n, forward)
+            assert table.size == size and _dct_twiddles(n, forward) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_overflow_gives_non_finite_bins_without_warning(self):
+        x = np.where(np.arange(64) % 2 == 0, 1e308, -1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bins = pk.dct2_forward(pk.Signal(x)).bins
+        assert not np.all(np.isfinite(bins))
+
+
+def _run_without_scipy(argv):
+    """Run ``phasekit.cli.main(argv)`` in a child where any scipy import fails;
+    return the last line it prints: its exit code and the scipy modules it loaded."""
+    code = ("import sys; sys.modules['scipy'] = None; from phasekit.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, [m for m, mod in sys.modules.items() if mod is not None\n"
+            "             and (m == 'scipy' or m.startswith('scipy.'))])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
 
 class TestScipyBoundary:
-    def test_scipy_is_imported_once_inside_real_trig(self):
-        # the DCT basis is the only user of scipy; every other route runs on
-        # numpy.fft, so importing or running them loads no scipy module
+    def test_package_imports_no_scipy(self):
+        # every transform runs on numpy.fft: no module of the package imports
+        # scipy, at module level, inside a function or by name
         found = []
-        for path in sorted(Path(pk.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            parent = {child: node for node in ast.walk(tree)
-                      for child in ast.iter_child_nodes(node)}
-            for node in ast.walk(tree):
+        for path in sorted(Path(pk.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     modules = [node.module or ""]
+                elif (isinstance(node, ast.Call) and node.args
+                      and isinstance(node.args[0], ast.Constant)
+                      and isinstance(node.args[0].value, str)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("__import__", "import_module")):
+                    modules = [node.args[0].value]
                 else:
                     continue
-                if not any(m == "scipy" or m.startswith("scipy.") for m in modules):
-                    continue
-                scope = parent.get(node)
-                while scope is not None and not isinstance(scope, ast.FunctionDef):
-                    scope = parent.get(scope)
-                found.append((path.name, scope.name if scope else None))
-        assert found == [("spectral.py", "_real_trig")]
+                found += [(path.name, node.lineno, m) for m in modules
+                          if m.split(".")[0] == "scipy"]
+        assert found == []
 
     @pytest.mark.parametrize("mode", [["--alpha", "0.5"], ["--alpha-sweep", "0:0.5:3"]])
     def test_dft_pt_run_loads_no_scipy(self, tmp_path, mode):
@@ -165,13 +210,22 @@ class TestScipyBoundary:
         t = np.arange(64) / 8.0
         pkio.write_columns_csv(record, {}, ["t", "value"], [t, np.cos(t)])
         argv = ["pt", str(record), *mode, "--basis", "dft", "-o", str(out)]
-        code = ("import sys; from phasekit.cli import main; "
-                f"code = main({argv!r}); "
-                "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 []"
+        assert _run_without_scipy(argv) == "0 []"
         assert out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["pt", "{record}", "--alpha", "0.5", "--basis", "dct", "-o", "{out}/pt.csv"],
+        ["pt", "{record}", "--alpha-sweep", "0:0.5:3", "--basis", "dct", "-o", "{out}/pt.csv"],
+        ["delay", "{record}", "--samples", "0.5", "--basis", "dct", "-o", "{out}/delay.csv"],
+        ["repro", "1", "--outdir", "{out}"],
+    ], ids=["pt", "pt-sweep", "delay", "repro-1"])
+    def test_dct_command_runs_without_scipy(self, tmp_path, command):
+        record, out = tmp_path / "in.csv", tmp_path / "out"
+        t = np.arange(64) / 8.0
+        pkio.write_columns_csv(record, {}, ["t", "value"], [t, np.cos(t)])
+        argv = [arg.format(record=record, out=out) for arg in command]
+        assert _run_without_scipy(argv) == "0 []"
+        assert any(out.rglob("*.csv"))
 
 
 class TestDft2d:
