@@ -287,12 +287,12 @@ def _dct3_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Since sin t_{N-k,n} = (-1)^n cos t_kn, this is the orthonormal DCT-3 of
     a plus (-1)^n times that of (0, b[N-1], ..., b[1]); b[0] drops out.
-    Both ride on one complex sequence d = a + j(0, b[N-1], ..., b[1]), whose
-    DCT-3 is u = N ifft(v) with v[k] = e^{j pi k / 2N} (d[k] - j d[N-k]) / 2
-    and v[0] = d[0], the weights folded into the twiddles.  u holds the
-    even outputs first and the odd ones reversed: y[2m] = Re u[m] + Im u[m]
-    and y[2m+1] = Re u[N-1-m] - Im u[N-1-m].  An overflow leaves non-finite
-    samples, without a warning.
+    Both ride on one complex sequence d = a + j(0, b[N-1], ..., b[1]),
+    whose DCT-3, reordered, is u = N ifft(v) with v[k] = e^{j pi k / 2N}
+    (d[k] - j d[N-k]) / 2 and v[0] = d[0], the weights folded into the
+    twiddles.  u holds the even outputs first and the odd ones reversed:
+    y[2m] = Re u[m] + Im u[m] and y[2m+1] = Re u[N-1-m] - Im u[N-1-m].  An
+    overflow leaves non-finite samples, without a warning.
     """
     n = a.size
     half = (n + 1) // 2
