@@ -7,10 +7,13 @@ PARENT and CHANGE are checkouts of phasekit; each command runs as
 ``python -m phasekit`` with ``PYTHONPATH=TREE/src``, in a fresh directory
 per tree and command.  The inputs are the benchmark's seed-1 files, written
 by ``perfbench/inputs.py`` of this repository (so both trees read the same
-bytes), plus a 3,001-sample CSV, per-bin phase files for it and the
-benchmark's hostile inputs.  The matrix covers ``pt`` (``--alpha``,
-``--alpha-per-bin``, ``--alpha-sweep``) and ``delay`` on both bases, both
-also on the float32 WAV (whose output is rich in 17th-digit ties),
+bytes), plus a 3,001-sample CSV, per-bin phase files for it, a 65,537-sample
+CSV (a prime length, where a constant phase or a scalar delay is one
+power-of-two convolution with a closed-form kernel) and the benchmark's
+hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
+``--alpha-sweep``) and ``delay`` on both bases, both also on the float32 WAV
+(whose output is rich in 17th-digit ties), ``pt --alpha``, ``--alpha-sweep``
+and ``delay`` on both bases and ``differint`` on the prime-length CSV,
 ``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
 and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed
@@ -22,7 +25,7 @@ file "identical" or the largest |delta| / max|out| over its numbers (CSV,
 PGM and JSON; the header is compared as text); then, when a tree wrote to
 standard output, "identical" or each tree's lines; then each tree's standard
 error when they differ.  Exits 1 when an exit code changes, else 0.  Takes
-about 20 s on a 2-vCPU machine.
+about 30 s on a 2-vCPU machine.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ except ImportError:  # not on Windows: no file-size-limited runs
 
 REPO = Path(__file__).resolve().parents[1]
 SMALL_N = 3001  # odd, and below both of the writer's and reader's split thresholds
+PRIME_N = 65537  # prime and above 4096: the closed-form kernel route
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,13 +84,16 @@ def _pcm_wav(channels: int, bits: int) -> bytes:
 
 def write_inputs(directory: Path) -> None:
     """The seed-1 benchmark inputs, the small CSV and its per-bin phases,
-    and a stereo and an 8-bit PCM WAV, which the reader rejects."""
+    the prime-length CSV, and a stereo and an 8-bit PCM WAV, which the
+    reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):
         inputs.write_cli_files(data, workload, directory)
     small = inputs.make_tones(inputs.rng_for(1, "compare-small"), SMALL_N)
     inputs.write_signal_csv(directory / "small.csv", small.samples(), inputs.SAMPLE_RATE)
+    prime = inputs.make_tones(inputs.rng_for(1, "compare-prime"), PRIME_N)
+    inputs.write_signal_csv(directory / "prime.csv", prime.samples(), inputs.SAMPLE_RATE)
     rng = inputs.rng_for(1, "compare-phases")
     for basis, bins in (("dft", SMALL_N // 2 + 1), ("dct", SMALL_N)):
         inputs.write_signal_csv(directory / f"phases_{basis}.csv",
@@ -111,6 +118,9 @@ def matrix() -> list[Case]:
             Case(f"delay-record-{basis}", ["delay", "{in}/record.csv", "--samples", delay, *b]),
             Case(f"delay-small-{basis}", ["delay", "{in}/small.csv", "--samples", delay, *b]),
             Case(f"overflow-{basis}", ["pt", "{in}/overflow.csv", "--alpha", "0.5", *b]),
+            Case(f"pt-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha", alpha, *b]),
+            Case(f"pt-sweep-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-sweep", sweep, *b]),
+            Case(f"delay-prime-{basis}", ["delay", "{in}/prime.csv", "--samples", delay, *b]),
         ]
     cases += [
         Case("pt-wav", ["pt", "{in}/record.wav", "--alpha", alpha]),
@@ -118,6 +128,7 @@ def matrix() -> list[Case]:
         Case("differint-record", ["differint", "{in}/record.csv", "--order", order]),
         Case("differint-small", ["differint", "{in}/small.csv", "--order", order,
                                  "--scaling", "normalized", "--no-dc-term"]),
+        Case("differint-prime", ["differint", "{in}/prime.csv", "--order", order]),
         Case("wpt-small", ["wpt", "{in}/small.csv", "--alpha", alpha]),
         Case("image-pt", ["image-pt", "{in}/image.pgm", "--alpha", repr(p.image_alpha),
                           "--preview", "preview.pgm"]),

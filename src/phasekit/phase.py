@@ -8,14 +8,22 @@ extension), which differ whenever those extensions disagree.  Both run on
 ``numpy.fft``: the DFT route as one real-FFT gain, the DCT route as one
 DCT-2 and one inverse that resynthesizes X cos alpha on the cosine basis and
 X sin alpha on the sine basis together (see :mod:`phasekit.spectral`).
+
+A constant profile and its per-bin equivalent agree bit for bit on those
+routes.  On a length with a large prime factor (see
+:func:`phasekit.spectral._kernel_route`), a constant or scalar-delay profile
+runs instead as one convolution with a closed-form periodic kernel of period
+N (DFT) or 2N (DCT), and agrees with the per-bin profile to round-off.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Signal, _dct2, _dct3_pair, _require_finite, apply_gain, as_signal
+from .spectral import (Signal, _closed_form, _dct2, _dct3_pair, _kernel_route, _require_finite,
+                       apply_gain, as_signal)
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,20 @@ def pt_kernel(alpha: float, n: int) -> Signal:
     """Sampled impulse response of the constant phase shifter.
 
     kernel[m] = cos(alpha) delta[m] + sin(alpha) h[m] with
-    h[m] = (1 - cos(pi m)) / (pi m) and h[0] = 0, for m = 0..n-1.
+    h[m] = (1 - cos(pi m)) / (pi m) and h[0] = 0, for m = 0..n-1.  h is the
+    L -> infinity limit of the periodic quadrature kernel that the DFT route
+    applies on L samples: (2/L) cot(pi m / L) -> 2 / (pi m) for odd m.
+
+    Raises
+    ------
+    ValueError
+        If alpha is not finite, or n is not an integer >= 1.
     """
+    alpha = PhaseProfile.constant(alpha).value
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"kernel length must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("kernel length must be >= 1")
     m = np.arange(n)
@@ -116,7 +136,9 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
     negative frequencies receive the conjugate shift implicitly, so the
     output is real by construction.  The DC bin and the Nyquist bin of an
     even length are real, so a real output can only scale them by
-    cos(alpha_k).
+    cos(alpha_k).  A constant profile equals its per-bin equivalent bit for
+    bit, and to round-off where a constant or a scalar delay takes the
+    kernel route (see the module docstring).
 
     Parameters
     ----------
@@ -126,9 +148,27 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
         Phase per non-negative bin.
     """
     sig = as_signal(signal)
-    with np.errstate(over="ignore", invalid="ignore"):  # apply_gain raises on overflow
-        gain = np.exp(-1j * profile.bin_phases(len(sig), basis="dft"))
-    return Signal(apply_gain(sig.samples, gain), sig.sample_rate)
+    out = _scalar_route(sig.samples, profile, len(sig))
+    if out is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # apply_gain raises on overflow
+            gain = np.exp(-1j * profile.bin_phases(len(sig), basis="dft"))
+        out = apply_gain(sig.samples, gain)
+    return Signal(out, sig.sample_rate)
+
+
+def _scalar_route(x: np.ndarray, profile: PhaseProfile, period: int) -> np.ndarray | None:
+    """The phase transform of x as one convolution with a closed-form kernel
+    of ``period`` N (DFT basis) or 2N (DCT basis), see
+    :func:`phasekit.spectral._closed_form`, for a constant or scalar-delay
+    profile on a length that :func:`phasekit.spectral._kernel_route` selects;
+    None for any other profile or length."""
+    if profile.kind == "per_bin" or np.size(profile.value) != 1 or not _kernel_route(x.size):
+        return None
+    if profile.kind == "delay":
+        out = _closed_form(x, period, delay=profile.value[0])
+    else:
+        out = _closed_form(x, period, gain=np.exp(-1j * profile.value))
+    return _require_finite(out, "spectral gain")
 
 
 def hilbert(signal) -> Signal:
@@ -147,7 +187,11 @@ def fcqt(signal) -> Signal:
     and the alpha = pi/2 case of :func:`pt_dct`.
     """
     sig = as_signal(signal)
-    out = _dct3_pair(np.zeros(len(sig)), _dct2(sig.samples))
+    x = sig.samples
+    if _kernel_route(x.size):
+        out = _closed_form(x, 2 * x.size, gain=-1j)
+    else:
+        out = _dct3_pair(np.zeros(x.size), _dct2(x))
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 
@@ -158,10 +202,12 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
 
     resynthesizes X cos(alpha) on the cosine basis and X sin(alpha) on the
     sine basis in one inverse transform.  Every profile, a constant too,
-    takes the same arithmetic.  For a constant profile this equals
-    cos(alpha) x + sin(alpha) fcqt(x) to round-off; the DC term is carried
-    entirely by the cosine branch since the k = 0 sine basis vector is
-    identically zero.
+    takes the same arithmetic, so a constant equals its per-bin equivalent
+    bit for bit; where a constant or a scalar delay takes the kernel route
+    (see the module docstring) they agree to round-off.  For a constant
+    profile this equals cos(alpha) x + sin(alpha) fcqt(x) to round-off; the
+    DC term is carried entirely by the cosine branch since the k = 0 sine
+    basis vector is identically zero.
 
     Raises
     ------
@@ -169,11 +215,14 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
         If the result is not finite, as on the DFT route.
     """
     sig = as_signal(signal)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alphas = profile.bin_phases(len(sig), basis="dct")
-        bins = _dct2(sig.samples)
-        out = _dct3_pair(bins * np.cos(alphas), bins * np.sin(alphas))
-    return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
+    out = _scalar_route(sig.samples, profile, 2 * len(sig))
+    if out is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            alphas = profile.bin_phases(len(sig), basis="dct")
+            bins = _dct2(sig.samples)
+            out = _dct3_pair(bins * np.cos(alphas), bins * np.sin(alphas))
+        out = _require_finite(out, "spectral gain")
+    return Signal(out, sig.sample_rate)
 
 
 def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
@@ -185,9 +234,12 @@ def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
     raises ValueError and a non-finite result FloatingPointError.
     """
     sig = as_signal(signal)
-    alphas = np.asarray(alphas, dtype=float)[:, None]
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"phases must be a 1-D sequence, got {alphas.ndim} dimensions")
     if not np.all(np.isfinite(alphas)):
         raise ValueError("phases must be finite")
+    alphas = alphas[:, None]
     if basis == "dft":
         quadrature = hilbert(sig).samples
     elif basis == "dct":

@@ -5,10 +5,11 @@ package.  The discrete Fourier transform places the 1/N factor on the
 *forward* transform, so the inverse is a bare exponential sum; the DCT-2
 pair is orthonormal.  A spectrum's ``origin`` names which of the two it
 holds, so a mismatched inverse raises instead of silently scaling.  Every
-frequency-domain gain in the package, 1-D and 2-D (phase transforms,
+frequency-domain gain on the DFT basis, 1-D and 2-D (phase transforms,
 fractional delay and differintegration, the wavelet multiplier, the image
 phase transform), is applied through :func:`apply_gain`, the one place that
-decides how a positive-frequency gain acts on real samples.
+decides how a positive-frequency gain acts on real samples; the DCT basis
+applies its phases in :func:`_dct3_pair`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
@@ -16,6 +17,14 @@ DCT basis is one orthonormal type-2 family on Makhoul's N-point route
 DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
 and every inverse, the phase transforms included, is one complex ``ifft``
 that carries two real DCT-3s at once (see :func:`_dct3_pair`).
+
+On a length whose largest prime factor p has p^2 > N (and N >= 4096, see
+:func:`_kernel_route`), an N-point transform runs on Bluestein's chirp-z
+convolution.  There a constant phase (the Hilbert transform included) or a
+scalar delay, on either basis, is instead one real convolution at a power of
+two with its closed-form periodic kernel, the discrete Hilbert kernel or the
+periodic sinc (see :func:`_closed_form`); it agrees with the N-point route to
+round-off.  Per-bin profiles and every other length keep the N-point route.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -341,6 +350,10 @@ def apply_gain(x, gain) -> np.ndarray:
     is all a real output can carry.  A Hermitian multiplier H on a full
     grid, restricted to that half spectrum, gives Re(ifftn(H X)).
 
+    A scalar gain on 1-D x whose length :func:`_kernel_route` selects is
+    applied as one convolution with the closed-form kernel instead
+    (:func:`_closed_form`), which agrees to round-off.
+
     Raises
     ------
     FloatingPointError
@@ -348,10 +361,136 @@ def apply_gain(x, gain) -> np.ndarray:
         overflowed).
     """
     x = np.asarray(x, dtype=float)
+    if np.ndim(gain) == 0 and x.ndim == 1 and _kernel_route(x.size):
+        return _require_finite(_closed_form(x, x.size, gain=gain), "spectral gain")
     axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
     return _require_finite(out, "spectral gain")
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_route(n: int) -> bool:
+    """Whether a constant phase or a scalar delay on N samples runs as
+    :func:`_closed_form` instead of an N-point transform pair.
+
+    True when N's largest prime factor p has p^2 > N, which is when pocketfft
+    considers Bluestein's chirp-z for an N-point transform (and numpy plans
+    it anew on every call), and N >= 4096: below that both routes take under
+    about 1 ms.
+    """
+    if n < 4096:
+        return False
+    rest, factor = n, 2
+    while factor * factor <= rest:
+        while rest % factor == 0:
+            rest //= factor
+        factor += 1
+    # rest is N's largest prime factor, or 1 when that factor was divided
+    # out above, which makes it at most sqrt(N)
+    return rest * rest > n
+
+
+def _closed_form(x: np.ndarray, period: int, gain: complex = 0j,
+                 delay: float | None = None) -> np.ndarray:
+    """A constant gain or a scalar delay as one convolution with a closed-form kernel.
+
+    The kernel has ``period`` L = N (the DFT basis: x's N-periodic
+    extension) or L = 2N (the DCT basis: the first N samples of the
+    2N-periodic extension [x, x reversed]).  A scalar ``gain`` g on the
+    positive frequencies gives Re(g) x - Im(g) q with q = h_L * x, the
+    quadrature kernel of :func:`_quadrature_kernel`, the same g on DC and on
+    an even length's Nyquist bin as :func:`apply_gain` (where q is zero).  A
+    ``delay`` d gives s_L(d) * x with the periodic sinc of
+    :func:`_delay_kernel`.  An overflow leaves non-finite samples, without a
+    warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if delay is not None:
+            return _periodic_convolve(x, _delay_kernel(period, delay))
+        return gain.real * x - gain.imag * _periodic_convolve(x, _quadrature_kernel(period))
+
+
+def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """y[n] = sum_q x[q] kernel[(n - q) mod L] for n < N, with L = N or 2N;
+    for L = 2N, x continues as x reversed, which adds sum_q x[q] kernel[n + q + 1].
+
+    One real convolution at the power of two M >= 2N - 1: the kernel's lags
+    -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for L = 2N the
+    correlation with kernel[1:] (Hankel), which reuses x's spectrum
+    conjugated.  numpy.fft plans a power of two without Bluestein.
+    """
+    n, period = x.size, kernel.size
+    size = 1 << (2 * n - 2).bit_length()
+    wrapped = np.zeros(size)
+    wrapped[:n] = kernel[:n]
+    wrapped[size - n + 1:] = kernel[period - n + 1:]
+    spectrum = np.fft.rfft(x, size)
+    out = np.fft.rfft(wrapped)
+    del wrapped
+    out *= spectrum
+    if period == 2 * n:
+        hankel = np.fft.rfft(kernel[1:], size)
+        np.conjugate(spectrum, out=spectrum)
+        hankel *= spectrum
+        out += hankel
+        del hankel
+    del spectrum
+    return np.fft.irfft(out, size)[:n]
+
+
+def _quadrature_kernel(period: int) -> np.ndarray:
+    """h[m], m = 0..L-1: the circular kernel of the gain -j on bins
+    1..ceil(L/2)-1 (and +j on their negatives, 0 at DC and Nyquist).
+
+    h[m] = (2/L) cot(pi m / L) for odd m and 0 for even m when L is even;
+    (1/L) cot(pi m / 2L) for odd m and -(1/L) tan(pi m / 2L) for even m when
+    L is odd (Kak 1970, "The discrete Hilbert transform").  It is evaluated on
+    0 < m < L/2 only, where the argument stays at most pi/2, and mirrored with
+    h[L - m] = -h[m]: near pi the cotangent would lose about log10 L digits.
+    """
+    kernel = np.zeros(period)
+    half = (period - 1) // 2  # the lags 0 < m < L/2
+    if period % 2 == 0:
+        kernel[1:half + 1:2] = (2.0 / period) / np.tan(np.arange(1, half + 1, 2) * (np.pi / period))
+    else:
+        t = np.tan(np.arange(1, half + 1) * (np.pi / (2 * period)))
+        kernel[1:half + 1:2] = 1.0 / (period * t[::2])
+        kernel[2:half + 1:2] = -t[1::2] / period
+    kernel[:period - half - 1:-1] = -kernel[1:half + 1]
+    return kernel
+
+
+def _delay_kernel(period: int, delay: float) -> np.ndarray:
+    """s[m], m = 0..L-1: the circular kernel of the delay d, the periodic sinc
+
+    s[m] = sin(pi u) / (L sin(pi u / L)) for odd L and
+    sin(pi u) / (L tan(pi u / L)) for even L, u = m - d,
+
+    the kernel of the gain e^{-j 2 pi k d / L} on bins 0..L//2, with
+    cos(pi d) on the Nyquist bin of an even L.  (On the DCT basis, L = 2N,
+    the symmetric extension has no Nyquist content, so that bin's gain does
+    not matter.)  Both forms are L-periodic in u, so with d = k + r, k an
+    integer and |r| <= 1/2, the kernel is evaluated at the lags
+    u = j - r, j in (-L/2, L/2], and rotated by k; its numerator is
+    -(-1)^j sin(pi r), never a sine of a large argument.  An integer delay
+    (r = 0) is the limit 1 at u = 0 and 0 elsewhere: an exact shift.
+    """
+    shift = round(float(delay))
+    frac = delay - shift
+    first = period // 2 + 1 - period  # the lowest lag j
+    if frac == 0:
+        kernel = np.zeros(period)
+        kernel[0] = 1.0
+        return np.roll(kernel, shift)
+    kernel = np.arange(first, period + first, dtype=float)
+    kernel -= frac
+    kernel *= np.pi / period
+    (np.tan if period % 2 == 0 else np.sin)(kernel, out=kernel)
+    kernel *= period
+    np.divide(np.sin(np.pi * frac), kernel, out=kernel)
+    kernel[first % 2::2] *= -1.0  # the even lags j
+    return np.roll(kernel, shift + first)
 
 
 def _require_finite(out: np.ndarray, what: str) -> np.ndarray:

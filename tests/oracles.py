@@ -9,13 +9,30 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 
+def _by_rows(n, rows_of):
+    """Concatenate rows_of(r) over blocks r (a column of output indices) of
+    0..n-1: each O(N^2) sum below holds one block of its matrix at a time,
+    so N = 8198 needs tens of MB instead of gigabytes."""
+    return np.concatenate([rows_of(np.arange(start, min(start + 512, n))[:, None])
+                           for start in range(0, n, 512)])
+
+
+def _quarter_turns(n):
+    """(cos, sin) of pi j / 2N for j = 0..4N-1.  The sums below index them
+    with the integer k (2m + 1) mod 4N, or k m mod N for the DFT, which is
+    exact, instead of evaluating a trigonometric function at an argument that
+    grows to about pi N and carries its rounding error."""
+    angle = np.pi * np.arange(4 * n) / (2.0 * n)
+    return np.cos(angle), np.sin(angle)
+
+
 def dft_direct(x):
     """O(N^2) forward DFT with 1/N on the analysis sum."""
     x = np.asarray(x)
     n = x.size
     k = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return kernel @ x / n
+    twiddle = np.exp(-2j * np.pi * k / n)
+    return _by_rows(n, lambda rows: twiddle[rows * k % n] @ x) / n
 
 
 def idft_direct(bins):
@@ -23,30 +40,31 @@ def idft_direct(bins):
     bins = np.asarray(bins)
     n = bins.size
     k = np.arange(n)
-    kernel = np.exp(2j * np.pi * np.outer(k, k) / n)
-    return kernel @ bins
+    twiddle = np.exp(2j * np.pi * k / n)
+    return _by_rows(n, lambda rows: twiddle[rows * k % n] @ bins)
 
 
 def dct2_direct(x):
     """O(N^2) orthonormal DCT-2."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    k = np.arange(n)[:, None]
-    m = np.arange(n)[None, :]
-    sigma = np.where(k == 0, 1.0 / np.sqrt(2.0), 1.0)
-    basis = np.cos(np.pi * k * (2 * m + 1) / (2.0 * n))
-    return np.sqrt(2.0 / n) * (sigma * basis) @ x
+    m = np.arange(n)
+    cos, _ = _quarter_turns(n)
+
+    def rows_of(k):
+        sigma = np.where(k == 0, 1.0 / np.sqrt(2.0), 1.0)
+        return (sigma * cos[k * (2 * m + 1) % (4 * n)]) @ x
+    return np.sqrt(2.0 / n) * _by_rows(n, rows_of)
 
 
 def idct2_direct(bins):
     """O(N^2) inverse orthonormal DCT-2."""
     bins = np.asarray(bins, dtype=float)
     n = bins.size
-    k = np.arange(n)[None, :]
-    m = np.arange(n)[:, None]
+    k = np.arange(n)
     sigma = np.where(k == 0, 1.0 / np.sqrt(2.0), 1.0)
-    basis = np.cos(np.pi * k * (2 * m + 1) / (2.0 * n))
-    return np.sqrt(2.0 / n) * (sigma * basis) @ bins
+    cos, _ = _quarter_turns(n)
+    return np.sqrt(2.0 / n) * _by_rows(n, lambda m: (sigma * cos[k * (2 * m + 1) % (4 * n)]) @ bins)
 
 
 def fcqt_direct(x):
@@ -54,22 +72,27 @@ def fcqt_direct(x):
     x = np.asarray(x, dtype=float)
     n = x.size
     bins = dct2_direct(x)
-    k = np.arange(n)[None, :]
-    m = np.arange(n)[:, None]
-    basis = np.sin(np.pi * k * (2 * m + 1) / (2.0 * n))
-    return np.sqrt(2.0 / n) * basis @ bins
+    k = np.arange(n)
+    _, sin = _quarter_turns(n)
+    return np.sqrt(2.0 / n) * _by_rows(n, lambda m: sin[k * (2 * m + 1) % (4 * n)] @ bins)
 
 
 def pt_dct_direct(x, alphas):
-    """O(N^2) DCT-domain phase transform with per-bin phases."""
+    """O(N^2) DCT-domain phase transform with per-bin phases:
+    cos(t - alpha) = cos t cos alpha + sin t sin alpha, t = pi k (2m+1) / 2N."""
     x = np.asarray(x, dtype=float)
     n = x.size
     bins = dct2_direct(x)
-    k = np.arange(n)[None, :]
-    m = np.arange(n)[:, None]
+    k = np.arange(n)
     sigma = np.where(k == 0, 1.0 / np.sqrt(2.0), 1.0)
-    basis = np.cos(np.pi * k * (2 * m + 1) / (2.0 * n) - np.asarray(alphas)[None, :])
-    return np.sqrt(2.0 / n) * (sigma * basis) @ bins
+    cos, sin = _quarter_turns(n)
+    alphas = np.asarray(alphas)
+    in_phase, quadrature = sigma * np.cos(alphas) * bins, sigma * np.sin(alphas) * bins
+
+    def rows_of(m):
+        turns = k * (2 * m + 1) % (4 * n)
+        return cos[turns] @ in_phase + sin[turns] @ quadrature
+    return np.sqrt(2.0 / n) * _by_rows(n, rows_of)
 
 
 def dft2d_direct(g):
@@ -134,11 +157,8 @@ def circular_convolve(x, kernel):
     x = np.asarray(x)
     kernel = np.asarray(kernel)
     n = x.size
-    out = np.zeros(n, dtype=np.result_type(x, kernel))
-    for m in range(n):
-        for p in range(n):
-            out[m] += x[p] * kernel[(m - p) % n]
-    return out
+    p = np.arange(n)
+    return _by_rows(n, lambda m: kernel[(m - p) % n] @ x)
 
 
 def circular_convolve_2d(g, kernel):

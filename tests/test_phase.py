@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
+from phasekit.spectral import _quadrature_kernel
 from phasekit.repro import example1_signal, example2_signal
 from oracles import (circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direct,
                      zero_mean_zero_nyquist)
@@ -52,6 +53,23 @@ class TestPtKernel:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             pk.pt_kernel(0.3, 0)
+        with pytest.raises(ValueError, match="integer"):
+            pk.pt_kernel(0.3, 4.5)
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_phase_without_a_warning(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phase must be finite"):
+                pk.pt_kernel(alpha, 4)
+
+    @pytest.mark.parametrize("period", [2 ** 10, 2 ** 14 + 1, 2 ** 18])
+    def test_is_the_limit_of_the_periodic_quadrature_kernel(self, period):
+        # (2/L) cot(pi m / L) = 2 / (pi m) - 2 pi m / (3 L^2) + ... for odd m,
+        # and the odd-L form converges alike
+        limit = pk.pt_kernel(np.pi / 2, 16).samples
+        periodic = _quadrature_kernel(period)[:16]
+        assert np.max(np.abs(periodic - limit)) < 64 / period ** 2
 
 
 class TestPtDft:
@@ -294,6 +312,11 @@ class TestPtSweep:
     def test_rejects_non_finite_phases(self, basis):
         with pytest.raises(ValueError, match="finite"):
             pk.pt_sweep(np.ones(8), [np.nan], basis)
+
+    @pytest.mark.parametrize("alphas", [0.3, [[0.1, 0.2]]], ids=["scalar", "2-D"])
+    def test_rejects_phases_that_are_not_one_dimensional(self, alphas):
+        with pytest.raises(ValueError, match="phases must be a 1-D sequence"):
+            pk.pt_sweep(np.ones(8), alphas)
 
 
 class TestPtProperties:
