@@ -418,7 +418,9 @@ def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     One real convolution at the power of two M >= 2N - 1: the kernel's lags
     -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for L = 2N the
     correlation with kernel[1:] (Hankel), which reuses x's spectrum
-    conjugated.  numpy.fft plans a power of two without Bluestein.
+    conjugated.  numpy.fft plans a power of two without Bluestein.  Each
+    M-point temporary is dropped before the next transform allocates, which
+    bounds the peak at about four of them.
     """
     n, period = x.size, kernel.size
     size = 1 << (2 * n - 2).bit_length()
