@@ -18,10 +18,10 @@ def _by_rows(n, rows_of):
 
 
 def _quarter_turns(n):
-    """(cos, sin) of pi j / 2N for j = 0..4N-1.  The sums below index them
-    with the integer k (2m + 1) mod 4N, or k m mod N for the DFT, which is
-    exact, instead of evaluating a trigonometric function at an argument that
-    grows to about pi N and carries its rounding error."""
+    """(cos, sin) of pi j / 2N for j = 0..4N-1.  The DCT sums below index
+    them with the integer k (2m + 1) mod 4N, which is exact, instead of
+    evaluating a trigonometric function at an argument that grows to about
+    pi N and carries its rounding error; the DFT sums reduce k m mod N alike."""
     angle = np.pi * np.arange(4 * n) / (2.0 * n)
     return np.cos(angle), np.sin(angle)
 
