@@ -7,18 +7,20 @@ PARENT and CHANGE are checkouts of phasekit; each command runs as
 ``python -m phasekit`` with ``PYTHONPATH=TREE/src``, in a fresh directory
 per tree and command.  The inputs are the benchmark's seed-1 files, written
 by ``perfbench/inputs.py`` of this repository (so both trees read the same
-bytes), plus a 3,001-sample CSV, per-bin phase files for it, a 65,537-sample
-CSV (a prime length, where a constant phase or a scalar delay is one
-power-of-two convolution with a closed-form kernel) and the benchmark's
+bytes), plus a 3,001-sample CSV, a 65,537-sample CSV (a prime length, where
+a constant phase or a scalar delay is one power-of-two convolution with a
+closed-form kernel), per-bin phase files for both, and the benchmark's
 hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
 ``--alpha-sweep``) and ``delay`` on both bases, both also on the float32 WAV
-(whose output is rich in 17th-digit ties), ``pt --alpha``, ``--alpha-sweep``
-and ``delay`` on both bases and ``differint`` on the prime-length CSV,
-``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
-and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
-overflowing CSV, a missing file, a bad sweep), ``--version``, and failed
-writes: to ``/dev/full`` where it exists (an output file, and ``--version``'s
-standard output), and under a file-size limit where the platform has one.
+(whose output is rich in 17th-digit ties), a delay of 600,200,000.25 samples
+(0.25 plus whole periods of the small CSV on both bases), ``pt --alpha``,
+``--alpha-per-bin``, ``--alpha-sweep`` and ``delay`` on both bases and
+``differint`` on the prime-length CSV, ``differint``, ``wpt``,
+``image-pt --preview``, ``synth``, ``repro 1``-``5`` and the hostile inputs
+(a truncated, a stereo and an 8-bit WAV, an overflowing CSV, a missing file,
+a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
+exists (an output file, and ``--version``'s standard output), and under a
+file-size limit where the platform has one.
 
 For each command it prints the exit code of each tree, and for each output
 file "identical" or the largest |delta| / max|out| over its numbers (CSV,
@@ -54,6 +56,7 @@ except ImportError:  # not on Windows: no file-size-limited runs
 REPO = Path(__file__).resolve().parents[1]
 SMALL_N = 3001  # odd, and below both of the writer's and reader's split thresholds
 PRIME_N = 65537  # prime and above 4096: the closed-form kernel route
+FAR_DELAY = "600200000.25"  # 0.25 + 200,000 x 3,001 = 0.25 + 100,000 x 6,002
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,8 +86,8 @@ def _pcm_wav(channels: int, bits: int) -> bytes:
 
 
 def write_inputs(directory: Path) -> None:
-    """The seed-1 benchmark inputs, the small CSV and its per-bin phases,
-    the prime-length CSV, and a stereo and an 8-bit PCM WAV, which the
+    """The seed-1 benchmark inputs, the small and the prime-length CSV and
+    per-bin phases for each, and a stereo and an 8-bit PCM WAV, which the
     reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
@@ -97,6 +100,10 @@ def write_inputs(directory: Path) -> None:
     rng = inputs.rng_for(1, "compare-phases")
     for basis, bins in (("dft", SMALL_N // 2 + 1), ("dct", SMALL_N)):
         inputs.write_signal_csv(directory / f"phases_{basis}.csv",
+                                rng.uniform(-math.pi, math.pi, bins), 1.0)
+    rng = inputs.rng_for(1, "compare-prime-phases")
+    for basis, bins in (("dft", PRIME_N // 2 + 1), ("dct", PRIME_N)):
+        inputs.write_signal_csv(directory / f"phases_prime_{basis}.csv",
                                 rng.uniform(-math.pi, math.pi, bins), 1.0)
     (directory / "stereo.wav").write_bytes(_pcm_wav(2, 16))
     (directory / "pcm8.wav").write_bytes(_pcm_wav(1, 8))
@@ -117,8 +124,11 @@ def matrix() -> list[Case]:
             Case(f"pt-sweep-{basis}", ["pt", "{in}/sweep.csv", "--alpha-sweep", sweep, *b]),
             Case(f"delay-record-{basis}", ["delay", "{in}/record.csv", "--samples", delay, *b]),
             Case(f"delay-small-{basis}", ["delay", "{in}/small.csv", "--samples", delay, *b]),
+            Case(f"delay-far-{basis}", ["delay", "{in}/small.csv", "--samples", FAR_DELAY, *b]),
             Case(f"overflow-{basis}", ["pt", "{in}/overflow.csv", "--alpha", "0.5", *b]),
             Case(f"pt-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha", alpha, *b]),
+            Case(f"pt-per-bin-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-per-bin",
+                                               f"{{in}}/phases_prime_{basis}.csv", *b]),
             Case(f"pt-sweep-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-sweep", sweep, *b]),
             Case(f"delay-prime-{basis}", ["delay", "{in}/prime.csv", "--samples", delay, *b]),
         ]

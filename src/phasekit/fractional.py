@@ -66,9 +66,7 @@ def frac_delay_dft(signal, delay) -> Signal:
     with the delay profile alpha_k = 2 pi k n_k / N (n_0 = 0), so the
     Nyquist bin of an even N is scaled by cos(pi n_k).  Integer delays
     reduce to exact circular shifts.  A scalar delay equals the same delay
-    given per bin bit for bit, and to round-off on a length with a large
-    prime factor, where it is one convolution with the N-periodic sinc (see
-    :mod:`phasekit.phase`).
+    given per bin, bit for bit or to round-off (see :mod:`phasekit.phase`).
 
     Parameters
     ----------
@@ -90,10 +88,8 @@ def frac_delay_dct(signal, n0: float) -> Signal:
     Equivalent to :func:`phasekit.phase.pt_dct` with the per-bin delay
     profile alpha_k = pi k n0 / N.  The symmetric extension avoids the
     wrap-around leakage of the DFT route at the signal ends.  A non-finite
-    delay raises ValueError, as on the DFT route.  On a length with a large
-    prime factor it is one convolution of the extension [x, x reversed] with
-    the 2N-periodic sinc, equal to the per-bin ramp to round-off (see
-    :mod:`phasekit.phase`).
+    delay raises ValueError, as on the DFT route.  It equals the per-bin ramp
+    bit for bit or to round-off (see :mod:`phasekit.phase`).
     """
     return pt_dct(signal, PhaseProfile.delay(float(n0)))
 

@@ -4,16 +4,16 @@ A phase transform (PT) applies a phase shift -alpha to the positive
 frequencies of a signal and +alpha to the negative ones; the Hilbert
 transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
-extension), which differ whenever those extensions disagree.  Both run on
-``numpy.fft``: the DFT route as one real-FFT gain, the DCT route as one
-DCT-2 and one inverse that resynthesizes X cos alpha on the cosine basis and
-X sin alpha on the sine basis together (see :mod:`phasekit.spectral`).
+extension), which differ whenever those extensions disagree.
 
-A constant profile and its per-bin equivalent agree bit for bit on those
-routes.  On a length with a large prime factor (see
-:func:`phasekit.spectral._kernel_route`), a constant or scalar-delay profile
-runs instead as one convolution with a closed-form periodic kernel of period
-N (DFT) or 2N (DCT), and agrees with the per-bin profile to round-off.
+Every 1-D phase transform, the Hilbert transform, the cosine quadrature and
+the fractional delays included, is one call into one core, :func:`_shift`,
+the one place that decides how a profile runs.  On the N-point routes a
+constant profile equals its per-bin equivalent bit for bit.  On a length
+with a large prime factor (see :func:`phasekit.spectral._kernel_route`), a
+constant or scalar-delay profile is instead one convolution with a
+closed-form periodic kernel, and agrees with the per-bin profile to
+round-off.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Signal, _closed_form, _dct2, _dct3_pair, _kernel_route, _require_finite,
-                       apply_gain, as_signal)
+from .spectral import (Signal, _dct2, _dct3_pair, _delay_kernel, _kernel_route, _periodic_convolve,
+                       _quadrature_kernel, _require_finite, apply_gain, as_signal)
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,16 @@ class PhaseProfile:
         Returns bins 0..N//2 for ``basis="dft"`` and bins 0..N-1 for
         ``basis="dct"``; a constant profile returns its float, which
         broadcasts over those bins.
+
+        A delay with L/2 < |n_k| < 2^52 is first reduced, exactly, to
+        n_k - L round(n_k / L) with L = N (DFT) or 2N (DCT), its period, so a
+        far delay keeps the digits of its fraction.  From 2^52 on that is not
+        exact, and a delay's phases are formed (and may overflow) as given.
         """
         if basis == "dft":
-            n_bins, scale = n // 2 + 1, 2.0 * np.pi
+            n_bins, scale, period = n // 2 + 1, 2.0 * np.pi, n
         elif basis == "dct":
-            n_bins, scale = n, np.pi
+            n_bins, scale, period = n, np.pi, 2 * n
         else:
             raise ValueError(f"unknown basis {basis!r}")
         if self.kind == "constant":
@@ -98,6 +103,8 @@ class PhaseProfile:
         else:
             raise ValueError(
                 f"delay profile needs 1 or {n_bins - 1} values, got {self.value.size}")
+        far = (np.abs(delays) > period / 2) & (np.abs(delays) < 2.0 ** 52)
+        delays = np.where(far, delays - period * np.round(delays / period), delays)
         return scale * np.arange(n_bins) / n * delays
 
 
@@ -129,6 +136,51 @@ def pt_kernel(alpha: float, n: int) -> Signal:
     return Signal(kernel)
 
 
+def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
+    """The one core of every 1-D phase transform: the gain
+    e^{-j alpha_k} = cos alpha_k - j sin alpha_k on the positive frequencies
+    of ``signal`` on ``basis`` "dft" or "dct".  ``profile=None`` is the
+    exact quadrature -j: cos and sin are exactly 0.0 and 1.0.
+
+    On a length that :func:`phasekit.spectral._kernel_route` selects, a
+    scalar profile (a constant, the quadrature or a scalar delay) is one
+    convolution with a closed-form kernel of period L = N (DFT) or 2N (DCT,
+    the extension [x, x reversed]): cos x + sin (h_L * x) with the discrete
+    Hilbert kernel, which is zero on DC and Nyquist as the N-point route's
+    quadrature is, or the periodic sinc of a delay.  Every other profile and
+    length takes the N-point gain: apply_gain(x, e^{-j alpha}) on the DFT
+    basis, and on the DCT basis the DCT-2 bins X resynthesized as X cos on
+    the cosine basis and X sin on the sine basis in one inverse, each formed
+    after the DCT-2 and freed before the next (another allocation order left
+    perfbench's reference task thousands of page faults apart).  A
+    non-finite result raises FloatingPointError.
+    """
+    sig = as_signal(signal)
+    x, n = sig.samples, len(sig)
+    if basis not in ("dft", "dct"):
+        raise ValueError(f"unknown basis {basis!r}")
+    period = n if basis == "dft" else 2 * n
+    route = _kernel_route(n) and (
+        profile is None or (profile.kind != "per_bin" and np.size(profile.value) == 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        if route and profile is not None and profile.kind == "delay":
+            out = _periodic_convolve(x, _delay_kernel(period, profile.value[0]))
+        elif route:
+            cos, sin = ((0.0, 1.0) if profile is None
+                        else (np.cos(profile.value), np.sin(profile.value)))
+            out = cos * x + sin * _periodic_convolve(x, _quadrature_kernel(period))
+        elif basis == "dft":
+            gain = -1j if profile is None else np.exp(-1j * profile.bin_phases(n, basis))
+            return Signal(apply_gain(x, gain), sig.sample_rate)  # checks its own result
+        elif profile is None:
+            out = _dct3_pair(np.zeros(n), _dct2(x))
+        else:
+            alphas = profile.bin_phases(n, basis)
+            bins = _dct2(x)
+            out = _dct3_pair(bins * np.cos(alphas), bins * np.sin(alphas))
+    return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
+
+
 def pt_dft(signal, profile: PhaseProfile) -> Signal:
     """Phase transform of a real signal via the DFT.
 
@@ -136,9 +188,8 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
     negative frequencies receive the conjugate shift implicitly, so the
     output is real by construction.  The DC bin and the Nyquist bin of an
     even length are real, so a real output can only scale them by
-    cos(alpha_k).  A constant profile equals its per-bin equivalent bit for
-    bit, and to round-off where a constant or a scalar delay takes the
-    kernel route (see the module docstring).
+    cos(alpha_k).  A constant profile equals its per-bin equivalent, bit for
+    bit or to round-off (see the module docstring).
 
     Parameters
     ----------
@@ -147,35 +198,14 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
     profile : PhaseProfile
         Phase per non-negative bin.
     """
-    sig = as_signal(signal)
-    out = _scalar_route(sig.samples, profile, len(sig))
-    if out is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # apply_gain raises on overflow
-            gain = np.exp(-1j * profile.bin_phases(len(sig), basis="dft"))
-        out = apply_gain(sig.samples, gain)
-    return Signal(out, sig.sample_rate)
-
-
-def _scalar_route(x: np.ndarray, profile: PhaseProfile, period: int) -> np.ndarray | None:
-    """The phase transform of x as one convolution with a closed-form kernel
-    of ``period`` N (DFT basis) or 2N (DCT basis), see
-    :func:`phasekit.spectral._closed_form`, for a constant or scalar-delay
-    profile on a length that :func:`phasekit.spectral._kernel_route` selects;
-    None for any other profile or length."""
-    if profile.kind == "per_bin" or np.size(profile.value) != 1 or not _kernel_route(x.size):
-        return None
-    if profile.kind == "delay":
-        out = _closed_form(x, period, delay=profile.value[0])
-    else:
-        out = _closed_form(x, period, gain=np.exp(-1j * profile.value))
-    return _require_finite(out, "spectral gain")
+    return _shift(signal, "dft", profile)
 
 
 def hilbert(signal) -> Signal:
-    """Hilbert transform: the pi/2 phase transform with the exact gain -j of
-    :func:`phasekit.spectral.analytic_signal` (zero-mean output)."""
-    sig = as_signal(signal)
-    return Signal(apply_gain(sig.samples, -1j), sig.sample_rate)
+    """Hilbert transform: the pi/2 phase transform with the exact gain -j
+    (zero-mean output), the imaginary part of
+    :func:`phasekit.spectral.analytic_signal`."""
+    return _shift(signal, "dft")
 
 
 def fcqt(signal) -> Signal:
@@ -184,15 +214,9 @@ def fcqt(signal) -> Signal:
     Resynthesizes the DCT-2 coefficients on the sine companion basis:
     xq[n] = sqrt(2/N) sum_k X[k] sin(pi k (2n+1) / 2N).
     This is the quadrature of the signal's symmetric 2N-periodic extension
-    and the alpha = pi/2 case of :func:`pt_dct`.
+    and the alpha = pi/2 case of :func:`pt_dct`, with the exact gain -j.
     """
-    sig = as_signal(signal)
-    x = sig.samples
-    if _kernel_route(x.size):
-        out = _closed_form(x, 2 * x.size, gain=-1j)
-    else:
-        out = _dct3_pair(np.zeros(x.size), _dct2(x))
-    return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
+    return _shift(signal, "dct")
 
 
 def pt_dct(signal, profile: PhaseProfile) -> Signal:
@@ -201,28 +225,19 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     y[n] = sqrt(2/N) sum_k sigma_k X[k] cos(pi k (2n+1) / 2N - alpha_k)
 
     resynthesizes X cos(alpha) on the cosine basis and X sin(alpha) on the
-    sine basis in one inverse transform.  Every profile, a constant too,
-    takes the same arithmetic, so a constant equals its per-bin equivalent
-    bit for bit; where a constant or a scalar delay takes the kernel route
-    (see the module docstring) they agree to round-off.  For a constant
-    profile this equals cos(alpha) x + sin(alpha) fcqt(x) to round-off; the
-    DC term is carried entirely by the cosine branch since the k = 0 sine
-    basis vector is identically zero.
+    sine basis in one inverse transform; a constant profile equals its
+    per-bin equivalent, bit for bit or to round-off (see the module
+    docstring).  For a constant profile this equals
+    cos(alpha) x + sin(alpha) fcqt(x) to round-off; the DC term is carried
+    entirely by the cosine branch since the k = 0 sine basis vector is
+    identically zero.
 
     Raises
     ------
     FloatingPointError
         If the result is not finite, as on the DFT route.
     """
-    sig = as_signal(signal)
-    out = _scalar_route(sig.samples, profile, 2 * len(sig))
-    if out is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            alphas = profile.bin_phases(len(sig), basis="dct")
-            bins = _dct2(sig.samples)
-            out = _dct3_pair(bins * np.cos(alphas), bins * np.sin(alphas))
-        out = _require_finite(out, "spectral gain")
-    return Signal(out, sig.sample_rate)
+    return _shift(signal, "dct", profile)
 
 
 def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
@@ -240,11 +255,6 @@ def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
     if not np.all(np.isfinite(alphas)):
         raise ValueError("phases must be finite")
     alphas = alphas[:, None]
-    if basis == "dft":
-        quadrature = hilbert(sig).samples
-    elif basis == "dct":
-        quadrature = fcqt(sig).samples
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    quadrature = _shift(sig, basis).samples
     return _require_finite(np.cos(alphas) * sig.samples + np.sin(alphas) * quadrature,
                            "phase sweep")

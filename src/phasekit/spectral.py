@@ -5,11 +5,11 @@ package.  The discrete Fourier transform places the 1/N factor on the
 *forward* transform, so the inverse is a bare exponential sum; the DCT-2
 pair is orthonormal.  A spectrum's ``origin`` names which of the two it
 holds, so a mismatched inverse raises instead of silently scaling.  Every
-frequency-domain gain on the DFT basis, 1-D and 2-D (phase transforms,
-fractional delay and differintegration, the wavelet multiplier, the image
-phase transform), is applied through :func:`apply_gain`, the one place that
-decides how a positive-frequency gain acts on real samples; the DCT basis
-applies its phases in :func:`_dct3_pair`.
+1-D phase transform, :func:`analytic_signal` included, is one call into
+:func:`phasekit.phase._shift`, which chooses its route.  Every N-point gain
+on the DFT basis, 1-D and 2-D, is applied through :func:`apply_gain`, the
+one place that decides how a positive-frequency gain acts on real samples;
+the DCT basis applies its phases in :func:`_dct3_pair`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
@@ -20,11 +20,10 @@ that carries two real DCT-3s at once (see :func:`_dct3_pair`).
 
 On a length whose largest prime factor p has p^2 > N (and N >= 4096, see
 :func:`_kernel_route`), an N-point transform runs on Bluestein's chirp-z
-convolution.  There a constant phase (the Hilbert transform included) or a
-scalar delay, on either basis, is instead one real convolution at a power of
-two with its closed-form periodic kernel, the discrete Hilbert kernel or the
-periodic sinc (see :func:`_closed_form`); it agrees with the N-point route to
-round-off.  Per-bin profiles and every other length keep the N-point route.
+convolution.  There a constant phase or a scalar delay is instead one real
+convolution at a power of two (:func:`_periodic_convolve`) with the discrete
+Hilbert kernel or the periodic sinc in closed form, which
+:func:`phasekit.phase._shift` chooses.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -350,10 +349,6 @@ def apply_gain(x, gain) -> np.ndarray:
     is all a real output can carry.  A Hermitian multiplier H on a full
     grid, restricted to that half spectrum, gives Re(ifftn(H X)).
 
-    A scalar gain on 1-D x whose length :func:`_kernel_route` selects is
-    applied as one convolution with the closed-form kernel instead
-    (:func:`_closed_form`), which agrees to round-off.
-
     Raises
     ------
     FloatingPointError
@@ -361,8 +356,6 @@ def apply_gain(x, gain) -> np.ndarray:
         overflowed).
     """
     x = np.asarray(x, dtype=float)
-    if np.ndim(gain) == 0 and x.ndim == 1 and _kernel_route(x.size):
-        return _require_finite(_closed_form(x, x.size, gain=gain), "spectral gain")
     axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
@@ -371,8 +364,8 @@ def apply_gain(x, gain) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _kernel_route(n: int) -> bool:
-    """Whether a constant phase or a scalar delay on N samples runs as
-    :func:`_closed_form` instead of an N-point transform pair.
+    """Whether :func:`phasekit.phase._shift` runs a constant phase or a scalar
+    delay on N samples as one convolution instead of an N-point pair.
 
     True when N's largest prime factor p has p^2 > N, which is when pocketfft
     considers Bluestein's chirp-z for an N-point transform (and numpy plans
@@ -389,26 +382,6 @@ def _kernel_route(n: int) -> bool:
     # rest is N's largest prime factor, or 1 when that factor was divided
     # out above, which makes it at most sqrt(N)
     return rest * rest > n
-
-
-def _closed_form(x: np.ndarray, period: int, gain: complex = 0j,
-                 delay: float | None = None) -> np.ndarray:
-    """A constant gain or a scalar delay as one convolution with a closed-form kernel.
-
-    The kernel has ``period`` L = N (the DFT basis: x's N-periodic
-    extension) or L = 2N (the DCT basis: the first N samples of the
-    2N-periodic extension [x, x reversed]).  A scalar ``gain`` g on the
-    positive frequencies gives Re(g) x - Im(g) q with q = h_L * x, the
-    quadrature kernel of :func:`_quadrature_kernel`, the same g on DC and on
-    an even length's Nyquist bin as :func:`apply_gain` (where q is zero).  A
-    ``delay`` d gives s_L(d) * x with the periodic sinc of
-    :func:`_delay_kernel`.  An overflow leaves non-finite samples, without a
-    warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if delay is not None:
-            return _periodic_convolve(x, _delay_kernel(period, delay))
-        return gain.real * x - gain.imag * _periodic_convolve(x, _quadrature_kernel(period))
 
 
 def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -517,8 +490,9 @@ def analytic_signal(signal) -> np.ndarray:
     Im(z) is the Hilbert transform of x (the -j gain on positive
     frequencies), so the DC and Nyquist components stay on the real part.
     """
-    x = as_signal(signal).samples
-    return x + 1j * apply_gain(x, -1j)
+    from .phase import hilbert  # phase builds on this module
+    sig = as_signal(signal)
+    return sig.samples + 1j * hilbert(sig).samples
 
 
 def harmonic_series(signal, n_harmonics: int) -> FourierSeriesCoeffs:

@@ -118,15 +118,17 @@ def signed_frequency(k, n):
 
 
 def pt_dft_direct(x, alpha):
-    """O(N^2) constant phase transform: e^{-j alpha sign(f)} on the DFT bins,
-    cos(alpha) on the DC bin and the Nyquist bin of an even length."""
+    """O(N^2) phase transform: e^{-j alpha_|f| sign(f)} on the DFT bins,
+    cos(alpha_0) on the DC bin and cos(alpha_{N/2}) on the Nyquist bin of an
+    even length; alpha is one phase, or one per bin 0..N//2."""
     x = np.asarray(x, dtype=float)
     n = x.size
     freqs = np.array([signed_frequency(k, n) for k in range(n)])
-    mask = np.exp(-1j * alpha * np.sign(freqs))
-    mask[freqs == 0] = np.cos(alpha)
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n // 2 + 1,))[np.abs(freqs)]
+    mask = np.exp(-1j * alphas * np.sign(freqs))
+    mask[freqs == 0] = np.cos(alphas[freqs == 0])
     if n % 2 == 0:
-        mask[n // 2] = np.cos(alpha)
+        mask[n // 2] = np.cos(alphas[n // 2])
     return idft_direct(dft_direct(x) * mask).real
 
 

@@ -117,6 +117,28 @@ class TestFracDelayDct:
         assert np.max(np.abs(out - want)) < 1e-9
 
 
+@pytest.mark.parametrize("delay, transform, periods_of_n, n_delays", [
+    (pk.frac_delay_dft, pk.pt_dft, 1, lambda n: n // 2),
+    (pk.frac_delay_dct, pk.pt_dct, 2, lambda n: n - 1)], ids=["dft", "dct"])
+@pytest.mark.parametrize("periods", [10 ** 6, -10 ** 6, 3])
+def test_far_delay_equals_its_reduction_bit_for_bit(delay, transform, periods_of_n, n_delays,
+                                                    periods):
+    # moved by whole periods L (N on the DFT basis, 2N on the DCT basis), a
+    # delay gives the same phases modulo 2 pi; each delay is reduced into its
+    # period before the phases are formed, so none of its digits is lost
+    n = 1000
+    period = periods_of_n * n
+    rng = np.random.default_rng(periods % 7)
+    x = rng.standard_normal(n)
+    far = delay(x, 0.25 + periods * period).samples
+    assert np.array_equal(far.view(np.int64), delay(x, 0.25).samples.view(np.int64))
+    near = rng.integers(-12, 13, n_delays(n)) / 4  # quarters: exact after the offset
+    offsets = np.sign(periods) * rng.integers(1, abs(periods) + 1, near.size) * period
+    far = transform(x, pk.PhaseProfile.delay(near + offsets)).samples
+    want = transform(x, pk.PhaseProfile.delay(near)).samples
+    assert np.array_equal(far.view(np.int64), want.view(np.int64))
+
+
 class TestFracDifferintegrate:
     def test_zero_order_is_identity(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,8 @@
 """The kernel route: a constant phase or a scalar delay on a length with a
 large prime factor runs as one power-of-two convolution with a closed-form
-periodic kernel (phasekit.spectral._closed_form)."""
+periodic kernel, in the one core of every 1-D phase transform
+(phasekit.phase._shift); a per-bin profile on such a length keeps the
+N-point gain."""
 import warnings
 
 import numpy as np
@@ -70,6 +72,9 @@ def test_dft_basis_against_the_oracles(n):
     x = np.random.default_rng(n).standard_normal(n)
     got = pk.pt_dft(x, pk.PhaseProfile.constant(0.9)).samples
     assert np.max(np.abs(got - pt_dft_direct(x, 0.9))) < 1e-12
+    alphas = np.random.default_rng(n + 3).uniform(-np.pi, np.pi, n // 2 + 1)
+    got = pk.pt_dft(x, pk.PhaseProfile.per_bin(alphas)).samples  # the N-point gain
+    assert np.max(np.abs(got - pt_dft_direct(x, alphas))) < 1e-12
     hilbert = circular_convolve(x, two_sided_kernel(n, lambda k: -1j * np.sign(k)))
     assert np.max(np.abs(pk.hilbert(x).samples - hilbert)) < 1e-10
     delayed = circular_convolve(x, two_sided_kernel(n, lambda k: np.exp(-2j * np.pi * k * 0.37 / n)))
@@ -82,6 +87,9 @@ def test_dct_basis_against_the_oracles(n):
     assert np.max(np.abs(pk.fcqt(x).samples - fcqt_direct(x))) < 1e-9
     got = pk.pt_dct(x, pk.PhaseProfile.constant(0.9)).samples
     assert np.max(np.abs(got - pt_dct_direct(x, np.full(n, 0.9)))) < 1e-10
+    alphas = np.random.default_rng(n + 4).uniform(-np.pi, np.pi, n)
+    got = pk.pt_dct(x, pk.PhaseProfile.per_bin(alphas)).samples  # the N-point gain
+    assert np.max(np.abs(got - pt_dct_direct(x, alphas))) < 1e-10
     ramp = np.pi * np.arange(n) * 0.37 / n
     assert np.max(np.abs(pk.frac_delay_dct(x, 0.37).samples - pt_dct_direct(x, ramp))) < 1e-10
 

@@ -144,7 +144,7 @@ class TestHilbert:
         assert np.all(np.fft.rfft(x)[1:] == 0)
         assert np.all(pk.hilbert(x).samples == 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 9, 64, 101])
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 101, 4099])  # 4099: the kernel route
     def test_equals_analytic_signal_imag_bit_for_bit(self, n):
         x = np.random.default_rng(n).standard_normal(n)
         assert np.array_equal(pk.hilbert(x).samples, pk.analytic_signal(x).imag)
