@@ -12,13 +12,13 @@ a constant phase or a scalar delay is one power-of-two convolution with a
 closed-form kernel), per-bin phase files for both, and the benchmark's
 hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
 ``--alpha-sweep``) and ``delay`` on both bases, both also on the float32 WAV
-(whose output is rich in 17th-digit ties), a delay of 600,200,000.25 samples
-(0.25 plus whole periods of the small CSV on both bases), ``pt --alpha``,
-``--alpha-per-bin``, ``--alpha-sweep`` and ``delay`` on both bases and
-``differint`` on the prime-length CSV, ``differint``, ``wpt``,
-``image-pt --preview``, ``synth``, ``repro 1``-``5`` and the hostile inputs
-(a truncated, a stereo and an 8-bit WAV, an overflowing CSV, a missing file,
-a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
+(whose output is rich in 17th-digit ties), delays of 600,200,000.25 and of
+2^52 samples (0.25 and -80 plus whole periods of the small CSV on both
+bases), ``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
+``delay`` on both bases and ``differint`` on the prime-length CSV,
+``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
+and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
+overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
 exists (an output file, and ``--version``'s standard output), and under a
 file-size limit where the platform has one.
 
@@ -57,6 +57,7 @@ REPO = Path(__file__).resolve().parents[1]
 SMALL_N = 3001  # odd, and below both of the writer's and reader's split thresholds
 PRIME_N = 65537  # prime and above 4096: the closed-form kernel route
 FAR_DELAY = "600200000.25"  # 0.25 + 200,000 x 3,001 = 0.25 + 100,000 x 6,002
+DELAY_2P52 = "4503599627370496"  # 2^52 = -80 plus whole periods of 3,001 and of 6,002
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,6 +126,7 @@ def matrix() -> list[Case]:
             Case(f"delay-record-{basis}", ["delay", "{in}/record.csv", "--samples", delay, *b]),
             Case(f"delay-small-{basis}", ["delay", "{in}/small.csv", "--samples", delay, *b]),
             Case(f"delay-far-{basis}", ["delay", "{in}/small.csv", "--samples", FAR_DELAY, *b]),
+            Case(f"delay-2p52-{basis}", ["delay", "{in}/small.csv", "--samples", DELAY_2P52, *b]),
             Case(f"overflow-{basis}", ["pt", "{in}/overflow.csv", "--alpha", "0.5", *b]),
             Case(f"pt-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha", alpha, *b]),
             Case(f"pt-per-bin-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-per-bin",

@@ -215,7 +215,6 @@ def _add_common_io(sub):
     sub.add_argument("input", help="input CSV (t,value columns) or mono WAV")
     sub.add_argument("-o", "--output", help="output file (default: derived name "
                      "in $PHASEKIT_OUTDIR or the working directory)")
-    sub.add_argument("--config", help="key=value file supplying flag defaults")
 
 
 def build_parser() -> _Parser:
@@ -225,7 +224,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"phasekit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    pt = commands.add_parser("pt", help="phase-shift a signal", parents=[])
+    pt = commands.add_parser("pt", help="phase-shift a signal")
     _add_common_io(pt)
     pt.add_argument("--alpha", type=float, help="constant phase shift (radians)")
     pt.add_argument("--alpha-per-bin", help="CSV file of per-bin phases")
@@ -261,7 +260,6 @@ def build_parser() -> _Parser:
     image_pt = commands.add_parser("image-pt", help="2-D phase transform of an image")
     image_pt.add_argument("input", help="input PGM (binary P5) or CSV grid")
     image_pt.add_argument("-o", "--output", help="output CSV grid")
-    image_pt.add_argument("--config", help="key=value file supplying flag defaults")
     image_pt.add_argument("--alpha", type=float, required=True)
     image_pt.add_argument("--preview", help="also write a rescaled PGM preview here")
     image_pt.set_defaults(func=cmd_image_pt)
@@ -269,7 +267,6 @@ def build_parser() -> _Parser:
     synth = commands.add_parser("synth", help="synthesize a test signal "
                                 "(plain series, AM, or PM)")
     synth.add_argument("-o", "--output")
-    synth.add_argument("--config", help="key=value file supplying flag defaults")
     synth.add_argument("--case", choices=("fourier", "am", "pm"), default="fourier")
     synth.add_argument("--carrier-freq", type=float, default=10.0)
     synth.add_argument("--amplitude", type=float, default=1.0)
@@ -286,9 +283,9 @@ def build_parser() -> _Parser:
     rep.add_argument("example", type=int, choices=(1, 2, 3, 4, 5))
     rep.add_argument("--outdir", help="artifact directory (default: "
                      "$PHASEKIT_OUTDIR or the working directory)")
-    rep.add_argument("--config", help="key=value file supplying flag defaults")
     rep.set_defaults(func=cmd_repro)
     for command in commands.choices.values():
+        command.add_argument("--config", help="key=value file supplying flag defaults")
         command.set_defaults(parser=command)  # whose flags --config may set
     return parser
 

@@ -10,10 +10,10 @@ Every 1-D phase transform, the Hilbert transform, the cosine quadrature and
 the fractional delays included, is one call into one core, :func:`_shift`,
 the one place that decides how a profile runs.  On the N-point routes a
 constant profile equals its per-bin equivalent bit for bit.  On a length
-with a large prime factor (see :func:`phasekit.spectral._kernel_route`), a
-constant or scalar-delay profile is instead one convolution with a
-closed-form periodic kernel, and agrees with the per-bin profile to
-round-off.
+with a large prime factor (see :func:`_kernel_route`), a constant or
+scalar-delay profile is instead one convolution with a closed-form periodic
+kernel, and agrees with the per-bin profile to round-off.  Both routes
+reduce a delay exactly into its period with :func:`_reduce`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Signal, _dct2, _dct3_pair, _delay_kernel, _kernel_route, _periodic_convolve,
+from .spectral import (Signal, _dct2, _dct3_pair, _delay_kernel, _periodic_convolve,
                        _quadrature_kernel, _require_finite, apply_gain, as_signal)
 
 
@@ -76,10 +76,8 @@ class PhaseProfile:
         ``basis="dct"``; a constant profile returns its float, which
         broadcasts over those bins.
 
-        A delay with L/2 < |n_k| < 2^52 is first reduced, exactly, to
-        n_k - L round(n_k / L) with L = N (DFT) or 2N (DCT), its period, so a
-        far delay keeps the digits of its fraction.  From 2^52 on that is not
-        exact, and a delay's phases are formed (and may overflow) as given.
+        A delay is first reduced exactly into its period, L = N (DFT) or 2N
+        (DCT), by :func:`_reduce`, so its phases cannot overflow.
         """
         if basis == "dft":
             n_bins, scale, period = n // 2 + 1, 2.0 * np.pi, n
@@ -103,9 +101,15 @@ class PhaseProfile:
         else:
             raise ValueError(
                 f"delay profile needs 1 or {n_bins - 1} values, got {self.value.size}")
-        far = (np.abs(delays) > period / 2) & (np.abs(delays) < 2.0 ** 52)
-        delays = np.where(far, delays - period * np.round(delays / period), delays)
-        return scale * np.arange(n_bins) / n * delays
+        return scale * np.arange(n_bins) / n * _reduce(delays, period)
+
+
+def _reduce(delay, period: int):
+    """A delay d (scalar or array) moved by whole periods L into [-L/2, L/2],
+    the same shift of the L-periodic extension.  Exact for every finite d:
+    fmod is exact, and so is the one subtraction of +-L after it (Sterbenz)."""
+    delay = np.fmod(delay, period)
+    return np.where(np.abs(delay) > period / 2, delay - np.sign(delay) * period, delay)[()]
 
 
 def pt_kernel(alpha: float, n: int) -> Signal:
@@ -136,24 +140,46 @@ def pt_kernel(alpha: float, n: int) -> Signal:
     return Signal(kernel)
 
 
+def _kernel_route(n: int) -> bool:
+    """Whether :func:`_shift` runs a constant phase or a scalar delay on N
+    samples as one convolution instead of an N-point pair.
+
+    True when N's largest prime factor p has p^2 > N, which is when pocketfft
+    considers Bluestein's chirp-z for an N-point transform (and numpy plans
+    it anew on every call), and N >= 4096: below that both routes take under
+    about 1 ms.  Not cached: 0.1 ms at N = 1,000,003, far below any transform.
+    """
+    if n < 4096:
+        return False
+    rest, factor = n, 2
+    while factor * factor <= rest:
+        while rest % factor == 0:
+            rest //= factor
+        factor += 1
+    # rest is N's largest prime factor, or 1 when that factor was divided
+    # out above, which makes it at most sqrt(N)
+    return rest * rest > n
+
+
 def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     """The one core of every 1-D phase transform: the gain
     e^{-j alpha_k} = cos alpha_k - j sin alpha_k on the positive frequencies
     of ``signal`` on ``basis`` "dft" or "dct".  ``profile=None`` is the
     exact quadrature -j: cos and sin are exactly 0.0 and 1.0.
 
-    On a length that :func:`phasekit.spectral._kernel_route` selects, a
-    scalar profile (a constant, the quadrature or a scalar delay) is one
-    convolution with a closed-form kernel of period L = N (DFT) or 2N (DCT,
-    the extension [x, x reversed]): cos x + sin (h_L * x) with the discrete
-    Hilbert kernel, which is zero on DC and Nyquist as the N-point route's
-    quadrature is, or the periodic sinc of a delay.  Every other profile and
-    length takes the N-point gain: apply_gain(x, e^{-j alpha}) on the DFT
-    basis, and on the DCT basis the DCT-2 bins X resynthesized as X cos on
-    the cosine basis and X sin on the sine basis in one inverse, each formed
-    after the DCT-2 and freed before the next (another allocation order left
-    perfbench's reference task thousands of page faults apart).  A
-    non-finite result raises FloatingPointError.
+    On a length that :func:`_kernel_route` selects, a scalar profile (a
+    constant, the quadrature or a scalar delay) is one convolution with a
+    closed-form kernel of period L = N (DFT) or 2N (DCT, the extension
+    [x, x reversed]): cos x + sin (h_L * x) with the discrete Hilbert kernel,
+    which is zero on DC and Nyquist as the N-point route's quadrature is, or
+    the periodic sinc of the delay as :func:`_reduce` leaves it, as on the
+    N-point route.  Every other profile and length takes the N-point gain:
+    apply_gain(x, e^{-j alpha}) on the DFT basis, and on the DCT basis the
+    DCT-2 bins X resynthesized as X cos on the cosine basis and X sin on the
+    sine basis in one inverse, each formed after the DCT-2 and freed before
+    the next (another allocation order left perfbench's reference task
+    thousands of page faults apart).  A non-finite result raises
+    FloatingPointError.
     """
     sig = as_signal(signal)
     x, n = sig.samples, len(sig)
@@ -164,7 +190,7 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
         profile is None or (profile.kind != "per_bin" and np.size(profile.value) == 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         if route and profile is not None and profile.kind == "delay":
-            out = _periodic_convolve(x, _delay_kernel(period, profile.value[0]))
+            out = _periodic_convolve(x, _delay_kernel(period, _reduce(profile.value[0], period)))
         elif route:
             cos, sin = ((0.0, 1.0) if profile is None
                         else (np.cos(profile.value), np.sin(profile.value)))

@@ -18,12 +18,10 @@ DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
 and every inverse, the phase transforms included, is one complex ``ifft``
 that carries two real DCT-3s at once (see :func:`_dct3_pair`).
 
-On a length whose largest prime factor p has p^2 > N (and N >= 4096, see
-:func:`_kernel_route`), an N-point transform runs on Bluestein's chirp-z
-convolution.  There a constant phase or a scalar delay is instead one real
-convolution at a power of two (:func:`_periodic_convolve`) with the discrete
-Hilbert kernel or the periodic sinc in closed form, which
-:func:`phasekit.phase._shift` chooses.
+A constant phase or a scalar delay can instead run as one real convolution
+at a power of two (:func:`_periodic_convolve`) with the discrete Hilbert
+kernel or the periodic sinc in closed form, where numpy.fft would run
+Bluestein's chirp-z; :mod:`phasekit.phase` picks that route.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -362,28 +360,6 @@ def apply_gain(x, gain) -> np.ndarray:
     return _require_finite(out, "spectral gain")
 
 
-@functools.lru_cache(maxsize=64)
-def _kernel_route(n: int) -> bool:
-    """Whether :func:`phasekit.phase._shift` runs a constant phase or a scalar
-    delay on N samples as one convolution instead of an N-point pair.
-
-    True when N's largest prime factor p has p^2 > N, which is when pocketfft
-    considers Bluestein's chirp-z for an N-point transform (and numpy plans
-    it anew on every call), and N >= 4096: below that both routes take under
-    about 1 ms.
-    """
-    if n < 4096:
-        return False
-    rest, factor = n, 2
-    while factor * factor <= rest:
-        while rest % factor == 0:
-            rest //= factor
-        factor += 1
-    # rest is N's largest prime factor, or 1 when that factor was divided
-    # out above, which makes it at most sqrt(N)
-    return rest * rest > n
-
-
 def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """y[n] = sum_q x[q] kernel[(n - q) mod L] for n < N, with L = N or 2N;
     for L = 2N, x continues as x reversed, which adds sum_q x[q] kernel[n + q + 1].
@@ -450,6 +426,7 @@ def _delay_kernel(period: int, delay: float) -> np.ndarray:
     u = j - r, j in (-L/2, L/2], and rotated by k; its numerator is
     -(-1)^j sin(pi r), never a sine of a large argument.  An integer delay
     (r = 0) is the limit 1 at u = 0 and 0 elsewhere: an exact shift.
+    It is exact for any finite d; its caller passes d reduced into [-L/2, L/2].
     """
     shift = round(float(delay))
     frac = delay - shift

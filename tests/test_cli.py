@@ -345,17 +345,24 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("basis", ["dft", "dct"])
-    def test_huge_delay_exits_4_without_warning(self, gauss_csv, tmp_path, basis):
-        # the phases 2 pi k n0 / N overflow although the delay is finite
-        out = tmp_path / "out.csv"
-        proc = subprocess.run([sys.executable, "-m", "phasekit", "delay", str(gauss_csv),
-                               "--samples", "1e308", "--basis", basis, "-o", str(out)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 4
-        assert "numeric failure" in proc.stderr
-        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-        assert not out.exists()
+    @pytest.mark.parametrize("basis, period", [("dft", 100), ("dct", 200)], ids=["dft", "dct"])
+    def test_huge_delay_is_its_reduction(self, gauss_csv, tmp_path, basis, period):
+        # a finite delay is no numeric failure: 1e308 samples is the shift by
+        # int(1e308) mod L of the L-periodic extension, reduced into [-L/2, L/2]
+        reduced = int(1e308) % period
+        if reduced > period / 2:
+            reduced -= period
+        rows = {}
+        for samples in ("1e308", str(reduced)):
+            out = tmp_path / f"{samples}.csv"
+            proc = subprocess.run([sys.executable, "-m", "phasekit", "delay", str(gauss_csv),
+                                   "--samples", samples, "--basis", basis, "-o", str(out)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stderr == ""
+            lines = out.read_bytes().splitlines()
+            assert sum(line.startswith(b"# samples = ") for line in lines) == 1
+            rows[samples] = [line for line in lines if not line.startswith(b"# samples = ")]
+        assert rows["1e308"] == rows[str(reduced)]
 
     @pytest.mark.parametrize("command", [["pt", "--alpha", "0.5", "--basis", "dct"],
                                          ["pt", "--alpha-sweep", "0:0.5:3", "--basis", "dct"],

@@ -139,6 +139,40 @@ def test_far_delay_equals_its_reduction_bit_for_bit(delay, transform, periods_of
     assert np.array_equal(far.view(np.int64), want.view(np.int64))
 
 
+def reduced_delay(delay: float, period: int) -> int:
+    """An integral delay moved by whole periods into [-L/2, L/2], keeping the
+    sign of its remainder, in integer arithmetic."""
+    rest = abs(int(delay)) % period * (1 if delay > 0 else -1)
+    if abs(rest) > period / 2:
+        rest -= period * (1 if rest > 0 else -1)
+    return rest
+
+
+@pytest.mark.parametrize("delay, transform, periods_of_n, n_delays", [
+    (pk.frac_delay_dft, pk.pt_dft, 1, lambda n: n // 2),
+    (pk.frac_delay_dct, pk.pt_dct, 2, lambda n: n - 1)], ids=["dft", "dct"])
+@pytest.mark.parametrize("n, per_bin", [(1000, True), (4096, True), (4099, False)],
+                         ids=["1000", "4096", "4099-kernel-route"])
+@pytest.mark.parametrize("far", [2.0 ** 52, 2.0 ** 52 + 2, 2.0 ** 60, 1e308, -1e308])
+def test_delay_from_2p52_is_the_exact_shift(delay, transform, periods_of_n, n_delays, n,
+                                            per_bin, far):
+    # every finite delay, however far, is reduced exactly into its period L
+    # (N on the DFT basis, 2N on the DCT basis) on both routes: the output is
+    # that of the reduced delay, bit for bit, and the circular shift of the
+    # L-periodic extension (on the DCT basis, [x, x reversed])
+    period = periods_of_n * n
+    reduced = reduced_delay(far, period)
+    x = np.random.default_rng(n).standard_normal(n)
+    shifted = np.roll(x if periods_of_n == 1 else np.concatenate([x, x[::-1]]), reduced)[:n]
+    outputs = [(delay(x, far).samples, delay(x, float(reduced)).samples)]
+    if per_bin:  # the N-point route's per-bin delays
+        outputs.append(tuple(transform(x, pk.PhaseProfile.delay(np.full(n_delays(n), d))).samples
+                             for d in (far, float(reduced))))
+    for out, want in outputs:
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.max(np.abs(out - shifted)) <= 1e-12 * np.max(np.abs(x))
+
+
 class TestFracDifferintegrate:
     def test_zero_order_is_identity(self):
         rng = np.random.default_rng(5)

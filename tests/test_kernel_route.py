@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import phasekit as pk
-from phasekit.spectral import _delay_kernel, _kernel_route, _quadrature_kernel
+from phasekit.phase import _kernel_route
+from phasekit.spectral import _delay_kernel, _quadrature_kernel
 from oracles import circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direct
 
 # a prime, a prime whose double-length DCT extension is 2 x prime, and an even
