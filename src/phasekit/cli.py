@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import errno
 import os
 import sys
 import warnings
@@ -87,11 +86,7 @@ def _header(args, **params) -> dict:
 
 
 def _write(path, write, *args):
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:  # exist_ok forgives only a directory
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path.parent))
+    pkio._make_dirs(Path(path).parent)
     write(path, *args)
 
 

@@ -8,9 +8,9 @@ Nyquist rows/columns of even dimensions, whose frequency sign is ambiguous,
 are scaled by cos(alpha), like the DC and Nyquist bins of the 1-D transform.
 
 The mask is Hermitian (line bins are real, every other bin pairs e^{-j alpha}
-with e^{j alpha} on its mirror), so the transform of a real image is real
-and runs through :func:`phasekit.spectral.apply_gain` on the half spectrum
-of a real-input 2-D FFT, like every 1-D gain in the package.
+with e^{j alpha} on its mirror), so a real image's transform is real and runs,
+like every 1-D gain, through :func:`phasekit.spectral.apply_gain` on the half
+spectrum of a real-input 2-D FFT.  :func:`analytic2d` takes the pair (0, 1).
 """
 from __future__ import annotations
 
@@ -40,15 +40,16 @@ def _signed_bin_sums(rows: int, cols: int, n_cols: int | None = None):
     return total, on_line
 
 
-def _mask_values(rows: int, cols: int, alpha: float, n_cols: int) -> np.ndarray:
-    """The first ``n_cols`` columns of the rows x cols half-plane mask."""
+def _mask_values(rows: int, cols: int, alpha: float | None, n_cols: int) -> np.ndarray:
+    """Columns 0..n_cols-1 of the half-plane mask of (cos alpha, sin alpha), or (0, 1) for None."""
     if rows < 1 or cols < 1:
         raise ValueError("mask dimensions must be >= 1")
-    if not np.isfinite(alpha):
+    if alpha is not None and not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
+    cos, sin = (0.0, 1.0) if alpha is None else (np.cos(alpha), np.sin(alpha))
     total, on_line = _signed_bin_sums(rows, cols, n_cols)
-    values = np.where(total > 0, np.exp(-1j * alpha), np.exp(1j * alpha))
-    values[on_line] = np.cos(alpha)
+    values = np.where(total > 0, complex(cos, -sin), complex(cos, sin))
+    values[on_line] = cos
     return values
 
 
@@ -67,9 +68,9 @@ def pt2d(image, alpha: float) -> Image:
     """Phase transform of a real image.
 
     Returns Re(idft2d(dft2d(g) * H)) with H the half-plane mask, which for
-    any alpha equals cos(alpha) g + sin(alpha) pt2d(g, pi/2).  Only the
-    columns 0..cols//2 of H that a real-input 2-D FFT keeps are built, and
-    they are applied through :func:`phasekit.spectral.apply_gain`.
+    any alpha equals cos(alpha) g + sin(alpha) Im analytic2d(g) to round-off.
+    Only the columns 0..cols//2 of H that a real-input 2-D FFT keeps are
+    built, and they are applied through :func:`phasekit.spectral.apply_gain`.
 
     Raises
     ------
@@ -82,13 +83,14 @@ def pt2d(image, alpha: float) -> Image:
 
 
 def analytic2d(image) -> np.ndarray:
-    """2-D analytic signal g + j pt2d(g, pi/2).
+    """2-D analytic signal g + j q, q the quadrature of the exact pair (0, 1).
 
     The spectrum of the result vanishes on bins with Omega_1 + Omega_2 < 0;
-    line bins keep their original value, mirroring the 1-D DC treatment.
+    line bins keep their original value (q is exactly 0 there), as DC does in 1-D.
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
-    return img.pixels + 1j * pt2d(img, np.pi / 2.0).pixels
+    half = _mask_values(img.rows, img.cols, None, img.cols // 2 + 1)
+    return img.pixels + 1j * apply_gain(img.pixels, half)
 
 
 def kernel2d_closed_form(m: int, n: int) -> float:

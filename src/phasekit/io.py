@@ -31,6 +31,7 @@ same stream as its ASCII rows.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import itertools
 import math
@@ -47,6 +48,12 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import Image, Signal
+
+
+def _make_dirs(directory) -> None:
+    if os.path.lexists(directory) and not os.path.isdir(directory):  # mkdir says "File exists"
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(directory))
+    Path(directory).mkdir(parents=True, exist_ok=True)
 
 
 @contextlib.contextmanager

@@ -180,7 +180,7 @@ def run_example(number: int, outdir, header: dict) -> dict:
     if number not in _RUNNERS:
         raise ValueError(f"example number must be 1..5, got {number}")
     directory = Path(outdir) / f"example{number}"
-    directory.mkdir(parents=True, exist_ok=True)
+    pkio._make_dirs(directory)
     metrics = _RUNNERS[number](directory, header)
     with pkio.output_file(directory / "summary.json") as fh:
         fh.write((json.dumps(metrics, indent=2, sort_keys=True) + "\n").encode())

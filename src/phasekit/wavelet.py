@@ -114,7 +114,6 @@ class ScaleGrid:
     """Logarithmically spaced analysis scales."""
 
     scales: np.ndarray
-    voices_per_octave: int
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float)
@@ -122,8 +121,6 @@ class ScaleGrid:
             raise ValueError("need at least two scales")
         if np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
             raise ValueError("scales must be positive and strictly increasing")
-        if self.voices_per_octave < 1:
-            raise ValueError("voices_per_octave must be >= 1")
         object.__setattr__(self, "scales", scales)
 
     @classmethod
@@ -147,7 +144,7 @@ class ScaleGrid:
             raise ValueError(f"scale grid would exceed {MAX_SCALES} scales")
         count = int(np.ceil(n_octaves * voices_per_octave)) + 1
         scales = s_min * 2.0 ** (np.arange(count) / voices_per_octave)
-        return cls(scales, voices_per_octave)
+        return cls(scales)
 
     def log_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over ln(s)."""
@@ -344,7 +341,7 @@ def wpt(signal, alpha: float, grid: ScaleGrid | None = None,
         spec: MorseWavelet | None = None) -> Signal:
     """Wavelet phase transform: rotate coefficients by e^{-j alpha}, invert.
 
-    Equal to cos(alpha) wpt(x, 0) + sin(alpha) wpt(x, pi/2) exactly, since
+    Equal to cos(alpha) wpt(x, 0) + sin(alpha) wqt(x) to round-off, since
     the rotation commutes with the linear reconstruction sum.
     """
     if not np.isfinite(alpha):
@@ -356,5 +353,6 @@ def wpt(signal, alpha: float, grid: ScaleGrid | None = None,
 
 def wqt(signal, grid: ScaleGrid | None = None,
         spec: MorseWavelet | None = None) -> Signal:
-    """Wavelet quadrature transform: the alpha = pi/2 phase transform."""
-    return wpt(signal, np.pi / 2.0, grid, spec)
+    """Wavelet quadrature transform: exactly Im :func:`wavelet_analytic_signal`."""
+    sig = as_signal(signal)
+    return Signal(wavelet_analytic_signal(sig, grid, spec).imag, sig.sample_rate)

@@ -591,6 +591,14 @@ class TestErrorPaths:
                                            f"{os.strerror(errno.ENOTDIR)}: '{parent}'\n")
         assert parent.read_text() == "kept\n"
 
+    def test_repro_under_a_regular_file_is_not_a_directory(self, tmp_path, capsys):
+        example = tmp_path / "example1"
+        example.write_text("kept\n")
+        assert main(["repro", "1", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"phasekit: i/o error: [Errno {errno.ENOTDIR}] "
+                                           f"{os.strerror(errno.ENOTDIR)}: '{example}'\n")
+        assert example.read_text() == "kept\n"
+
     @pytest.mark.parametrize("voices", ["0", "-2"])
     def test_non_positive_voices_is_one_line_argument_error(self, gauss_csv, tmp_path, voices):
         out = tmp_path / "x.csv"

@@ -139,6 +139,12 @@ class TestAnalytic2d:
         quad = pk.pt2d(img, np.pi / 2).pixels
         assert np.max(np.abs(z.imag - quad)) < 1e-10
 
+    def test_constant_image_has_exactly_zero_quadrature(self):
+        # the DC bin lies on the line, where the exact quadrature mask is 0
+        z = pk.analytic2d(np.full((8, 8), 1.5))
+        assert np.all(z.imag == 0.0)
+        assert np.all(z.real == 1.5)
+
 
 class TestKernel2dClosedForm:
     def test_pinned_values(self):

@@ -418,7 +418,7 @@ class TestDomainTypes:
 
 def _aliased_grid():
     spec = pk.MorseWavelet()
-    return pk.ScaleGrid(np.array([0.1, 1.0, 10.0]) * spec.peak_omega / np.pi, 1), spec
+    return pk.ScaleGrid(np.array([0.1, 1.0, 10.0]) * spec.peak_omega / np.pi), spec
 
 
 def _uncovered_trend():

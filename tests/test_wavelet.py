@@ -83,11 +83,9 @@ class TestScaleGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pk.ScaleGrid(np.array([1.0]), 10)
+            pk.ScaleGrid(np.array([1.0]))
         with pytest.raises(ValueError):
-            pk.ScaleGrid(np.array([2.0, 1.0]), 10)
-        with pytest.raises(ValueError):
-            pk.ScaleGrid(np.array([1.0, 2.0]), 0)
+            pk.ScaleGrid(np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize("voices", [10 ** 12, 10 ** 400])
     def test_default_caps_the_scale_count(self, voices):
@@ -120,7 +118,7 @@ class TestAwt:
 
     @pytest.mark.parametrize("rows", [0, 2, 4])
     def test_scalogram_rows_must_match_the_grid(self, rows):
-        grid = pk.ScaleGrid(np.array([1.0, 2.0, 4.0]), 1)
+        grid = pk.ScaleGrid(np.array([1.0, 2.0, 4.0]))
         with pytest.raises(ValueError, match="coefficient rows must match the scale grid"):
             pk.Scalogram(np.zeros((rows, 8), complex), grid, pk.MorseWavelet(), 1.0)
 
@@ -138,7 +136,7 @@ class TestAwt:
         digital = 2 * np.pi * 1.0 / tone.sample_rate  # 1 Hz tone
         # the energy-weighted peak scale maps the tone onto the wavelet peak,
         # within a voice step of the sqrt(s)-weighted optimum
-        voice_step = np.log(2.0) / grid.voices_per_octave
+        voice_step = np.log(grid.scales[1] / grid.scales[0])
         assert abs(np.log(s_star * digital) - np.log(spec.peak_omega)) < 2 * voice_step
 
     def test_is_linear(self):
@@ -157,7 +155,7 @@ class TestAwt:
         x = 3.0 * np.random.default_rng(n).standard_normal(n)
         spec = pk.MorseWavelet()
         grid = (pk.ScaleGrid.default(n, spec) if n > 4
-                else pk.ScaleGrid(np.array([0.7, 1.4, 2.8]), 1))
+                else pk.ScaleGrid(np.array([0.7, 1.4, 2.8])))
         got = pk.awt(x, grid, spec).coeffs
         want = awt_direct(x, grid.scales, spec.beta, spec.gamma)
         assert np.max(np.abs(want)) > 0.1 or n == 1
@@ -173,7 +171,7 @@ class TestAwt:
         spec = pk.MorseWavelet()
         scales = np.array([0.1, 1.0, 10.0]) * spec.peak_omega / np.pi
         with pytest.warns(RuntimeWarning, match="Nyquist"):
-            pk.awt(pk.Signal(np.ones(64)), pk.ScaleGrid(scales, 1), spec)
+            pk.awt(pk.Signal(np.ones(64)), pk.ScaleGrid(scales), spec)
 
 
 class TestCpsiDelta:
@@ -236,7 +234,7 @@ class TestSingleMultiplier:
     def test_one_sample_gives_zeros(self):
         # one sample reflects to a constant of three, which has no content
         # at the wavelet's positive frequencies
-        grid = pk.ScaleGrid(np.array([2.0, 4.0]), 10)
+        grid = pk.ScaleGrid(np.array([2.0, 4.0]))
         coeffs = pk.awt(np.array([1.5]), grid).coeffs
         assert coeffs.shape == (2, 1) and np.all(coeffs == 0)
         with pytest.warns(RuntimeWarning, match="residual"):
@@ -381,6 +379,14 @@ class TestWpt:
         a = pk.wqt(tone)
         b = pk.wpt(tone, np.pi / 2)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-14
+
+    @pytest.mark.parametrize("voices", [None, 4])
+    def test_wqt_is_exactly_the_analytic_imaginary_part(self, tone, voices):
+        # bit for bit, with the default grid and with a grid passed in
+        spec = pk.MorseWavelet()
+        grid = None if voices is None else pk.ScaleGrid.default(len(tone), spec, voices)
+        want = pk.wavelet_analytic_signal(tone, grid).imag
+        assert pk.wqt(tone, grid).samples.tobytes() == want.tobytes()
 
     def test_midband_tones_match_hilbert(self):
         fs, n = 200.0, 2000
