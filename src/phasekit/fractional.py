@@ -116,13 +116,16 @@ def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
     n = x.size
 
     gain = np.zeros(n // 2 + 1, dtype=complex)
-    k = np.arange(1, n // 2 + 1)
     # an overflowing scale, gain or mean term is reported by _require_finite,
     # not by numpy warnings or an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         scale = (np.float64(sig.sample_rate) ** mu
                  if order.scaling is KernelScaling.PHYSICAL else 1.0)
-        gain[1:] = (2.0 * np.pi * k / n) ** mu * np.exp(1j * mu * np.pi / 2.0) * scale
+        omega = np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
+        omega /= n
+        omega **= mu
+        gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
+        gain[1:] *= scale
     out = apply_gain(x, _require_finite(gain, "differintegration"))
 
     if include_dc_term:

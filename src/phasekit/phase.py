@@ -165,7 +165,7 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     """The one core of every 1-D phase transform: the gain
     e^{-j alpha_k} = cos alpha_k - j sin alpha_k on the positive frequencies
     of ``signal`` on ``basis`` "dft" or "dct", every route reading the one
-    pair (cos alpha_k, sin alpha_k), exactly (0.0, 1.0) for ``profile=None``.
+    complex array pair = cos alpha_k + j sin alpha_k, exactly 1j for ``profile=None``.
 
     On a length that :func:`_kernel_route` selects, a scalar profile (a
     constant, the quadrature or a scalar delay) is one convolution with a
@@ -174,9 +174,9 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     which is zero on DC and Nyquist as the N-point route's quadrature is, or
     the periodic sinc of the delay as :func:`_reduce` leaves it, as on the
     N-point route.  Every other profile and length takes the N-point gain:
-    apply_gain(x, cos - j sin) on the DFT basis, and on the DCT basis the
-    DCT-2 bins X resynthesized as X cos on the cosine basis and X sin on the
-    sine basis in one inverse.  A non-finite result raises FloatingPointError.
+    apply_gain(x, conj(pair)) on the DFT basis, and on the DCT basis the DCT-2
+    bins X resynthesized from X pair in one inverse, X cos on the cosine
+    basis and X sin on the sine.  A non-finite result raises FloatingPointError.
     """
     sig = as_signal(signal)
     x, n = sig.samples, len(sig)
@@ -186,22 +186,23 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     route = _kernel_route(n) and (
         profile is None or (profile.kind != "per_bin" and np.size(profile.value) == 1))
     if profile is None:
-        cos, sin = 0.0, 1.0
+        pair = np.array(1j)
     elif not (route and profile.kind == "delay"):
         alphas = profile.bin_phases(n, basis)
-        cos, sin = np.cos(alphas), np.sin(alphas)
+        pair = np.empty(np.shape(alphas), dtype=complex)
+        np.cos(alphas, out=pair.real)
+        np.sin(alphas, out=pair.imag)
+        del alphas
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         if route and profile is not None and profile.kind == "delay":
             out = _periodic_convolve(x, _delay_kernel(period, _reduce(profile.value[0], period)))
         elif route:
-            out = cos * x + sin * _periodic_convolve(x, _quadrature_kernel(period))
+            out = pair.real * x + pair.imag * _periodic_convolve(x, _quadrature_kernel(period))
         elif basis == "dft":
-            gain = np.empty(np.shape(cos), dtype=complex)
-            gain.real, gain.imag = cos, -sin
-            return Signal(apply_gain(x, gain), sig.sample_rate)  # checks its own result
+            np.conjugate(pair, out=pair)
+            return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
         else:
-            bins = _dct2(x)
-            out = _dct3_pair(bins * cos, bins * sin)
+            out = _dct3_pair(_dct2(x) * pair)
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 

@@ -9,14 +9,14 @@ holds, so a mismatched inverse raises instead of silently scaling.  Every
 :func:`phasekit.phase._shift`, which chooses its route.  Every N-point gain
 on the DFT basis, 1-D and 2-D, is applied through :func:`apply_gain`, the
 one place that decides how a positive-frequency gain acts on real samples;
-the DCT basis applies its phases in :func:`_dct3_pair`.
+the DCT basis resynthesizes its bins times e^{j alpha_k} in :func:`_dct3_pair`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
 (Makhoul 1980, "A fast cosine transform in one and two dimensions"): the
 DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
 and every inverse, the phase transforms included, is one complex ``ifft``
-that carries two real DCT-3s at once (see :func:`_dct3_pair`).
+that carries the real DCT-3s of one spectrum's two parts (:func:`_dct3_pair`).
 
 A constant phase or a scalar delay can instead run as one real convolution
 at a power of two (:func:`_periodic_convolve`) with the discrete Hilbert
@@ -245,19 +245,18 @@ def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    bins = np.asarray(spectrum.bins, dtype=float)
-    return Signal(_dct3_pair(bins, np.zeros(bins.size)), spectrum.sample_rate)
+    return Signal(_dct3_pair(np.asarray(spectrum.bins, dtype=float)), spectrum.sample_rate)
 
 
 @functools.lru_cache(maxsize=8)
 def _dct_twiddles(n: int, forward: bool) -> np.ndarray:
     """The twiddles of :func:`_dct2` (``forward``) or :func:`_dct3_pair`.
 
-    Forward: sqrt(2/N) e^{-j pi k / 2N} on k = 0..N//2; inverse:
-    sqrt(1/2N) e^{j pi k / 2N} on k = 0..N-1; both sqrt(1/N) at k = 0.  The
-    table is cached per length and shared by every caller, so it is
-    read-only.  It is allocated before its temporaries, which then free back
-    to the top of the heap instead of leaving a hole below a cached table.
+    Forward: sqrt(2/N) e^{-j pi k / 2N} on k = 0..N//2; inverse, on the
+    sequence folded from the one spectrum: sqrt(1/2N) e^{j pi k / 2N} on
+    k = 0..N-1; both sqrt(1/N) at k = 0.  Cached per length and shared by
+    every caller, so read-only.  The table is allocated before its temporaries,
+    which then free back to the top of the heap instead of leaving a hole below it.
     """
     size, sign, scale = (n // 2 + 1, -1.0, 2.0 / n) if forward else (n, 1.0, 0.5 / n)
     table = np.empty(size, dtype=complex)
@@ -288,8 +287,9 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dct3_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y[n] = sqrt(2/N) sum_k sigma_k (a[k] cos t_kn + b[k] sin t_kn), t_kn = pi k (2n+1) / 2N.
+def _dct3_pair(c: np.ndarray) -> np.ndarray:
+    """y[n] = sqrt(2/N) sum_k sigma_k (a[k] cos t_kn + b[k] sin t_kn), t_kn = pi k (2n+1) / 2N,
+    of the one spectrum c = a + jb (a real c gives one DCT-3).
 
     Since sin t_{N-k,n} = (-1)^n cos t_kn, this is the orthonormal DCT-3 of
     a plus (-1)^n times that of (0, b[N-1], ..., b[1]); b[0] drops out.
@@ -300,7 +300,8 @@ def _dct3_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     y[2m] = Re u[m] + Im u[m] and y[2m+1] = Re u[N-1-m] - Im u[N-1-m].  An
     overflow leaves non-finite samples, without a warning.
     """
-    n = a.size
+    a, b = c.real, c.imag
+    n = c.size
     half = (n + 1) // 2
     twiddles = _dct_twiddles(n, False)
     out = np.empty(n)  # before the temporaries, as in _dct_twiddles

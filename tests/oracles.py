@@ -95,6 +95,33 @@ def pt_dct_direct(x, alphas):
     return np.sqrt(2.0 / n) * _by_rows(n, rows_of)
 
 
+def dct3_halves(a, b):
+    """The N-point DCT-3 pair as two real halves: y = DCT-3 of a on the
+    cosine basis plus b on the sine basis, operation for operation as
+    phasekit computed it when the cosine and sine halves were two real arrays
+    (Makhoul's folding into one complex ``ifft``).  Not an independent
+    route: a bit-for-bit reference for the one complex spectrum a + jb."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.size
+    half = (n + 1) // 2
+    twiddles = np.empty(n, dtype=complex)
+    angle = np.arange(n) * (np.pi / (2 * n))
+    np.cos(angle, out=twiddles.real)
+    np.sin(angle, out=twiddles.imag)
+    twiddles *= np.sqrt(0.5 / n)
+    twiddles[0] = np.sqrt(1.0 / n)
+    out = np.empty(n)
+    v = np.empty(n, dtype=complex)
+    np.add(a, b, out=v.real)
+    np.subtract(b[:0:-1], a[:0:-1], out=v.imag[1:])
+    v[0] = a[0]
+    v *= twiddles
+    u = np.fft.ifft(v, norm="forward")
+    np.add(u.real[:half], u.imag[:half], out=out[::2])
+    np.subtract(u.real[:half - 1:-1], u.imag[:half - 1:-1], out=out[1::2])
+    return out
+
+
 def dft2d_direct(g):
     """Direct separable 2-D DFT with 1/(M N) on the forward transform."""
     g = np.asarray(g)
