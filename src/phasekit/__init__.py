@@ -16,7 +16,6 @@ from .spectral import (
     dct2_inverse,
     dft2d,
     idft2d,
-    analytic_signal,
     harmonic_series,
     gfr_synthesize,
 )
@@ -25,6 +24,7 @@ from .phase import (
     pt_kernel,
     pt_dft,
     hilbert,
+    analytic_signal,
     fcqt,
     pt_dct,
     pt_sweep,

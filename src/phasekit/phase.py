@@ -6,14 +6,16 @@ transform is the alpha = pi/2 case.  Two spectral routes are provided: the
 DFT route (N-periodic extension) and the DCT-2 route (2N-periodic symmetric
 extension), which differ whenever those extensions disagree.
 
-Every 1-D phase transform, the Hilbert transform, the cosine quadrature and
-the fractional delays included, is one call into one core, :func:`_shift`,
-the one place that decides how a profile runs.  On the N-point routes a
-constant profile equals its per-bin equivalent bit for bit.  On a length
-with a large prime factor (see :func:`_kernel_route`), a constant or
-scalar-delay profile is instead one convolution with a closed-form periodic
-kernel, and agrees with the per-bin profile to round-off.  Both routes
-reduce a delay exactly into its period with :func:`_reduce`.
+Every 1-D phase transform, the Hilbert transform, the analytic signal, the
+cosine quadrature and the fractional delays included, is one call into one
+core, :func:`_shift`, the one place that decides how a profile runs.  On the
+N-point routes a constant profile equals its per-bin equivalent bit for bit.
+On a length with a large prime factor (see :func:`_kernel_route`), a
+constant or scalar-delay profile is instead one real convolution at a power
+of two (:func:`_periodic_convolve`) with a closed-form periodic kernel, the
+discrete Hilbert kernel or the periodic sinc, where numpy.fft would run
+Bluestein's chirp-z; it agrees with the per-bin profile to round-off.  Both
+routes reduce a delay exactly into its period with :func:`_reduce`.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Signal, _dct2, _dct3_pair, _delay_kernel, _periodic_convolve,
-                       _quadrature_kernel, _require_finite, apply_gain, as_signal)
+from .spectral import Signal, _dct2, _dct3_pair, _require_finite, apply_gain, as_signal
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,7 @@ class PhaseProfile:
         A delay is first reduced exactly into its period, L = N (DFT) or 2N
         (DCT), by :func:`_reduce`, so its phases cannot overflow.
         """
-        if basis == "dft":
-            n_bins, scale, period = n // 2 + 1, 2.0 * np.pi, n
-        elif basis == "dct":
-            n_bins, scale, period = n, np.pi, 2 * n
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
+        n_bins, period = _basis(n, basis)
         if self.kind == "constant":
             return self.value
         if self.kind == "per_bin":
@@ -101,7 +97,18 @@ class PhaseProfile:
         else:
             raise ValueError(
                 f"delay profile needs 1 or {n_bins - 1} values, got {self.value.size}")
-        return scale * np.arange(n_bins) / n * _reduce(delays, period)
+        return 2.0 * np.pi * np.arange(n_bins) / period * _reduce(delays, period)
+
+
+def _basis(n: int, basis: str) -> tuple[int, int]:
+    """The non-negative bins of an N-point transform on ``basis`` and the
+    period L of its extension: N//2 + 1 bins and L = N for "dft", N bins and
+    L = 2N (the extension [x, x reversed]) for "dct"."""
+    if basis == "dft":
+        return n // 2 + 1, n
+    if basis == "dct":
+        return n, 2 * n
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def _reduce(delay, period: int):
@@ -161,6 +168,91 @@ def _kernel_route(n: int) -> bool:
     return rest * rest > n
 
 
+def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """y[n] = sum_q x[q] kernel[(n - q) mod L] for n < N, with L = N or 2N;
+    for L = 2N, x continues as x reversed, which adds sum_q x[q] kernel[n + q + 1].
+
+    One real convolution at the power of two M >= 2N - 1: the kernel's lags
+    -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for L = 2N the
+    correlation with kernel[1:] (Hankel), which reuses x's spectrum
+    conjugated.  numpy.fft plans a power of two without Bluestein.  Each
+    M-point temporary is dropped before the next transform allocates, which
+    bounds the peak at about four of them.
+    """
+    n, period = x.size, kernel.size
+    size = 1 << (2 * n - 2).bit_length()
+    wrapped = np.zeros(size)
+    wrapped[:n] = kernel[:n]
+    wrapped[size - n + 1:] = kernel[period - n + 1:]
+    spectrum = np.fft.rfft(x, size)
+    out = np.fft.rfft(wrapped)
+    del wrapped
+    out *= spectrum
+    if period == 2 * n:
+        hankel = np.fft.rfft(kernel[1:], size)
+        np.conjugate(spectrum, out=spectrum)
+        hankel *= spectrum
+        out += hankel
+        del hankel
+    del spectrum
+    return np.fft.irfft(out, size)[:n]
+
+
+def _quadrature_kernel(period: int) -> np.ndarray:
+    """h[m], m = 0..L-1: the circular kernel of the gain -j on bins
+    1..ceil(L/2)-1 (and +j on their negatives, 0 at DC and Nyquist).
+
+    h[m] = (2/L) cot(pi m / L) for odd m and 0 for even m when L is even;
+    (1/L) cot(pi m / 2L) for odd m and -(1/L) tan(pi m / 2L) for even m when
+    L is odd (Kak 1970, "The discrete Hilbert transform").  It is evaluated on
+    0 < m < L/2 only, where the argument stays at most pi/2, and mirrored with
+    h[L - m] = -h[m]: near pi the cotangent would lose about log10 L digits.
+    """
+    kernel = np.zeros(period)
+    half = (period - 1) // 2  # the lags 0 < m < L/2
+    if period % 2 == 0:
+        kernel[1:half + 1:2] = (2.0 / period) / np.tan(np.arange(1, half + 1, 2) * (np.pi / period))
+    else:
+        t = np.tan(np.arange(1, half + 1) * (np.pi / (2 * period)))
+        kernel[1:half + 1:2] = 1.0 / (period * t[::2])
+        kernel[2:half + 1:2] = -t[1::2] / period
+    kernel[:period - half - 1:-1] = -kernel[1:half + 1]
+    return kernel
+
+
+def _delay_kernel(period: int, delay: float) -> np.ndarray:
+    """s[m], m = 0..L-1: the circular kernel of the delay d, the periodic sinc
+
+    s[m] = sin(pi u) / (L sin(pi u / L)) for odd L and
+    sin(pi u) / (L tan(pi u / L)) for even L, u = m - d,
+
+    the kernel of the gain e^{-j 2 pi k d / L} on bins 0..L//2, with
+    cos(pi d) on the Nyquist bin of an even L.  (On the DCT basis, L = 2N,
+    the symmetric extension has no Nyquist content, so that bin's gain does
+    not matter.)  Both forms are L-periodic in u, so with d = k + r, k an
+    integer and |r| <= 1/2, the kernel is evaluated at the lags
+    u = j - r, j in (-L/2, L/2], and rotated by k; its numerator is
+    -(-1)^j sin(pi r), never a sine of a large argument.  An integer delay
+    (r = 0) is the limit 1 at u = 0 and 0 elsewhere: an exact shift.
+    It is exact for any finite d; its caller passes d reduced into [-L/2, L/2].
+    """
+    shift = round(float(delay))
+    frac = delay - shift
+    first = period // 2 + 1 - period  # the lowest lag j
+    if frac == 0:
+        kernel = np.zeros(period)
+        kernel[0] = 1.0
+        return np.roll(kernel, shift)
+    kernel = np.arange(first, period + first, dtype=float)
+    kernel -= frac
+    kernel *= np.pi / period
+    (np.tan if period % 2 == 0 else np.sin)(kernel, out=kernel)
+    kernel *= period
+    np.divide(np.sin(np.pi * frac), kernel, out=kernel)
+    kernel[first % 2::2] *= -1.0  # the even lags j
+    return np.roll(kernel, shift + first)
+
+
 def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     """The one core of every 1-D phase transform: the gain
     e^{-j alpha_k} = cos alpha_k - j sin alpha_k on the positive frequencies
@@ -180,9 +272,7 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     """
     sig = as_signal(signal)
     x, n = sig.samples, len(sig)
-    if basis not in ("dft", "dct"):
-        raise ValueError(f"unknown basis {basis!r}")
-    period = n if basis == "dft" else 2 * n
+    period = _basis(n, basis)[1]
     route = _kernel_route(n) and (
         profile is None or (profile.kind != "per_bin" and np.size(profile.value) == 1))
     if profile is None:
@@ -202,7 +292,8 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
             np.conjugate(pair, out=pair)
             return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
         else:
-            out = _dct3_pair(_dct2(x) * pair)
+            pair = _dct2(x) * pair  # rebound: the phases' pair is freed before the inverse
+            out = _dct3_pair(pair)
     return Signal(_require_finite(out, "spectral gain"), sig.sample_rate)
 
 
@@ -228,9 +319,18 @@ def pt_dft(signal, profile: PhaseProfile) -> Signal:
 
 def hilbert(signal) -> Signal:
     """Hilbert transform: the pi/2 phase transform with the exact gain -j
-    (zero-mean output), the imaginary part of
-    :func:`phasekit.spectral.analytic_signal`."""
+    (zero-mean output), the imaginary part of :func:`analytic_signal`."""
     return _shift(signal, "dft")
+
+
+def analytic_signal(signal) -> np.ndarray:
+    """Analytic signal z with Re(z) = x and one-sided spectrum.
+
+    Im(z) is the Hilbert transform of x (the -j gain on positive
+    frequencies), so the DC and Nyquist components stay on the real part.
+    """
+    sig = as_signal(signal)
+    return sig.samples + 1j * _shift(sig, "dft").samples
 
 
 def fcqt(signal) -> Signal:

@@ -5,11 +5,10 @@ package.  The discrete Fourier transform places the 1/N factor on the
 *forward* transform, so the inverse is a bare exponential sum; the DCT-2
 pair is orthonormal.  A spectrum's ``origin`` names which of the two it
 holds, so a mismatched inverse raises instead of silently scaling.  Every
-1-D phase transform, :func:`analytic_signal` included, is one call into
-:func:`phasekit.phase._shift`, which chooses its route.  Every N-point gain
-on the DFT basis, 1-D and 2-D, is applied through :func:`apply_gain`, the
-one place that decides how a positive-frequency gain acts on real samples;
-the DCT basis resynthesizes its bins times e^{j alpha_k} in :func:`_dct3_pair`.
+N-point gain on the DFT basis, 1-D and 2-D, is applied through
+:func:`apply_gain`, the one place that decides how a positive-frequency gain
+acts on real samples; the DCT basis resynthesizes its bins times
+e^{j alpha_k} in :func:`_dct3_pair`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
@@ -17,11 +16,6 @@ DCT basis is one orthonormal type-2 family on Makhoul's N-point route
 DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
 and every inverse, the phase transforms included, is one complex ``ifft``
 that carries the real DCT-3s of one spectrum's two parts (:func:`_dct3_pair`).
-
-A constant phase or a scalar delay can instead run as one real convolution
-at a power of two (:func:`_periodic_convolve`) with the discrete Hilbert
-kernel or the periodic sinc in closed form, where numpy.fft would run
-Bluestein's chirp-z; :mod:`phasekit.phase` picks that route.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -361,91 +355,6 @@ def apply_gain(x, gain) -> np.ndarray:
     return _require_finite(out, "spectral gain")
 
 
-def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """y[n] = sum_q x[q] kernel[(n - q) mod L] for n < N, with L = N or 2N;
-    for L = 2N, x continues as x reversed, which adds sum_q x[q] kernel[n + q + 1].
-
-    One real convolution at the power of two M >= 2N - 1: the kernel's lags
-    -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for L = 2N the
-    correlation with kernel[1:] (Hankel), which reuses x's spectrum
-    conjugated.  numpy.fft plans a power of two without Bluestein.  Each
-    M-point temporary is dropped before the next transform allocates, which
-    bounds the peak at about four of them.
-    """
-    n, period = x.size, kernel.size
-    size = 1 << (2 * n - 2).bit_length()
-    wrapped = np.zeros(size)
-    wrapped[:n] = kernel[:n]
-    wrapped[size - n + 1:] = kernel[period - n + 1:]
-    spectrum = np.fft.rfft(x, size)
-    out = np.fft.rfft(wrapped)
-    del wrapped
-    out *= spectrum
-    if period == 2 * n:
-        hankel = np.fft.rfft(kernel[1:], size)
-        np.conjugate(spectrum, out=spectrum)
-        hankel *= spectrum
-        out += hankel
-        del hankel
-    del spectrum
-    return np.fft.irfft(out, size)[:n]
-
-
-def _quadrature_kernel(period: int) -> np.ndarray:
-    """h[m], m = 0..L-1: the circular kernel of the gain -j on bins
-    1..ceil(L/2)-1 (and +j on their negatives, 0 at DC and Nyquist).
-
-    h[m] = (2/L) cot(pi m / L) for odd m and 0 for even m when L is even;
-    (1/L) cot(pi m / 2L) for odd m and -(1/L) tan(pi m / 2L) for even m when
-    L is odd (Kak 1970, "The discrete Hilbert transform").  It is evaluated on
-    0 < m < L/2 only, where the argument stays at most pi/2, and mirrored with
-    h[L - m] = -h[m]: near pi the cotangent would lose about log10 L digits.
-    """
-    kernel = np.zeros(period)
-    half = (period - 1) // 2  # the lags 0 < m < L/2
-    if period % 2 == 0:
-        kernel[1:half + 1:2] = (2.0 / period) / np.tan(np.arange(1, half + 1, 2) * (np.pi / period))
-    else:
-        t = np.tan(np.arange(1, half + 1) * (np.pi / (2 * period)))
-        kernel[1:half + 1:2] = 1.0 / (period * t[::2])
-        kernel[2:half + 1:2] = -t[1::2] / period
-    kernel[:period - half - 1:-1] = -kernel[1:half + 1]
-    return kernel
-
-
-def _delay_kernel(period: int, delay: float) -> np.ndarray:
-    """s[m], m = 0..L-1: the circular kernel of the delay d, the periodic sinc
-
-    s[m] = sin(pi u) / (L sin(pi u / L)) for odd L and
-    sin(pi u) / (L tan(pi u / L)) for even L, u = m - d,
-
-    the kernel of the gain e^{-j 2 pi k d / L} on bins 0..L//2, with
-    cos(pi d) on the Nyquist bin of an even L.  (On the DCT basis, L = 2N,
-    the symmetric extension has no Nyquist content, so that bin's gain does
-    not matter.)  Both forms are L-periodic in u, so with d = k + r, k an
-    integer and |r| <= 1/2, the kernel is evaluated at the lags
-    u = j - r, j in (-L/2, L/2], and rotated by k; its numerator is
-    -(-1)^j sin(pi r), never a sine of a large argument.  An integer delay
-    (r = 0) is the limit 1 at u = 0 and 0 elsewhere: an exact shift.
-    It is exact for any finite d; its caller passes d reduced into [-L/2, L/2].
-    """
-    shift = round(float(delay))
-    frac = delay - shift
-    first = period // 2 + 1 - period  # the lowest lag j
-    if frac == 0:
-        kernel = np.zeros(period)
-        kernel[0] = 1.0
-        return np.roll(kernel, shift)
-    kernel = np.arange(first, period + first, dtype=float)
-    kernel -= frac
-    kernel *= np.pi / period
-    (np.tan if period % 2 == 0 else np.sin)(kernel, out=kernel)
-    kernel *= period
-    np.divide(np.sin(np.pi * frac), kernel, out=kernel)
-    kernel[first % 2::2] *= -1.0  # the even lags j
-    return np.roll(kernel, shift + first)
-
-
 def _require_finite(out: np.ndarray, what: str) -> np.ndarray:
     """Return ``out``, or raise FloatingPointError if it is not finite."""
     if not np.all(np.isfinite(out)):
@@ -460,17 +369,6 @@ def _warn(message: str) -> None:
     while frame is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
-
-
-def analytic_signal(signal) -> np.ndarray:
-    """Analytic signal z with Re(z) = x and one-sided spectrum.
-
-    Im(z) is the Hilbert transform of x (the -j gain on positive
-    frequencies), so the DC and Nyquist components stay on the real part.
-    """
-    from .phase import hilbert  # phase builds on this module
-    sig = as_signal(signal)
-    return sig.samples + 1j * hilbert(sig).samples
 
 
 def harmonic_series(signal, n_harmonics: int) -> FourierSeriesCoeffs:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import phasekit as pk
-from phasekit.phase import _kernel_route, _reduce
-from phasekit.spectral import (_dct2, _delay_kernel, _periodic_convolve, _quadrature_kernel,
-                               apply_gain)
+from phasekit.phase import (_delay_kernel, _kernel_route, _periodic_convolve,
+                            _quadrature_kernel, _reduce)
+from phasekit.spectral import _dct2, apply_gain
 from oracles import dct3_halves
 
 # 4,099 is prime: a scalar profile there runs on the kernel route
@@ -113,16 +113,18 @@ def traced_peak(call) -> int:
 DFT_PHASES = np.full(PEAK_N // 2 + 1, 0.7)
 DCT_PHASES = np.full(PEAK_N, 0.7)
 # (route, baseline, bound): the baseline runs the same FFTs, so the route's
-# extra peak, in N float64 words, counts only the arrays that hold its gain
-# (2.5, 2.5, 3.0, 3.0, 0.0 and 1.5 words when the gain was held as separate
-# arrays, against 1.0, 1.0, 2.0, 2.0, 0.0 and 1.0 as one pair)
+# extra peak, in N float64 words, counts only the arrays that hold its gain:
+# 1.0 where the gain array lives through the transform (the DFT basis and
+# frac_differintegrate), 0.0 on the DCT basis, which releases the pair before
+# the inverse (2.5, 2.5, 3.0, 3.0, 0.0 and 1.5 with the gain held as separate
+# arrays; 2.0 for a per-bin DCT profile whose pair lived through the inverse)
 PEAK_CASES = {
     "frac_delay_dft": (lambda x: pk.frac_delay_dft(x, 0.3), pk.hilbert, 1.5),
     "pt_dft per-bin": (lambda x: pk.pt_dft(x, pk.PhaseProfile.per_bin(DFT_PHASES)),
                        pk.hilbert, 1.5),
-    "frac_delay_dct": (lambda x: pk.frac_delay_dct(x, 0.3), pk.fcqt, 2.5),
+    "frac_delay_dct": (lambda x: pk.frac_delay_dct(x, 0.3), pk.fcqt, 0.5),
     "pt_dct per-bin": (lambda x: pk.pt_dct(x, pk.PhaseProfile.per_bin(DCT_PHASES)),
-                       pk.fcqt, 2.5),
+                       pk.fcqt, 0.5),
     "pt_dct constant": (lambda x: pk.pt_dct(x, pk.PhaseProfile.constant(0.7)), pk.fcqt, 0.5),
     "frac_differintegrate": (lambda x: pk.frac_differintegrate(x, 0.5, include_dc_term=False),
                              pk.hilbert, 1.25),

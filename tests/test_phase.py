@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit as pk
-from phasekit.spectral import _quadrature_kernel
+from phasekit.phase import _quadrature_kernel
 from phasekit.repro import example1_signal, example2_signal
 from oracles import (circular_convolve, fcqt_direct, pt_dct_direct, pt_dft_direct,
                      zero_mean_zero_nyquist)

@@ -228,6 +228,23 @@ class TestScipyBoundary:
         assert any(out.rglob("*.csv"))
 
 
+def test_spectral_imports_nothing_from_phase():
+    # phase builds on spectral; spectral holds the transform conventions only
+    # and imports no phase module back, at module level or inside a function
+    tree = ast.parse(Path(pk.spectral.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            found += [(node.lineno, f"{base}.{alias.name}") for alias in node.names]
+    assert [(line, name) for line, name in found if "phase" in name.split(".")] == []
+    for name in ("analytic_signal", "_periodic_convolve", "_quadrature_kernel", "_delay_kernel"):
+        assert not hasattr(pk.spectral, name), name
+    assert pk.analytic_signal is pk.phase.analytic_signal
+
+
 class TestDft2d:
     def test_constant_image_is_dc_only(self):
         grid = pk.dft2d(pk.Image(np.full((4, 4), 2.0)))
