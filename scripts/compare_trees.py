@@ -16,7 +16,9 @@ hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
 2^52 samples (0.25 and -80 plus whole periods of the small CSV on both
 bases), ``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
 ``delay`` on both bases and ``differint`` on the prime-length CSV,
-``differint``, ``wpt``, ``image-pt --preview``, ``synth``, ``repro 1``-``5``
+``differint`` (physical on the record, normalized with and without the
+mean term on the small CSV), ``wpt``,
+``image-pt --preview``, ``synth``, ``repro 1``-``5``
 and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
 exists (an output file, and ``--version``'s standard output), and under a
@@ -140,6 +142,8 @@ def matrix() -> list[Case]:
         Case("differint-record", ["differint", "{in}/record.csv", "--order", order]),
         Case("differint-small", ["differint", "{in}/small.csv", "--order", order,
                                  "--scaling", "normalized", "--no-dc-term"]),
+        Case("differint-small-normalized-dc", ["differint", "{in}/small.csv", "--order", order,
+                                               "--scaling", "normalized"]),
         Case("differint-prime", ["differint", "{in}/prime.csv", "--order", order]),
         Case("wpt-small", ["wpt", "{in}/small.csv", "--alpha", alpha]),
         Case("image-pt", ["image-pt", "{in}/image.pgm", "--alpha", repr(p.image_alpha),

@@ -30,8 +30,6 @@ from .phase import (
     pt_sweep,
 )
 from .fractional import (
-    DifferintegrationOrder,
-    KernelScaling,
     frac_delay_dft,
     frac_delay_dct,
     frac_differintegrate,
@@ -62,7 +60,6 @@ __all__ = [
     "analytic_signal", "harmonic_series", "gfr_synthesize",
     "PhaseProfile", "pt_kernel", "pt_dft", "hilbert",
     "fcqt", "pt_dct", "pt_sweep",
-    "DifferintegrationOrder", "KernelScaling",
     "frac_delay_dft", "frac_delay_dct", "frac_differintegrate",
     "MorseWavelet", "ScaleGrid", "Scalogram", "morse_spectrum", "awt",
     "cpsi_delta", "wavelet_analytic_signal", "wpt", "wqt",

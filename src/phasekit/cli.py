@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from . import io as pkio
-from .fractional import KernelScaling, DifferintegrationOrder, frac_delay_dct, frac_delay_dft, frac_differintegrate
+from .fractional import frac_delay_dct, frac_delay_dft, frac_differintegrate
 from .image import pt2d
 from .phase import PhaseProfile, pt_dct, pt_dft, pt_sweep
 from .spectral import ModulationSpec, FourierSeriesCoeffs, gfr_synthesize
@@ -143,8 +143,8 @@ def cmd_delay(args) -> int:
 
 def cmd_differint(args) -> int:
     sig = _read(pkio.read_any_signal, args.input, "signal")
-    order = DifferintegrationOrder(args.order, KernelScaling(args.scaling))
-    out = frac_differintegrate(sig, order, include_dc_term=not args.no_dc_term)
+    out = frac_differintegrate(sig, args.order, physical=args.scaling == "physical",
+                               include_dc_term=not args.no_dc_term)
     return _write_signal(args, sig, "differint", ["transformed"], [out.samples],
                          order=args.order, scaling=args.scaling,
                          dc_term=not args.no_dc_term, sample_rate=sig.sample_rate)
@@ -221,9 +221,10 @@ def build_parser() -> _Parser:
 
     pt = commands.add_parser("pt", help="phase-shift a signal")
     _add_common_io(pt)
-    pt.add_argument("--alpha", type=float, help="constant phase shift (radians)")
-    pt.add_argument("--alpha-per-bin", help="CSV file of per-bin phases")
-    pt.add_argument("--alpha-sweep", help="start:step:stop phase sweep (radians)")
+    phase = pt.add_mutually_exclusive_group()  # not required: --config may supply it
+    phase.add_argument("--alpha", type=float, help="constant phase shift (radians)")
+    phase.add_argument("--alpha-per-bin", help="CSV file of per-bin phases")
+    phase.add_argument("--alpha-sweep", help="start:step:stop phase sweep (radians)")
     pt.add_argument("--basis", choices=("dft", "dct"), default="dft")
     pt.set_defaults(func=cmd_pt)
 

@@ -3,44 +3,19 @@
 Sub-sample delays are linear phase ramps applied to the one-sided spectrum;
 fractional derivatives/integrals multiply each positive bin by
 (omega_k)^mu e^{j mu pi/2} and correct the mean separately through a
-reciprocal-gamma power-law term.  Both assume the signal's periodic
-extension, so accuracy claims hold on interior samples of smooth signals.
+reciprocal-gamma power-law term.  Both parts are in per-sample units unless
+time is measured in seconds, which multiplies both by sample_rate^mu.  Both
+routes assume the signal's periodic extension, so accuracy claims hold on
+interior samples of smooth signals.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .phase import PhaseProfile, pt_dct, pt_dft
 from .spectral import Signal, _require_finite, _warn, apply_gain, as_signal
-
-
-class KernelScaling(enum.Enum):
-    """Units of the differintegration kernel.
-
-    PHYSICAL multiplies by sample_rate^mu so order 1 matches d/dt;
-    NORMALIZED keeps the digital-frequency kernel (2 pi k / N)^mu verbatim,
-    i.e. per-sample units.
-    """
-
-    PHYSICAL = "physical"
-    NORMALIZED = "normalized"
-
-
-@dataclass(frozen=True)
-class DifferintegrationOrder:
-    """Signed order mu (mu > 0 differentiates, mu < 0 integrates)."""
-
-    mu: float
-    scaling: KernelScaling = KernelScaling.PHYSICAL
-
-    def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise ValueError("order must be finite")
-        object.__setattr__(self, "mu", float(self.mu))
 
 
 def _rgamma(z: float) -> float:
@@ -94,43 +69,45 @@ def frac_delay_dct(signal, n0: float) -> Signal:
     return pt_dct(signal, PhaseProfile.delay(float(n0)))
 
 
-def frac_differintegrate(signal, order, include_dc_term: bool = True) -> Signal:
+def frac_differintegrate(signal, order: float, physical: bool = True,
+                         include_dc_term: bool = True) -> Signal:
     """Fractional derivative (mu > 0) or integral (mu < 0) of a real signal.
 
-    The oscillatory part applies the gain (2 pi k / N)^mu e^{j mu pi/2} to
-    bins k = 1..N//2 (DC: 0) through :func:`phasekit.spectral.apply_gain`,
-    and PHYSICAL scaling adds a sample_rate^mu factor so the bin gain is
-    omega_k^mu in rad/s.  The mean a0 contributes
-    a0 (n / sample_rate)^{-mu} / Gamma(1 - mu), evaluated with the
-    reciprocal gamma so integer derivative orders yield a zero mean term
-    instead of overflowing.
+    The signed order mu must be finite (ValueError otherwise).  In
+    per-sample units the oscillatory part applies the gain
+    (2 pi k / N)^mu e^{j mu pi/2} to bins k = 1..N//2 (DC: 0) through
+    :func:`phasekit.spectral.apply_gain`, and the mean a0 contributes
+    a0 n^{-mu} / Gamma(1 - mu), evaluated with the reciprocal gamma so
+    integer derivative orders yield a zero mean term instead of
+    overflowing.  ``physical`` measures time in seconds, t = n /
+    sample_rate, which multiplies both parts by sample_rate^mu: the bin
+    gain becomes omega_k^mu in rad/s, and order 1 matches d/dt.
 
     For mu > 0 the mean term diverges at n = 0; that sample's contribution
     is set to zero and a RuntimeWarning is emitted when a0 != 0.
     """
-    if not isinstance(order, DifferintegrationOrder):
-        order = DifferintegrationOrder(float(order))
-    mu = order.mu
+    mu = float(order)
+    if not math.isfinite(mu):
+        raise ValueError("order must be finite")
     sig = as_signal(signal)
     x = sig.samples
     n = x.size
+    rate = np.float64(sig.sample_rate) if physical else 1.0  # the time unit of both parts
 
     gain = np.zeros(n // 2 + 1, dtype=complex)
     # an overflowing scale, gain or mean term is reported by _require_finite,
     # not by numpy warnings or an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = (np.float64(sig.sample_rate) ** mu
-                 if order.scaling is KernelScaling.PHYSICAL else 1.0)
         omega = np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
         omega /= n
         omega **= mu
         gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
-        gain[1:] *= scale
+        gain[1:] *= rate ** mu
     out = apply_gain(x, _require_finite(gain, "differintegration"))
 
     if include_dc_term:
         a0 = float(np.mean(x))
-        t = np.arange(n) / sig.sample_rate
+        t = np.arange(n) / rate
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             dc = a0 * t ** (-mu) * _rgamma(1.0 - mu)
             if mu > 0:

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import shutil
 import stat
 import struct
@@ -575,6 +576,9 @@ def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
 # PGM (binary P5) and CSV grids
 # ---------------------------------------------------------------------------
 
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and comments, then one field
+
+
 def read_pgm(path) -> Image:
     """Read an 8- or 16-bit binary (P5) portable graymap."""
     raw = Path(path).read_bytes()
@@ -582,19 +586,11 @@ def read_pgm(path) -> Image:
         raise ValueError("not a binary PGM (P5) file")
     fields = []
     pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
+    for _ in range(3):
+        match = _PGM_FIELD.match(raw, pos)
+        field, pos = match[1], match.end()
+        if not field:
             raise ValueError("truncated header")
-        field = raw[start:pos]
         # ASCII digits only, unlike int(); a minus is left for the size check.
         # A size or maxval of more than 20 digits fits no file, and int()
         # refuses more than 4,300 digits.

@@ -67,9 +67,9 @@ def example5_signal() -> Signal:
     return Signal(np.cos(2.0 * np.pi * t), 1000.0)
 
 
-def interior(n: int, fraction: float = 0.9) -> slice:
-    """Central ``fraction`` of an n-sample record."""
-    margin = int(round(n * (1.0 - fraction) / 2.0))
+def interior(n: int) -> slice:
+    """Central 90 % of an n-sample record."""
+    margin = int(round(n * (1.0 - 0.9) / 2.0))
     return slice(margin, n - margin)
 
 

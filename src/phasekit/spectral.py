@@ -185,11 +185,9 @@ class Image:
         return self.pixels.shape[1]
 
 
-def as_signal(x, sample_rate: float = 1.0) -> Signal:
-    """Coerce an array or Signal into a Signal."""
-    if isinstance(x, Signal):
-        return x
-    return Signal(np.asarray(x, dtype=float), sample_rate)
+def as_signal(x) -> Signal:
+    """Coerce an array (at a sample rate of 1) or Signal into a Signal."""
+    return x if isinstance(x, Signal) else Signal(x)
 
 
 def dft(x) -> Spectrum:

@@ -148,11 +148,8 @@ class ScaleGrid:
 
     def log_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over ln(s)."""
-        ln_s = np.log(self.scales)
-        w = np.zeros_like(ln_s)
-        w[1:-1] = (ln_s[2:] - ln_s[:-2]) / 2.0
-        w[0] = (ln_s[1] - ln_s[0]) / 2.0
-        w[-1] = (ln_s[-1] - ln_s[-2]) / 2.0
+        w = np.gradient(np.log(self.scales))  # one-sided differences at the ends
+        w[[0, -1]] /= 2.0
         return w
 
 

@@ -89,6 +89,16 @@ class TestPtCommand:
     def test_requires_some_alpha(self, gauss_csv):
         assert main(["pt", str(gauss_csv)]) == 3
 
+    @pytest.mark.parametrize("flag", ["--alpha-sweep", "--alpha-per-bin"])
+    def test_phase_flags_exclude_one_another(self, gauss_csv, tmp_path, capsys, flag):
+        phases = tmp_path / "phases.csv"
+        pkio.write_columns_csv(phases, {}, ["alpha"], [np.linspace(0, 1, 51)])
+        value = {"--alpha-sweep": "0:1:2", "--alpha-per-bin": str(phases)}[flag]
+        out = tmp_path / "both.csv"
+        assert main(["pt", str(gauss_csv), "--alpha", "1", flag, value, "-o", str(out)]) == 3
+        assert f"argument {flag}: not allowed with argument --alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_records_parameters(self, gauss_csv, tmp_path):
         out = tmp_path / "h.csv"
         main(["pt", str(gauss_csv), "--alpha", "0.25", "-o", str(out)])

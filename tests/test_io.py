@@ -877,9 +877,11 @@ class TestPgm:
 
     def test_reads_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 4, 250, 255]))
-        back = pkio.read_pgm(path)
-        assert np.array_equal(back.pixels, [[0, 4], [250, 255]])
+        for header in (b"P5\n# a comment\n2 2\n255\n",
+                       b"P5\t# one\n2\t#two 3\n\t2 # three\n255\n"):  # one between every field
+            path.write_bytes(header + bytes([0, 4, 250, 255]))
+            back = pkio.read_pgm(path)
+            assert np.array_equal(back.pixels, [[0, 4], [250, 255]])
 
     def test_rejects_truncated_data(self, tmp_path):
         path = tmp_path / "t.pgm"
