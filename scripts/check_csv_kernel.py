@@ -94,7 +94,7 @@ def check(values: np.ndarray, chunk: int = 1 << 16):
             if abs(value) >= 1e-291 and not exact_tie(value):
                 return (value, "undecided", f"{value:.17g}"), undecided_count
         written = io.BytesIO()
-        pkio._write_rows(written, part.reshape(-1, 1))
+        pkio._write_rows(written, [part.reshape(-1, 1)])
         if written.getvalue() != "".join(f"{v:.17g}\n" for v in part.tolist()).encode("ascii"):
             for value, text in zip(part.tolist(), written.getvalue().decode("ascii").split("\n")):
                 if text != f"{value:.17g}":

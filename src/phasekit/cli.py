@@ -311,8 +311,11 @@ def _config_defaults(args) -> dict:
 
     Only the subcommand's own flags can be set; each value goes through
     that flag's type, choices or store_true, so it is checked like the flag.
-    Keys that name no flag of the subcommand are ignored.  The file is read
-    as UTF-8 with surrogateescape, whatever the locale, like a CSV.
+    Keys that name no flag of the subcommand are ignored, and so are the
+    keys of a mutually exclusive group one of whose flags was given on the
+    command line (given as argparse decides it: a value that is not the
+    flag's default), so an explicit flag wins over its whole group.  The
+    file is read as UTF-8 with surrogateescape, whatever the locale, like a CSV.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -332,6 +335,10 @@ def _config_defaults(args) -> dict:
         key = key.strip().replace("-", "_")
         if key in flags:
             defaults[key] = _config_value(flags[key], key, raw.strip())
+    for group in args.parser._mutually_exclusive_groups:
+        if any(getattr(args, action.dest) is not action.default for action in group._group_actions):
+            for action in group._group_actions:
+                defaults.pop(action.dest, None)
     return defaults
 
 

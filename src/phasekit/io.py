@@ -3,7 +3,8 @@
 Column files and grid files share one CSV codec: '# key = value' header
 lines, an optional row of column names, then comma-separated numbers, each
 the text of Python's '%.17g' (round-trippable, '.' radix, '\\n' line endings,
-no timestamps).  The writer formats a block of rows at a time with a numpy
+no timestamps).  The writer formats a block of rows at a time, stacked from
+the columns' slices of those rows (no copy of the whole table), with a numpy
 kernel that computes the correctly rounded 17 digits of every value at once
 from a double-double table of powers of ten; a value the kernel cannot
 decide (a tie at the 17th digit, a magnitude below about 1e-292, a
@@ -234,14 +235,16 @@ def _g17_records(block: np.ndarray):
     return records, undecided
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Write ``rows`` to the binary file ``fh`` a block of rows at a time as
-    the '%.17g' kernel's ASCII text; the record of each value the kernel
-    cannot decide is overwritten with the text of '%' for that value alone."""
-    cols = rows.shape[1]
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write the rows of ``columns`` (2-D arrays of one length, side by side)
+    to the binary file ``fh`` a block of rows at a time as the '%.17g'
+    kernel's ASCII text, each block stacked from the columns' slices; the
+    record of each value the kernel cannot decide is overwritten with the
+    text of '%' for that value alone."""
+    cols = sum(c.shape[1] for c in columns)
     step = max(1, _BLOCK_VALUES // cols)
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
+    for start in range(0, columns[0].shape[0], step):
+        block = np.concatenate([c[start:start + step] for c in columns], axis=1)
         records, undecided = _g17_records(block)
         texts = records.view("S48")[:, 0]  # a record per value; assigning pads with NULs
         for i in np.flatnonzero(undecided).tolist():
@@ -352,10 +355,11 @@ def _forked(child, parent):
     return result, tmp
 
 
-def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) -> None:
+def _write_csv(path, header: dict, names: list[str] | None, columns: list[np.ndarray]) -> None:
     """Write phasekit's CSV layout: '# key = value' lines, an optional names
-    row, then one '%.17g' row per row of ``rows`` (2-D, at least one column),
-    formatted a block of rows at a time.
+    row, then one '%.17g' row per row of ``columns`` (2-D arrays of one
+    length, side by side, at least one column), formatted a block of rows at
+    a time.
 
     A large output is written in two halves (see ``_forked``): a forked child
     formats the second into a temporary file while this process formats the
@@ -370,14 +374,15 @@ def _write_csv(path, header: dict, names: list[str] | None, rows: np.ndarray) ->
     with output_file(path) as fh:
         # may sit in the buffer at the fork below, which the child never flushes
         fh.write(head.encode("utf-8", "surrogateescape"))
+        rows = columns[0].shape[0]
         mid, tail = 0, None
-        if rows.size >= _SPLIT_VALUES and rows.shape[0] >= 2 and _two_cpus():
-            mid = rows.shape[0] // 2
+        if rows * sum(c.shape[1] for c in columns) >= _SPLIT_VALUES and rows >= 2 and _two_cpus():
+            mid = rows // 2
             _g17_tables()  # built once, before the fork, for both processes
-            _, tail = _forked(functools.partial(_write_rows, rows=rows[mid:]),
-                              functools.partial(_write_rows, fh, rows[:mid]))
+            _, tail = _forked(functools.partial(_write_rows, columns=[c[mid:] for c in columns]),
+                              functools.partial(_write_rows, fh, [c[:mid] for c in columns]))
         if tail is None:
-            _write_rows(fh, rows[mid:])
+            _write_rows(fh, [c[mid:] for c in columns])
             return
         with tail:
             shutil.copyfileobj(tail, fh)
@@ -473,12 +478,12 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
 
 def write_columns_csv(path, header: dict, names: list[str], columns: list[np.ndarray]) -> None:
     """Write named columns with a '#'-comment metadata header."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    columns = [np.asarray(c, dtype=float).reshape(-1, 1) for c in columns]
     if len(names) != len(columns) or not columns:
         raise ValueError("need one name per column")
     if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must share one length")
-    _write_csv(path, header, names, np.column_stack(columns))
+    _write_csv(path, header, names, columns)
 
 
 def read_columns_csv(path):
@@ -641,7 +646,7 @@ def write_grid_csv(path, header: dict, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels, dtype=float)
     if pixels.ndim != 2 or pixels.size < 1:
         raise ValueError(f"grid must be a non-empty 2-D array, got shape {pixels.shape}")
-    _write_csv(path, header, None, pixels)
+    _write_csv(path, header, None, [pixels])
 
 
 def read_grid_csv(path) -> Image:

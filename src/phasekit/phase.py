@@ -9,13 +9,16 @@ extension), which differ whenever those extensions disagree.
 Every 1-D phase transform, the Hilbert transform, the analytic signal, the
 cosine quadrature and the fractional delays included, is one call into one
 core, :func:`_shift`, the one place that decides how a profile runs.  On the
-N-point routes a constant profile equals its per-bin equivalent bit for bit.
-On a length with a large prime factor (see :func:`_kernel_route`), a
-constant or scalar-delay profile is instead one real convolution at a power
-of two (:func:`_periodic_convolve`) with a closed-form periodic kernel, the
+N-point DFT route a constant profile equals its per-bin equivalent bit for
+bit.  On the N-point DCT route a constant profile is, by linearity,
+cos(alpha) x + sin(alpha) q with the quadrature q resynthesized by one real
+``irfft``, and agrees with the per-bin profile to round-off.  On a length
+with a large prime factor (see :func:`_kernel_route`), a constant or
+scalar-delay profile is instead one real convolution at a power of two
+(:func:`_periodic_convolve`) with a closed-form periodic kernel, the
 discrete Hilbert kernel or the periodic sinc, where numpy.fft would run
-Bluestein's chirp-z; it agrees with the per-bin profile to round-off.  Both
-routes reduce a delay exactly into its period with :func:`_reduce`.
+Bluestein's chirp-z; it too agrees with the per-bin profile to round-off.
+Both routes reduce a delay exactly into its period with :func:`_reduce`.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Signal, _dct2, _dct3_pair, _require_finite, apply_gain, as_signal
+from .spectral import Signal, _dct2, _dct3, _dct3_pair, _require_finite, apply_gain, as_signal
 
 
 @dataclass(frozen=True)
@@ -266,9 +269,12 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     which is zero on DC and Nyquist as the N-point route's quadrature is, or
     the periodic sinc of the delay as :func:`_reduce` leaves it, as on the
     N-point route.  Every other profile and length takes the N-point gain:
-    apply_gain(x, conj(pair)) on the DFT basis, and on the DCT basis the DCT-2
-    bins X resynthesized from X pair in one inverse, X cos on the cosine
-    basis and X sin on the sine.  A non-finite result raises FloatingPointError.
+    apply_gain(x, conj(pair)) on the DFT basis.  On the DCT basis a scalar
+    pair (a constant or the quadrature) is cos x + sin q, q the DCT-2 bins X
+    resynthesized on the sine basis by one ``irfft`` (:func:`_dct3`); a
+    per-bin pair (per-bin phases or a delay) resynthesizes X pair in one
+    complex inverse, X cos on the cosine basis and X sin on the sine.  A
+    non-finite result raises FloatingPointError.
     """
     sig = as_signal(signal)
     x, n = sig.samples, len(sig)
@@ -286,8 +292,10 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         if route and profile is not None and profile.kind == "delay":
             out = _periodic_convolve(x, _delay_kernel(period, _reduce(profile.value[0], period)))
-        elif route:
-            out = pair.real * x + pair.imag * _periodic_convolve(x, _quadrature_kernel(period))
+        elif route or (basis == "dct" and pair.ndim == 0):
+            quadrature = (_periodic_convolve(x, _quadrature_kernel(period)) if route
+                          else _dct3(_dct2(x), sine=True))
+            out = pair.real * x + pair.imag * quadrature
         elif basis == "dft":
             np.conjugate(pair, out=pair)
             return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
@@ -350,12 +358,11 @@ def pt_dct(signal, profile: PhaseProfile) -> Signal:
     y[n] = sqrt(2/N) sum_k sigma_k X[k] cos(pi k (2n+1) / 2N - alpha_k)
 
     resynthesizes X cos(alpha) on the cosine basis and X sin(alpha) on the
-    sine basis in one inverse transform; a constant profile equals its
-    per-bin equivalent, bit for bit or to round-off (see the module
-    docstring).  For a constant profile this equals
-    cos(alpha) x + sin(alpha) fcqt(x) to round-off; the DC term is carried
-    entirely by the cosine branch since the k = 0 sine basis vector is
-    identically zero.
+    sine basis in one inverse transform.  A constant profile is computed as
+    cos(alpha) x + sin(alpha) fcqt(x), which equals its per-bin equivalent
+    to round-off (see the module docstring); the DC term is carried entirely
+    by the cosine branch since the k = 0 sine basis vector is identically
+    zero.
 
     Raises
     ------

@@ -8,14 +8,18 @@ holds, so a mismatched inverse raises instead of silently scaling.  Every
 N-point gain on the DFT basis, 1-D and 2-D, is applied through
 :func:`apply_gain`, the one place that decides how a positive-frequency gain
 acts on real samples; the DCT basis resynthesizes its bins times
-e^{j alpha_k} in :func:`_dct3_pair`.
+e^{j alpha_k} in :func:`_dct3_pair`, and a real or purely imaginary
+spectrum in :func:`_dct3`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
 (Makhoul 1980, "A fast cosine transform in one and two dimensions"): the
-DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed,
-and every inverse, the phase transforms included, is one complex ``ifft``
-that carries the real DCT-3s of one spectrum's two parts (:func:`_dct3_pair`).
+DCT-2 is one ``rfft`` of the even samples followed by the odd ones reversed.
+A one-sided inverse, the DCT-3 of real bins (:func:`dct2_inverse`) or their
+resynthesis on the sine basis (the quadrature, and through it, by
+linearity, a constant phase), is one real N-point ``irfft`` (:func:`_dct3`).  Per-bin
+phases and delays are one complex ``ifft`` that carries the real DCT-3s of
+one spectrum's two parts (:func:`_dct3_pair`).
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.
@@ -237,12 +241,13 @@ def dct2_inverse(spectrum: Spectrum) -> Signal:
     """Exact inverse of :func:`dct2_forward`."""
     if spectrum.origin != "dct2":
         raise ValueError(f"dct2_inverse expects a dct2 spectrum, got {spectrum.origin!r}")
-    return Signal(_dct3_pair(np.asarray(spectrum.bins, dtype=float)), spectrum.sample_rate)
+    return Signal(_dct3(np.asarray(spectrum.bins, dtype=float)), spectrum.sample_rate)
 
 
 @functools.lru_cache(maxsize=8)
 def _dct_twiddles(n: int, forward: bool) -> np.ndarray:
-    """The twiddles of :func:`_dct2` (``forward``) or :func:`_dct3_pair`.
+    """The twiddles of :func:`_dct2` (``forward``) or :func:`_dct3_pair`,
+    whose first N//2 + 1 entries :func:`_dct3` reads.
 
     Forward: sqrt(2/N) e^{-j pi k / 2N} on k = 0..N//2; inverse, on the
     sequence folded from the one spectrum: sqrt(1/2N) e^{j pi k / 2N} on
@@ -306,6 +311,40 @@ def _dct3_pair(c: np.ndarray) -> np.ndarray:
         u = np.fft.ifft(v, norm="forward")
         np.add(u.real[:half], u.imag[:half], out=out[::2])
         np.subtract(u.real[:half - 1:-1], u.imag[:half - 1:-1], out=out[1::2])
+    return out
+
+
+def _dct3(c: np.ndarray, sine: bool = False) -> np.ndarray:
+    """y[n] = sqrt(2/N) sum_k sigma_k c[k] cos t_kn, the orthonormal DCT-3 of
+    real c, or with ``sine`` sqrt(2/N) sum_k c[k] sin t_kn: :func:`_dct3_pair`
+    of c or of jc, through one N-point ``irfft`` (Makhoul 1980).
+
+    For a real spectrum, v of :func:`_dct3_pair` is Hermitian,
+    v[N-k] = conj v[k], so u is real and bins 0..N//2 of v give it:
+    v[k] = e^{j pi k / 2N} (c[k] - j c[N-k]) / 2 with the twiddles' first
+    N//2 + 1 entries.  The sine sum is (-1)^n times the DCT-3 of
+    (0, c[N-1], ..., c[1]), so that sequence is fed in and the odd outputs
+    are negated; c[0] drops out.  The output reuses v's buffer, whose
+    2 (N//2 + 1) floats hold N.  An overflow leaves non-finite samples,
+    without a warning.
+    """
+    n = c.size
+    half, bins = (n + 1) // 2, n // 2 + 1
+    v = np.empty(bins, dtype=complex)  # before the temporaries, as in _dct_twiddles
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sine:  # d = (0, c[N-1], ..., c[1]): d[k] = c[N-k] and d[N-k] = c[k]
+            v[0] = 0.0
+            v.real[1:] = c[:n - bins:-1]
+            np.negative(c[1:bins], out=v.imag[1:])
+        else:
+            v.real = c[:bins]
+            v.imag[0] = 0.0
+            np.negative(c[:n - bins:-1], out=v.imag[1:])
+        v *= _dct_twiddles(n, False)[:bins]
+        u = np.fft.irfft(v, n, norm="forward")
+        out = v.view(float)[:n]
+        out[::2] = u[:half]
+        (np.negative if sine else np.positive)(u[:half - 1:-1], out=out[1::2])
     return out
 
 

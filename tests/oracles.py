@@ -122,6 +122,35 @@ def dct3_halves(a, b):
     return out
 
 
+def dct3_sine(b):
+    """The N-point resynthesis of real b on the sine basis, sqrt(2/N)
+    sum_k b[k] sin(pi k (2n+1) / 2N), through one real ``irfft``: (-1)^n
+    times the DCT-3 of d = (0, b[N-1], ..., b[1]), whose Hermitian half
+    v[k] = e^{j pi k / 2N} (d[k] - j d[N-k]) / 2 is formed from a real and
+    an imaginary array built apart.  Not an independent route: a bit-for-bit
+    reference for the one-sided inverse of the N-point DCT route."""
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    half, bins = (n + 1) // 2, n // 2 + 1
+    twiddles = np.empty(bins, dtype=complex)
+    angle = np.arange(bins) * (np.pi / (2 * n))
+    np.cos(angle, out=twiddles.real)
+    np.sin(angle, out=twiddles.imag)
+    twiddles *= np.sqrt(0.5 / n)
+    twiddles[0] = np.sqrt(1.0 / n)
+    d = np.concatenate(([0.0], b[:0:-1]))
+    real = d[:bins]
+    imag = np.concatenate(([0.0], -b[1:bins]))  # -d[N-k]
+    v = np.empty(bins, dtype=complex)
+    v.real, v.imag = real, imag
+    v *= twiddles
+    u = np.fft.irfft(v, n, norm="forward")
+    out = np.empty(n)
+    out[::2] = u[:half]
+    out[1::2] = -u[:half - 1:-1]
+    return out
+
+
 def dft2d_direct(g):
     """Direct separable 2-D DFT with 1/(M N) on the forward transform."""
     g = np.asarray(g)

@@ -792,9 +792,26 @@ class TestConfigAndEnvironment:
         assert main(["pt", str(gauss_csv), "--alpha-sweep", "0:0.5:3", "-o", str(from_flag)]) == 0
         assert from_config.read_bytes() == from_flag.read_bytes()
 
+    @pytest.mark.parametrize("line", ["alpha_sweep = 0:0.5:1", "alpha_per_bin = missing.csv",
+                                      "alpha = 0.9"])
+    def test_explicit_phase_flag_beats_its_group_in_config(self, gauss_csv, tmp_path, line):
+        # --alpha is in one exclusive group with --alpha-sweep and
+        # --alpha-per-bin, so a config value of any of them yields to it
+        config = tmp_path / "conf.txt"
+        config.write_text(line + "\nbasis = dct\n")
+        from_both, from_flags = tmp_path / "b.csv", tmp_path / "f.csv"
+        assert main(["pt", str(gauss_csv), "--alpha", "0.5", "--config", str(config),
+                     "-o", str(from_both)]) == 0
+        assert main(["pt", str(gauss_csv), "--alpha", "0.5", "--basis", "dct",
+                     "-o", str(from_flags)]) == 0
+        header, names, _ = pkio.read_columns_csv(from_both)
+        assert header["alpha"] == "0.5" and "alpha_sweep" not in header
+        assert header["basis"] == "dct" and names == ["t", "original", "transformed"]
+        assert from_both.read_bytes() == from_flags.read_bytes()
+
     @pytest.mark.parametrize("command, line, message", [
         # a string flag's value reaches the same check as the flag
-        (["pt", "--alpha", "0.5"], "alpha_sweep = 5", "sweep must be start:step:stop"),
+        (["pt"], "alpha_sweep = 5", "sweep must be start:step:stop"),
         (["pt", "--alpha", "0.5"], "basis = fft", "config key basis"),
         (["differint", "--order", "0.5"], "scaling = foo", "config key scaling"),
         (["differint", "--order", "0.5"], "no_dc_term = maybe", "config key no_dc_term"),

@@ -3,11 +3,13 @@ pair = cos alpha_k + j sin alpha_k that each route reads
 (phasekit.phase._shift), and frac_differintegrate builds its gain in place.
 
 The outputs are pinned bit for bit against the gain formed as separate
-arrays: np.exp(-1j alpha) on the DFT basis, and the DCT-2 bins times cos and
-times sin as two real halves of the DCT-3 on the DCT basis.  The tracemalloc
-peak of each route is bounded against a call in the same process that runs
-the same transforms, so the bound does not depend on what numpy's FFT
-allocates itself."""
+arrays: np.exp(-1j alpha) on the DFT basis, and on the DCT basis the DCT-2
+bins times cos and times sin as two real halves of the DCT-3, or for a
+scalar pair cos x + sin q with the quadrature q resynthesized through one
+real irfft.  The tracemalloc peak of each route is bounded against a call
+in the same process that runs the same transforms, so the bound does not
+depend on what numpy's FFT allocates itself; the one-sided DCT inverses,
+whose point is their smaller peak, are also bounded whole."""
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,8 @@ import pytest
 import phasekit as pk
 from phasekit.phase import (_delay_kernel, _kernel_route, _periodic_convolve,
                             _quadrature_kernel, _reduce)
-from phasekit.spectral import _dct2, apply_gain
-from oracles import dct3_halves
+from phasekit.spectral import _dct2, _dct3_pair, apply_gain
+from oracles import dct3_halves, dct3_sine
 
 # 4,099 is prime: a scalar profile there runs on the kernel route
 LENGTHS = [1, 2, 9, 1000, 4099]
@@ -41,6 +43,8 @@ def on_basis(x, basis, profile, pair=None):
         return apply_gain(x, complex(0.0, -1.0) if profile is None
                           else np.exp(-1j * profile.bin_phases(n, basis)))
     bins = _dct2(x)
+    if np.ndim(cos) == 0:
+        return cos * x + sin * dct3_sine(bins)
     return dct3_halves(bins * cos, bins * sin)
 
 
@@ -112,6 +116,13 @@ def traced_peak(call) -> int:
 
 DFT_PHASES = np.full(PEAK_N // 2 + 1, 0.7)
 DCT_PHASES = np.full(PEAK_N, 0.7)
+
+
+def two_sided_dct(x):
+    """The two-sided DCT inverse of a complex spectrum, as per-bin DCT profiles run it."""
+    return _dct3_pair(_dct2(x) * 1j)
+
+
 # (route, baseline, bound): the baseline runs the same FFTs, so the route's
 # extra peak, in N float64 words, counts only the arrays that hold its gain:
 # 1.0 where the gain array lives through the transform (the DFT basis and
@@ -122,9 +133,9 @@ PEAK_CASES = {
     "frac_delay_dft": (lambda x: pk.frac_delay_dft(x, 0.3), pk.hilbert, 1.5),
     "pt_dft per-bin": (lambda x: pk.pt_dft(x, pk.PhaseProfile.per_bin(DFT_PHASES)),
                        pk.hilbert, 1.5),
-    "frac_delay_dct": (lambda x: pk.frac_delay_dct(x, 0.3), pk.fcqt, 0.5),
+    "frac_delay_dct": (lambda x: pk.frac_delay_dct(x, 0.3), two_sided_dct, 0.5),
     "pt_dct per-bin": (lambda x: pk.pt_dct(x, pk.PhaseProfile.per_bin(DCT_PHASES)),
-                       pk.fcqt, 0.5),
+                       two_sided_dct, 0.5),
     "pt_dct constant": (lambda x: pk.pt_dct(x, pk.PhaseProfile.constant(0.7)), pk.fcqt, 0.5),
     "frac_differintegrate": (lambda x: pk.frac_differintegrate(x, 0.5, include_dc_term=False),
                              pk.hilbert, 1.25),
@@ -137,3 +148,22 @@ def test_peak_above_the_same_transforms(name):
     x = np.random.default_rng(0).standard_normal(PEAK_N)
     extra = (traced_peak(lambda: route(x)) - traced_peak(lambda: baseline(x))) / (8 * PEAK_N)
     assert extra <= bound
+
+
+# (call on x, bound): the whole traced peak of a one-sided DCT inverse in N
+# float64 words, numpy's FFT outputs included: the N//2 + 1 bins v and the
+# irfft's output (the inverse returns them in v's buffer), and for the
+# quadrature and a constant phase the DCT-2 bins beside them, then the two
+# products of cos x + sin q (6.0 and 7.0 words through the two-sided inverse)
+ONE_SIDED_PEAKS = {
+    "dct2_inverse": (lambda x: pk.dct2_inverse(pk.Spectrum(x, "dct2", 1.0)), 2.1),
+    "fcqt": (pk.fcqt, 3.1),
+    "pt_dct constant": (lambda x: pk.pt_dct(x, pk.PhaseProfile.constant(0.7)), 3.1),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SIDED_PEAKS)
+def test_one_sided_dct_peak(name):
+    call, bound = ONE_SIDED_PEAKS[name]
+    x = np.random.default_rng(0).standard_normal(PEAK_N)
+    assert traced_peak(lambda: call(x)) / (8 * PEAK_N) <= bound

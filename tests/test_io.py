@@ -284,17 +284,18 @@ class TestCsvCodec:
         # the parsed n x 2 array twice over, and 1 MB; the file is 4.7 MB
         assert peak < 2 * (n * 2 * 8) + 2 ** 20
 
-    def test_write_peak_memory(self, tmp_path):
-        n = 131072
-        columns = list(np.random.default_rng(4).standard_normal((3, n)))
+    @pytest.mark.parametrize("n, cols", [(131072, 3), (32768, 43)])
+    def test_write_peak_memory(self, tmp_path, n, cols):
+        columns = list(np.random.default_rng(4).standard_normal((cols, n)))
         tracemalloc.start()
         try:
-            pkio.write_columns_csv(tmp_path / "long.csv", {}, ["a", "b", "c"], columns)
+            pkio.write_columns_csv(tmp_path / "long.csv", {}, [f"c{i}" for i in range(cols)],
+                                   columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the n x 3 column_stack, and 4 MB; the file is 7.9 MB
-        assert peak < n * 3 * 8 + 4 * 2 ** 20
+        # 4 MB and no copy of the table (3 and 11 MB); the files are 7.9 and 26 MB
+        assert peak < 4 * 2 ** 20
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -336,10 +337,10 @@ class TestCsvCodec:
         parent = os.getpid()
         write_rows = pkio._write_rows
 
-        def child_raises(fh, rows):
+        def child_raises(fh, columns):
             if os.getpid() != parent:
                 raise RuntimeError("child formatting failed")
-            write_rows(fh, rows)
+            write_rows(fh, columns)
 
         def raise_os_error(*args):
             raise OSError("no resources")
@@ -689,7 +690,7 @@ class TestG17Kernel:
         # 4,000 rows span two blocks of 8,192 values
         for rows in (block, np.tile(block, (1000, 1))):
             out = io.BytesIO()
-            pkio._write_rows(out, rows)
+            pkio._write_rows(out, [rows])
             want = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
             assert out.getvalue() == want.encode("ascii")
         assert out.getvalue().startswith(b"1.0000076293945312,0.5,-3.25\n")
