@@ -18,7 +18,9 @@ bases), ``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
 ``delay`` on both bases and ``differint`` on the prime-length CSV,
 ``differint`` (physical on the record, normalized with and without the
 mean term on the small CSV), ``wpt``,
-``image-pt --preview``, ``synth``, ``repro 1``-``5``
+``image-pt --preview`` (on the benchmark's 1024x1024 PGM, a 301x517 PGM and a
+700x206 CSV grid, each of several blocks of the 2-D transform, the last two
+of partial ones), ``synth``, ``repro 1``-``5``
 and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
 exists (an output file, and ``--version``'s standard output), and under a
@@ -60,6 +62,11 @@ SMALL_N = 3001  # odd, and below both of the writer's and reader's split thresho
 PRIME_N = 65537  # prime and above 4096: the closed-form kernel route
 FAR_DELAY = "600200000.25"  # 0.25 + 200,000 x 3,001 = 0.25 + 100,000 x 6,002
 DELAY_2P52 = "4503599627370496"  # 2^52 = -80 plus whole periods of 3,001 and of 6,002
+# rows x columns of two images whose 2-D transform ends on a partial block of
+# rows and of columns: an odd 8-bit PGM, and an even CSV grid whose Nyquist
+# column falls in the last, partial block of columns
+ODD_IMAGE = (301, 517)
+GRID_IMAGE = (700, 206)
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,8 +97,9 @@ def _pcm_wav(channels: int, bits: int) -> bytes:
 
 def write_inputs(directory: Path) -> None:
     """The seed-1 benchmark inputs, the small and the prime-length CSV and
-    per-bin phases for each, and a stereo and an 8-bit PCM WAV, which the
-    reader rejects."""
+    per-bin phases for each, an odd PGM and a CSV grid of several blocks of
+    the 2-D transform, and a stereo and an 8-bit PCM WAV, which the reader
+    rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):
@@ -108,6 +116,10 @@ def write_inputs(directory: Path) -> None:
     for basis, bins in (("dft", PRIME_N // 2 + 1), ("dct", PRIME_N)):
         inputs.write_signal_csv(directory / f"phases_prime_{basis}.csv",
                                 rng.uniform(-math.pi, math.pi, bins), 1.0)
+    inputs.write_pgm(directory / "odd.pgm",
+                     inputs.make_image(inputs.rng_for(1, "compare-image"), ODD_IMAGE))
+    grid = inputs.make_image(inputs.rng_for(1, "compare-grid"), GRID_IMAGE) / 255.0 - 0.5
+    np.savetxt(directory / "grid.csv", grid, fmt="%.17g", delimiter=",")
     (directory / "stereo.wav").write_bytes(_pcm_wav(2, 16))
     (directory / "pcm8.wav").write_bytes(_pcm_wav(1, 8))
 
@@ -148,6 +160,10 @@ def matrix() -> list[Case]:
         Case("wpt-small", ["wpt", "{in}/small.csv", "--alpha", alpha]),
         Case("image-pt", ["image-pt", "{in}/image.pgm", "--alpha", repr(p.image_alpha),
                           "--preview", "preview.pgm"]),
+        Case("image-pt-odd", ["image-pt", "{in}/odd.pgm", "--alpha", "2.3",
+                              "--preview", "preview.pgm"]),
+        Case("image-pt-grid", ["image-pt", "{in}/grid.csv", "--alpha", "0.7",
+                               "--preview", "preview.pgm"]),
         *(Case(f"synth-{kind}", ["synth", "--case", kind]) for kind in ("fourier", "am", "pm")),
         *(Case(f"repro-{n}", ["repro", str(n), "--outdir", "."]) for n in range(1, 6)),
         Case("truncated-wav", ["pt", "{in}/truncated.wav", "--alpha", "0.5"]),

@@ -626,9 +626,9 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = 255) -> None:
         raise ValueError("pixel values outside [0, maxval]; rescale first")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = pixels.shape
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     with output_file(path) as fh:
-        fh.write(header + np.rint(pixels).astype(dtype).tobytes())
+        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(np.rint(pixels, out=np.empty(pixels.shape, dtype), casting="unsafe"))
 
 
 def pgm_preview(pixels: np.ndarray, maxval: int = 255) -> np.ndarray:
@@ -638,7 +638,10 @@ def pgm_preview(pixels: np.ndarray, maxval: int = 255) -> np.ndarray:
     hi = pixels.max()
     if hi == lo:
         return np.zeros_like(pixels)
-    return np.rint((pixels - lo) / (hi - lo) * maxval)
+    out = pixels - lo
+    out /= hi - lo
+    out *= maxval
+    return np.rint(out, out=out)
 
 
 def write_grid_csv(path, header: dict, pixels: np.ndarray) -> None:

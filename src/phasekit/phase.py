@@ -386,7 +386,9 @@ def pt_sweep(signal, alphas, basis: str = "dft") -> np.ndarray:
         raise ValueError(f"phases must be a 1-D sequence, got {alphas.ndim} dimensions")
     if not np.all(np.isfinite(alphas)):
         raise ValueError("phases must be finite")
-    alphas = alphas[:, None]
     quadrature = _shift(sig, basis).samples
-    return _require_finite(np.cos(alphas) * sig.samples + np.sin(alphas) * quadrature,
-                           "phase sweep")
+    out = np.empty((alphas.size, quadrature.size))
+    for cos, sin, row in zip(np.cos(alphas), np.sin(alphas), out):
+        np.multiply(cos, sig.samples, out=row)
+        row += sin * quadrature
+    return _require_finite(out, "phase sweep")

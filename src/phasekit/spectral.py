@@ -5,11 +5,10 @@ package.  The discrete Fourier transform places the 1/N factor on the
 *forward* transform, so the inverse is a bare exponential sum; the DCT-2
 pair is orthonormal.  A spectrum's ``origin`` names which of the two it
 holds, so a mismatched inverse raises instead of silently scaling.  Every
-N-point gain on the DFT basis, 1-D and 2-D, is applied through
-:func:`apply_gain`, the one place that decides how a positive-frequency gain
-acts on real samples; the DCT basis resynthesizes its bins times
-e^{j alpha_k} in :func:`_dct3_pair`, and a real or purely imaginary
-spectrum in :func:`_dct3`.
+1-D N-point gain on the DFT basis is applied through :func:`apply_gain`,
+the one place that decides how a positive-frequency gain acts on real
+samples; the DCT basis resynthesizes its bins times e^{j alpha_k} in
+:func:`_dct3_pair`, and a real or purely imaginary spectrum in :func:`_dct3`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The
 DCT basis is one orthonormal type-2 family on Makhoul's N-point route
@@ -365,19 +364,15 @@ def idft2d(grid: np.ndarray) -> Image:
 
 
 def apply_gain(x, gain) -> np.ndarray:
-    """Apply a positive-frequency gain to real samples over the trailing axes.
+    """Apply a positive-frequency gain to real samples along the last axis.
 
-    The transform runs over the last ``max(gain.ndim, 1)`` axes of x: a
-    scalar or 1-D gain acts along the last axis, a 2-D gain on the last two.
-    Returns irfftn(rfftn(x) * gain) with the gain given on the half spectrum
-    rfftn produces (bins 0..N//2 of the last axis, every bin of the others),
-    broadcast against the leading axes of x.  In 1-D this equals
-    Re(ifft(H X)) for the one-sided multiplier H that is gain on DC, twice
-    the gain on bins strictly between DC and Nyquist, gain on the Nyquist bin
-    of an even N, and zero on negative frequencies: the inverse real
-    transform keeps only the real part of the DC and Nyquist products, which
-    is all a real output can carry.  A Hermitian multiplier H on a full
-    grid, restricted to that half spectrum, gives Re(ifftn(H X)).
+    Returns irfft(rfft(x) * gain, N) with the gain (a scalar or one value per
+    bin) given on bins 0..N//2.  This equals Re(ifft(H X)) for the one-sided
+    multiplier H that is gain on DC, twice the gain on bins strictly between
+    DC and Nyquist, gain on the Nyquist bin of an even N, and zero on
+    negative frequencies: the inverse real transform keeps only the real
+    part of the DC and Nyquist products, which is all a real output can
+    carry.
 
     Raises
     ------
@@ -386,9 +381,8 @@ def apply_gain(x, gain) -> np.ndarray:
         overflowed).
     """
     x = np.asarray(x, dtype=float)
-    axes = tuple(range(-max(np.ndim(gain), 1), 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * gain, x.shape[axes[0]:], axes=axes)
+        out = np.fft.irfft(np.fft.rfft(x) * gain, x.shape[-1])
     return _require_finite(out, "spectral gain")
 
 

@@ -210,6 +210,27 @@ def pt2d_direct(g, alpha):
     return idft2d_direct(spectrum * mask).real
 
 
+def half_plane_half_mask(rows, cols, alpha):
+    """Columns 0..cols//2 of pt2d_direct's mask (the half a real-input 2-D FFT
+    keeps), vectorized, or the exact pair (0, 1) for alpha None; each value is
+    cos alpha or complex(cos alpha, -+sin alpha), as the library forms them."""
+    cos, sin = (0.0, 1.0) if alpha is None else (np.cos(alpha), np.sin(alpha))
+    f1 = np.array([signed_frequency(k, rows) for k in range(rows)])[:, None]
+    f2 = np.array([signed_frequency(k, cols) for k in range(cols // 2 + 1)])[None, :]
+    total = f1 * cols + f2 * rows
+    mask = np.where(total > 0, complex(cos, -sin), complex(cos, sin))
+    mask[(total == 0) | (2 * f1 == rows) | (2 * f2 == cols)] = cos
+    return mask
+
+
+def half_plane_one_shot(g, alpha):
+    """The 2-D phase transform (alpha None: the quadrature) as one numpy
+    irfftn(rfftn(g) * H) over the whole image, H of half_plane_half_mask."""
+    g = np.asarray(g, dtype=float)
+    spectrum = np.fft.rfftn(g, axes=(0, 1)) * half_plane_half_mask(*g.shape, alpha)
+    return np.fft.irfftn(spectrum, g.shape, axes=(0, 1))
+
+
 def circular_convolve(x, kernel):
     """Direct O(N^2) circular convolution."""
     x = np.asarray(x)

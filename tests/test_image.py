@@ -1,10 +1,19 @@
 """Tests for the 2-D phase transform, analytic signal, and kernel."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import phasekit as pk
+import phasekit.image
 from phasekit.image import _signed_bin_sums
-from oracles import circular_convolve_2d, pt2d_direct
+from oracles import circular_convolve_2d, half_plane_half_mask, half_plane_one_shot, pt2d_direct
+
+# 1000x1001 and 1024x1024 end on a partial block of rows or of columns at the
+# library's block size; the small shapes run on blocks of BLOCK_VALUES values
+BLOCKED_SHAPES = [(1, 1), (1, 9), (9, 1), (5, 7), (6, 8), (33, 64), (64, 63), (130, 67),
+                  (1000, 1001), (1024, 1024)]
+BLOCK_VALUES = 1000  # 130x67: blocks of 14 rows and of 3 of the 34 half-spectrum columns
 
 
 def plane_wave(rows, cols, k1, k2, phase=0.0):
@@ -107,6 +116,48 @@ class TestPt2d:
         conv = circular_convolve_2d(img, kernel.real)
         out = pk.pt2d(img, alpha).pixels
         assert np.max(np.abs(conv - out)) < 1e-10
+
+
+class TestBlockedRoute:
+    """The blocked in-place route against numpy's one-shot irfftn(rfftn(g) * H)."""
+
+    @pytest.mark.parametrize("shape, block", [(shape, None) for shape in BLOCKED_SHAPES]
+                             + [(shape, BLOCK_VALUES) for shape in BLOCKED_SHAPES[:-2]])
+    def test_bit_for_bit_one_shot(self, shape, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(phasekit.image, "_BLOCK_VALUES", block)
+        g = np.random.default_rng(sum(shape)).standard_normal(shape) * 100.0
+        for alpha in (0.0, 0.7, np.pi / 2, 2.3):
+            assert np.array_equal(pk.pt2d(g, alpha).pixels.view(np.int64),
+                                  half_plane_one_shot(g, alpha).view(np.int64))
+        assert np.array_equal(pk.analytic2d(g).view(np.int64),
+                              (g + 1j * half_plane_one_shot(g, None)).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(12, 10), (7, 9), (8, 5), (1, 4)])
+    def test_oracle_mask_is_the_library_mask(self, shape):
+        for alpha in (0.0, 1.3, None):
+            half = slice(0, shape[1] // 2 + 1)
+            want = phasekit.image._mask_values(*shape, alpha, half)
+            assert np.array_equal(half_plane_half_mask(*shape, alpha), want)
+
+    @pytest.mark.parametrize("cols", [12, 13])
+    def test_column_blocks_of_the_mask(self, cols):
+        full = pk.HalfPlaneMask.build(10, cols, 0.4).values
+        for part in (slice(0, 3), slice(3, 6), slice(5, 7)):
+            assert np.array_equal(phasekit.image._mask_values(10, cols, 0.4, part), full[:, part])
+
+    def test_peak_memory(self):
+        # the input is not counted: one half spectrum (1.004 images), the
+        # output and blocks of 2^16 float64 words; 4.0 images on the one-shot route
+        g = np.random.default_rng(7).standard_normal((512, 512))
+        pk.pt2d(g, 0.7)
+        tracemalloc.start()
+        try:
+            pk.pt2d(g, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * g.nbytes
 
 
 class TestAnalytic2d:

@@ -953,6 +953,37 @@ class TestPgm:
             pkio.write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=maxval)
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("maxval", [255, 1000, 65535])
+    def test_preview_and_bytes_are_the_one_shot_expressions(self, tmp_path, maxval):
+        pixels = np.random.default_rng(maxval).standard_normal((33, 17)) * 1e3
+        lo, hi = pixels.min(), pixels.max()
+        preview = pkio.pgm_preview(pixels, maxval)
+        want = np.rint((pixels - lo) / (hi - lo) * maxval)
+        assert np.array_equal(preview.view(np.int64), want.view(np.int64))
+        pkio.write_pgm(tmp_path / "p.pgm", preview, maxval)
+        dtype = ">u2" if maxval > 255 else "u1"
+        assert (tmp_path / "p.pgm").read_bytes() == (
+            f"P5\n17 33\n{maxval}\n".encode() + np.rint(preview).astype(dtype).tobytes())
+
+    @pytest.mark.parametrize("maxval", [None, 255, 65535],
+                             ids=["preview", "pgm-8-bit", "pgm-16-bit"])
+    def test_preview_and_writer_peak_memory(self, tmp_path, maxval):
+        # the preview rescales one copy in place (2.0 images with a temporary
+        # per step); the writer rounds straight into 1 or 2 bytes a pixel
+        # (1.1 images with a float rint, its bytes and the header prepended)
+        pixels = np.random.default_rng(8).standard_normal((512, 512))
+        preview = pkio.pgm_preview(pixels, maxval or 255)
+        tracemalloc.start()
+        try:
+            if maxval is None:
+                pkio.pgm_preview(pixels)
+            else:
+                pkio.write_pgm(tmp_path / "p.pgm", preview, maxval)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.1 if maxval is None else 0.3) * pixels.nbytes
+
     def test_preview_rescales_to_full_range(self):
         pixels = np.array([[-2.0, 0.0], [1.0, 6.0]])
         preview = pkio.pgm_preview(pixels, maxval=255)

@@ -1,4 +1,5 @@
 """Tests for the DFT- and DCT-based phase transforms."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,6 +309,31 @@ class TestPtSweep:
         for alpha, row in zip(alphas, sweep):
             want = transform(x, pk.PhaseProfile.constant(alpha)).samples
             assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("basis", ["dft", "dct"])
+    def test_rows_are_the_one_shot_expression(self, basis):
+        alphas = np.linspace(-3.0, 3.0, 41)
+        for n in (1, 2, 3, 8, 9, 1000, 1001, 4099, 65536):
+            x = np.random.default_rng(n).standard_normal(n)
+            q = pk.hilbert(x) if basis == "dft" else pk.fcqt(x)
+            want = np.cos(alphas)[:, None] * x + np.sin(alphas)[:, None] * q.samples
+            assert np.array_equal(pk.pt_sweep(x, alphas, basis).view(np.int64),
+                                  want.view(np.int64))
+
+    @pytest.mark.parametrize("basis", ["dft", "dct"])
+    def test_peak_memory(self, basis):
+        # the output, the quadrature and one row of temporaries; cos x + sin q
+        # held two outputs (2.03)
+        x = np.random.default_rng(9).standard_normal(4096)
+        alphas = np.linspace(0.0, np.pi, 41)
+        pk.pt_sweep(x, alphas, basis)
+        tracemalloc.start()
+        try:
+            out = pk.pt_sweep(x, alphas, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
