@@ -1,30 +1,39 @@
 #!/usr/bin/env python3
-"""Run one CLI matrix from two source trees and compare what each wrote.
+"""Run one CLI matrix from two source trees and compare what each wrote,
+or run it twice from one tree and check it.
 
     python3 scripts/compare_trees.py PARENT CHANGE
+    python3 scripts/compare_trees.py --check TREE [--no-scipy]
 
-PARENT and CHANGE are checkouts of phasekit; each command runs as
+PARENT, CHANGE and TREE are checkouts of phasekit; each command runs as
 ``python -m phasekit`` with ``PYTHONPATH=TREE/src``, in a fresh directory
-per tree and command.  The inputs are the benchmark's seed-1 files, written
+per tree and command.  With ``--no-scipy`` it starts instead through a
+launcher that sets ``sys.modules['scipy'] = None`` before
+``phasekit.cli.run``, so any import of scipy fails as if it were not
+installed.  The inputs are the benchmark's seed-1 files, written
 by ``perfbench/inputs.py`` of this repository (so both trees read the same
 bytes), plus a 3,001-sample CSV, a 65,537-sample CSV (a prime length, where
-a constant phase or a scalar delay is one power-of-two convolution with a
-closed-form kernel), per-bin phase files for both, and the benchmark's
+a constant phase or a scalar delay is one convolution at a 5-smooth size with
+a closed-form kernel, and every other DFT gain one with its own kernel),
+per-bin phase files for both, and the benchmark's
 hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
 ``--alpha-sweep``) and ``delay`` on both bases, both also on the float32 WAV
 (whose output is rich in 17th-digit ties), delays of 600,200,000.25 and of
 2^52 samples (0.25 and -80 plus whole periods of the small CSV on both
-bases), ``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
+bases) and of 1e308 samples (on both CSVs and bases),
+``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
 ``delay`` on both bases and ``differint`` on the prime-length CSV,
 ``differint`` (physical on the record, normalized with and without the
-mean term on the small CSV), ``wpt``,
+mean term on the small CSV), ``wpt`` on both CSVs,
 ``image-pt --preview`` (on the benchmark's 1024x1024 PGM, a 301x517 PGM and a
 700x206 CSV grid, each of several blocks of the 2-D transform, the last two
-of partial ones), ``synth``, ``repro 1``-``5``
-and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
+of partial ones, and a 16x16 ramp PGM of one block), ``synth``, ``repro 1``-``5``,
+``analytic_signal`` in process on 4,096 and 4,099 samples (no subcommand
+reaches it), and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
 exists (an output file, and ``--version``'s standard output), and under a
-file-size limit where the platform has one.
+file-size limit where the platform has one.  Each case carries the exit code
+the CLI contract gives it.
 
 For each command it prints the exit code of each tree, and for each output
 file "identical" or the largest |delta| / max|out| over its numbers (CSV,
@@ -32,6 +41,11 @@ PGM and JSON; the header is compared as text); then, when a tree wrote to
 standard output, "identical" or each tree's lines; then each tree's standard
 error when they differ.  Exits 1 when an exit code changes, else 0.  Takes
 about 30 s on a 2-vCPU machine.
+
+``--check`` prints each command's exit code and fails it, and exits 1, when
+either run exits with another code than the case's own, prints a Python
+traceback to standard error, or writes an output file or standard output
+that differs, byte for byte, between the two runs.
 """
 from __future__ import annotations
 
@@ -78,10 +92,16 @@ def _perfbench_inputs():
     return module
 
 
+# the launcher of --no-scipy, and the prefix of an in-process case under it
+NO_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+CLI = "from phasekit.cli import run; run()"
+
+
 @dataclass(frozen=True)
 class Case:
     name: str
-    argv: list[str]  # '{in}' stands for the inputs directory
+    argv: list[str]  # '{in}' stands for the inputs directory; ['-c', CODE] runs Python code
+    exit_code: int = 0  # the exit code the CLI contract gives the command
     file_limit: int | None = None  # RLIMIT_FSIZE of the run, in bytes
     stdout: str | None = None  # a file standard output goes to, else it is captured
 
@@ -98,8 +118,8 @@ def _pcm_wav(channels: int, bits: int) -> bytes:
 def write_inputs(directory: Path) -> None:
     """The seed-1 benchmark inputs, the small and the prime-length CSV and
     per-bin phases for each, an odd PGM and a CSV grid of several blocks of
-    the 2-D transform, and a stereo and an 8-bit PCM WAV, which the reader
-    rejects."""
+    the 2-D transform, a 16x16 ramp PGM of one block, and a stereo and an
+    8-bit PCM WAV, which the reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):
@@ -120,8 +140,18 @@ def write_inputs(directory: Path) -> None:
                      inputs.make_image(inputs.rng_for(1, "compare-image"), ODD_IMAGE))
     grid = inputs.make_image(inputs.rng_for(1, "compare-grid"), GRID_IMAGE) / 255.0 - 0.5
     np.savetxt(directory / "grid.csv", grid, fmt="%.17g", delimiter=",")
+    inputs.write_pgm(directory / "ramp.pgm", np.arange(256, dtype=np.uint8).reshape(16, 16))
     (directory / "stereo.wav").write_bytes(_pcm_wav(2, 16))
     (directory / "pcm8.wav").write_bytes(_pcm_wav(1, 8))
+
+
+# analytic_signal, which no subcommand reaches, on the N-point route and the
+# kernel route: z as rows of (Re, Im)
+ANALYTIC_SIGNAL = """import numpy, phasekit
+for n in (4096, 4099):
+    z = phasekit.analytic_signal(numpy.cos(numpy.arange(n) / 7.0))
+    numpy.savetxt(f"analytic_{n}.csv", z.view(float).reshape(n, 2), fmt="%.17g", delimiter=",")
+"""
 
 
 def matrix() -> list[Case]:
@@ -141,12 +171,14 @@ def matrix() -> list[Case]:
             Case(f"delay-small-{basis}", ["delay", "{in}/small.csv", "--samples", delay, *b]),
             Case(f"delay-far-{basis}", ["delay", "{in}/small.csv", "--samples", FAR_DELAY, *b]),
             Case(f"delay-2p52-{basis}", ["delay", "{in}/small.csv", "--samples", DELAY_2P52, *b]),
-            Case(f"overflow-{basis}", ["pt", "{in}/overflow.csv", "--alpha", "0.5", *b]),
+            Case(f"delay-1e308-{basis}", ["delay", "{in}/small.csv", "--samples", "1e308", *b]),
+            Case(f"overflow-{basis}", ["pt", "{in}/overflow.csv", "--alpha", "0.5", *b], 4),
             Case(f"pt-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha", alpha, *b]),
             Case(f"pt-per-bin-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-per-bin",
                                                f"{{in}}/phases_prime_{basis}.csv", *b]),
             Case(f"pt-sweep-prime-{basis}", ["pt", "{in}/prime.csv", "--alpha-sweep", sweep, *b]),
             Case(f"delay-prime-{basis}", ["delay", "{in}/prime.csv", "--samples", delay, *b]),
+            Case(f"delay-1e308-prime-{basis}", ["delay", "{in}/prime.csv", "--samples", "1e308", *b]),
         ]
     cases += [
         Case("pt-wav", ["pt", "{in}/record.wav", "--alpha", alpha]),
@@ -158,39 +190,50 @@ def matrix() -> list[Case]:
                                                "--scaling", "normalized"]),
         Case("differint-prime", ["differint", "{in}/prime.csv", "--order", order]),
         Case("wpt-small", ["wpt", "{in}/small.csv", "--alpha", alpha]),
+        Case("wpt-prime", ["wpt", "{in}/prime.csv", "--alpha", alpha]),
         Case("image-pt", ["image-pt", "{in}/image.pgm", "--alpha", repr(p.image_alpha),
                           "--preview", "preview.pgm"]),
         Case("image-pt-odd", ["image-pt", "{in}/odd.pgm", "--alpha", "2.3",
                               "--preview", "preview.pgm"]),
         Case("image-pt-grid", ["image-pt", "{in}/grid.csv", "--alpha", "0.7",
                                "--preview", "preview.pgm"]),
+        Case("image-pt-ramp", ["image-pt", "{in}/ramp.pgm", "--alpha", "0.5",
+                               "--preview", "preview.pgm"]),
         *(Case(f"synth-{kind}", ["synth", "--case", kind]) for kind in ("fourier", "am", "pm")),
         *(Case(f"repro-{n}", ["repro", str(n), "--outdir", "."]) for n in range(1, 6)),
-        Case("truncated-wav", ["pt", "{in}/truncated.wav", "--alpha", "0.5"]),
-        Case("stereo-wav", ["pt", "{in}/stereo.wav", "--alpha", "0.5"]),
-        Case("pcm8-wav", ["pt", "{in}/pcm8.wav", "--alpha", "0.5"]),
-        Case("missing-input", ["pt", "{in}/missing.csv", "--alpha", "0.5"]),
-        Case("bad-sweep", ["pt", "{in}/small.csv", "--alpha-sweep", "0:-1:3"]),
+        Case("analytic-signal", ["-c", ANALYTIC_SIGNAL]),
+        Case("truncated-wav", ["pt", "{in}/truncated.wav", "--alpha", "0.5"], 2),
+        Case("stereo-wav", ["pt", "{in}/stereo.wav", "--alpha", "0.5"], 2),
+        Case("pcm8-wav", ["pt", "{in}/pcm8.wav", "--alpha", "0.5"], 2),
+        Case("missing-input", ["pt", "{in}/missing.csv", "--alpha", "0.5"], 2),
+        Case("bad-sweep", ["pt", "{in}/small.csv", "--alpha-sweep", "0:-1:3"], 3),
         Case("version", ["--version"]),
     ]
     if os.path.exists("/dev/full"):
         cases += [Case("write-dev-full", ["pt", "{in}/small.csv", "--alpha", alpha,
-                                          "-o", "/dev/full"]),
-                  Case("version-dev-full", ["--version"], stdout="/dev/full")]
+                                          "-o", "/dev/full"], 2),
+                  Case("version-dev-full", ["--version"], 2, stdout="/dev/full")]
     if resource is not None:  # each output is at least ten times the limit
-        cases += [Case("write-file-limit", ["pt", "{in}/record.csv", "--alpha", alpha], 1 << 17),
-                  Case("repro-1-file-limit", ["repro", "1", "--outdir", "."], 1 << 17)]
+        cases += [Case("write-file-limit", ["pt", "{in}/record.csv", "--alpha", alpha], 2,
+                       file_limit=1 << 17),
+                  Case("repro-1-file-limit", ["repro", "1", "--outdir", "."], 2,
+                       file_limit=1 << 17)]
     return cases
 
 
-def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path) -> subprocess.CompletedProcess:
-    """Run ``case`` from ``tree``'s src in a new directory ``cwd``; a
-    command other than ``repro`` and ``--version`` writes ``out.csv``
-    unless it has ``-o``."""
+def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path,
+        no_scipy: bool = False) -> subprocess.CompletedProcess:
+    """Run ``case`` from ``tree``'s src in a new directory ``cwd``, with
+    scipy hidden for ``no_scipy``; a command other than ``repro``,
+    ``--version`` and Python code writes ``out.csv`` unless it has ``-o``."""
     cwd.mkdir(parents=True)
     argv = [arg.replace("{in}", str(inputs_dir)) for arg in case.argv]
-    if "-o" not in argv and case.argv[0] not in ("repro", "--version"):
-        argv += ["-o", "out.csv"]
+    if argv[0] == "-c":
+        argv = ["-c", NO_SCIPY + argv[1] if no_scipy else argv[1]]
+    else:
+        if "-o" not in argv and argv[0] not in ("repro", "--version"):
+            argv += ["-o", "out.csv"]
+        argv = ["-c", NO_SCIPY + CLI, *argv] if no_scipy else ["-m", "phasekit", *argv]
     env = {key: value for key, value in os.environ.items() if key != "PHASEKIT_OUTDIR"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     limit = None
@@ -198,7 +241,7 @@ def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path) -> subprocess.Compl
         def limit():
             resource.setrlimit(resource.RLIMIT_FSIZE, (case.file_limit, case.file_limit))
     with open(case.stdout, "w") if case.stdout else contextlib.nullcontext() as stdout:
-        return subprocess.run([sys.executable, "-m", "phasekit", *argv], cwd=cwd, env=env,
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                               stdout=stdout or subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True, errors="replace", preexec_fn=limit)
 
@@ -295,15 +338,54 @@ def compare(parent: Path, change: Path, cases: list[Case], inputs_dir: Path, wor
     return changed
 
 
+def _same_bytes(a: Path, b: Path) -> bool:
+    return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+
+
+def check(tree: Path, cases: list[Case], inputs_dir: Path, work: Path,
+          no_scipy: bool = False) -> int:
+    """Run every case twice from ``tree`` under ``work`` and print its exit
+    code and faults; returns 1 if a case failed, else 0."""
+    failed = 0
+    for case in cases:
+        dirs = [work / run_name / case.name for run_name in ("first", "second")]
+        runs = [run(tree, case, inputs_dir, cwd, no_scipy) for cwd in dirs]
+        codes = {result.returncode for result in runs} - {case.exit_code}
+        faults = [f"exit {code}, expected {case.exit_code}" for code in sorted(codes)]
+        if any("Traceback (most recent call last)" in result.stderr for result in runs):
+            faults.append("a traceback on stderr")
+        differ = sorted(str(name) for name in _outputs(dirs[0]) | _outputs(dirs[1])
+                        if not _same_bytes(dirs[0] / name, dirs[1] / name))
+        differ += ["stdout"] if runs[0].stdout != runs[1].stdout else []
+        if differ:
+            faults.append("differs between runs: " + ", ".join(differ))
+        failed |= bool(faults)
+        print(f"{case.name}: exit {runs[0].returncode}" + "".join(f"\n  FAILED: {fault}"
+                                                              for fault in faults))
+        if faults:
+            print("".join(f"    {line}\n" for line in runs[0].stderr.splitlines()), end="")
+    print(f"{len(cases)} cases; " + ("a case failed" if failed else "every case passed"))
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="the tree compared against")
-    parser.add_argument("change", type=Path, help="the tree under review")
+    parser.add_argument("trees", nargs="*", type=Path, metavar="PARENT CHANGE",
+                        help="the tree compared against, and the tree under review")
+    parser.add_argument("--check", type=Path, metavar="TREE",
+                        help="run the matrix twice from TREE alone and check each case")
+    parser.add_argument("--no-scipy", action="store_true",
+                        help="with --check: start each case with sys.modules['scipy'] = None")
     args = parser.parse_args(argv)
+    if len(args.trees) != (0 if args.check else 2) or (args.no_scipy and not args.check):
+        parser.error("give PARENT and CHANGE, or --check TREE [--no-scipy]")
     work = Path(tempfile.mkdtemp(prefix="compare_trees_"))
     try:
         write_inputs(work / "in")
-        return compare(args.parent.resolve(), args.change.resolve(), matrix(), work / "in", work)
+        if args.check:
+            return check(args.check.resolve(), matrix(), work / "in", work, args.no_scipy)
+        parent, change = (tree.resolve() for tree in args.trees)
+        return compare(parent, change, matrix(), work / "in", work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -6,7 +6,8 @@ fractional derivatives/integrals multiply each positive bin by
 reciprocal-gamma power-law term.  Both parts are in per-sample units unless
 time is measured in seconds, which multiplies both by sample_rate^mu.  Both
 routes assume the signal's periodic extension, so accuracy claims hold on
-interior samples of smooth signals.
+interior samples of smooth signals.  Every DFT gain here runs through
+:func:`phasekit.phase._dft_gain`.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from .phase import PhaseProfile, pt_dct, pt_dft
-from .spectral import Signal, _require_finite, _warn, apply_gain, as_signal
+from .phase import PhaseProfile, _dft_gain, pt_dct, pt_dft
+from .spectral import Signal, _require_finite, _warn, as_signal
 
 
 def _rgamma(z: float) -> float:
@@ -75,8 +76,8 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
 
     The signed order mu must be finite (ValueError otherwise).  In
     per-sample units the oscillatory part applies the gain
-    (2 pi k / N)^mu e^{j mu pi/2} to bins k = 1..N//2 (DC: 0) through
-    :func:`phasekit.spectral.apply_gain`, and the mean a0 contributes
+    (2 pi k / N)^mu e^{j mu pi/2} to bins k = 1..N//2 (DC: 0), as
+    :func:`phasekit.spectral.apply_gain` does, and the mean a0 contributes
     a0 n^{-mu} / Gamma(1 - mu), evaluated with the reciprocal gamma so
     integer derivative orders yield a zero mean term instead of
     overflowing.  ``physical`` measures time in seconds, t = n /
@@ -103,7 +104,7 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
         omega **= mu
         gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
         gain[1:] *= rate ** mu
-    out = apply_gain(x, _require_finite(gain, "differintegration"))
+    out = _dft_gain(x, _require_finite(gain, "differintegration"))
 
     if include_dc_term:
         a0 = float(np.mean(x))

@@ -111,7 +111,12 @@ def analytic2d(image) -> np.ndarray:
     line bins keep their original value (q is exactly 0 there), as DC does in 1-D.
     """
     img = image if isinstance(image, Image) else Image(np.asarray(image, dtype=float))
-    return img.pixels + 1j * _half_plane_gain(img.pixels, None)
+    q = _half_plane_gain(img.pixels, None)
+    z = np.empty(q.shape, dtype=complex)  # g + 1j q in place, with the same signs of zero:
+    np.multiply(q, 0.0, out=z.real)  # the real part g + 0 q
+    z.real += img.pixels
+    np.add(q, 0.0, out=z.imag)  # and q + 0, which turns -0 into +0
+    return z
 
 
 def kernel2d_closed_form(m: int, n: int) -> float:

@@ -622,7 +622,7 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = 255) -> None:
     pixels = np.asarray(pixels)
     if not 0 < maxval < 65536:
         raise ValueError(f"bad maxval {maxval}")
-    if pixels.min() < 0 or pixels.max() > maxval:
+    if not (pixels.min() >= 0 and pixels.max() <= maxval):  # NaN fails both comparisons
         raise ValueError("pixel values outside [0, maxval]; rescale first")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = pixels.shape

@@ -13,12 +13,14 @@ N-point DFT route a constant profile equals its per-bin equivalent bit for
 bit.  On the N-point DCT route a constant profile is, by linearity,
 cos(alpha) x + sin(alpha) q with the quadrature q resynthesized by one real
 ``irfft``, and agrees with the per-bin profile to round-off.  On a length
-with a large prime factor (see :func:`_kernel_route`), a constant or
-scalar-delay profile is instead one real convolution at a power of two
-(:func:`_periodic_convolve`) with a closed-form periodic kernel, the
-discrete Hilbert kernel or the periodic sinc, where numpy.fft would run
-Bluestein's chirp-z; it too agrees with the per-bin profile to round-off.
-Both routes reduce a delay exactly into its period with :func:`_reduce`.
+with a large prime factor (see :func:`_kernel_route`), where numpy.fft runs
+Bluestein's chirp-z, a constant or scalar-delay profile is one real
+convolution at a 5-smooth size (:func:`_periodic_convolve`) with the discrete
+Hilbert kernel or the periodic sinc, and every other DFT-basis gain one with
+the gain's N-point inverse as its kernel (:func:`_dft_gain`): one Bluestein,
+not two.  Both agree with the N-point gain to round-off; a per-bin DCT
+profile keeps the N-point route.  Both routes reduce a delay exactly into
+its period with :func:`_reduce`.
 """
 from __future__ import annotations
 
@@ -151,8 +153,8 @@ def pt_kernel(alpha: float, n: int) -> Signal:
 
 
 def _kernel_route(n: int) -> bool:
-    """Whether :func:`_shift` runs a constant phase or a scalar delay on N
-    samples as one convolution instead of an N-point pair.
+    """Whether a DFT-basis gain, or a constant phase or scalar delay on either
+    basis, runs on N samples as one convolution instead of an N-point pair.
 
     True when N's largest prime factor p has p^2 > N, which is when pocketfft
     considers Bluestein's chirp-z for an N-point transform (and numpy plans
@@ -171,19 +173,25 @@ def _kernel_route(n: int) -> bool:
     return rest * rest > n
 
 
+def _fast_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: pocketfft runs it faster than the next power of two."""
+    bits = n.bit_length()  # 3^b 5^c < 2n needs b, c < bits; times the least 2^a that reaches n
+    return min(odd << ((n - 1) // odd).bit_length()
+               for odd in (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
+
+
 def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """y[n] = sum_q x[q] kernel[(n - q) mod L] for n < N, with L = N or 2N;
     for L = 2N, x continues as x reversed, which adds sum_q x[q] kernel[n + q + 1].
 
-    One real convolution at the power of two M >= 2N - 1: the kernel's lags
-    -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for L = 2N the
-    correlation with kernel[1:] (Hankel), which reuses x's spectrum
-    conjugated.  numpy.fft plans a power of two without Bluestein.  Each
-    M-point temporary is dropped before the next transform allocates, which
-    bounds the peak at about four of them.
+    One real convolution at the 5-smooth size M >= 2N - 1 (:func:`_fast_size`):
+    the kernel's lags -(N-1)..N-1 wrapped onto M points (Toeplitz), plus for
+    L = 2N the correlation with kernel[1:] (Hankel), which reuses x's spectrum
+    conjugated.  Each M-point temporary is dropped before the next transform
+    allocates, which bounds the peak at about four of them.
     """
     n, period = x.size, kernel.size
-    size = 1 << (2 * n - 2).bit_length()
+    size = _fast_size(2 * n - 1)
     wrapped = np.zeros(size)
     wrapped[:n] = kernel[:n]
     wrapped[size - n + 1:] = kernel[period - n + 1:]
@@ -199,6 +207,17 @@ def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         del hankel
     del spectrum
     return np.fft.irfft(out, size)[:n]
+
+
+def _dft_gain(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """apply_gain(x, gain), or on a length that :func:`_kernel_route` selects
+    one convolution with the gain's kernel irfft(gain, N), the one Bluestein
+    left.  A non-finite result raises FloatingPointError."""
+    if not _kernel_route(x.size):
+        return apply_gain(x, gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _periodic_convolve(x, np.fft.irfft(gain, x.size))
+    return _require_finite(out, "spectral gain")
 
 
 def _quadrature_kernel(period: int) -> np.ndarray:
@@ -268,8 +287,8 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     [x, x reversed]): cos x + sin (h_L * x) with the discrete Hilbert kernel,
     which is zero on DC and Nyquist as the N-point route's quadrature is, or
     the periodic sinc of the delay as :func:`_reduce` leaves it, as on the
-    N-point route.  Every other profile and length takes the N-point gain:
-    apply_gain(x, conj(pair)) on the DFT basis.  On the DCT basis a scalar
+    N-point route.  Every other profile takes the gain conj(pair): on the DFT
+    basis through :func:`_dft_gain`.  On the DCT basis a scalar
     pair (a constant or the quadrature) is cos x + sin q, q the DCT-2 bins X
     resynthesized on the sine basis by one ``irfft`` (:func:`_dct3`); a
     per-bin pair (per-bin phases or a delay) resynthesizes X pair in one
@@ -298,7 +317,7 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
             out = pair.real * x + pair.imag * quadrature
         elif basis == "dft":
             np.conjugate(pair, out=pair)
-            return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
+            return Signal(_dft_gain(x, pair), sig.sample_rate)  # checks its own result
         else:
             pair = _dct2(x) * pair  # rebound: the phases' pair is freed before the inverse
             out = _dct3_pair(pair)

@@ -4,10 +4,10 @@ This module owns the transform conventions used everywhere else in the
 package.  The discrete Fourier transform places the 1/N factor on the
 *forward* transform, so the inverse is a bare exponential sum; the DCT-2
 pair is orthonormal.  A spectrum's ``origin`` names which of the two it
-holds, so a mismatched inverse raises instead of silently scaling.  Every
-1-D N-point gain on the DFT basis is applied through :func:`apply_gain`,
-the one place that decides how a positive-frequency gain acts on real
-samples; the DCT basis resynthesizes its bins times e^{j alpha_k} in
+holds, so a mismatched inverse raises instead of silently scaling.
+:func:`apply_gain` is the plain N-point gain on the DFT basis, which
+:mod:`phasekit.phase` runs as one convolution on a length with a large prime
+factor; the DCT basis resynthesizes its bins times e^{j alpha_k} in
 :func:`_dct3_pair`, and a real or purely imaginary spectrum in :func:`_dct3`.
 
 Every transform runs on ``numpy.fft``; the package needs no scipy.  The

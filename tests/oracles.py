@@ -188,6 +188,23 @@ def pt_dft_direct(x, alpha):
     return idft_direct(dft_direct(x) * mask).real
 
 
+def gain_direct(x, gains):
+    """O(N^2) one-sided gains on real samples: each column of ``gains``, one
+    value per bin 0..N//2, acts on the DFT bins of frequency f >= 0 and its
+    conjugate on f < 0, only its real part on DC and on the Nyquist bin of an
+    even length; one output column per column of gains."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    freqs = np.array([signed_frequency(k, n) for k in range(n)])
+    mask = np.asarray(gains, dtype=complex).reshape(n // 2 + 1, -1)[np.abs(freqs)]
+    mask[freqs < 0] = np.conj(mask[freqs < 0])
+    edges = (freqs == 0) | (2 * freqs == n)  # DC, and an even length's Nyquist bin
+    mask[edges] = mask[edges].real
+    bins = dft_direct(x)[:, None] * mask
+    twiddle = np.exp(2j * np.pi * np.arange(n) / n)
+    return _by_rows(n, lambda rows: twiddle[rows * np.arange(n) % n] @ bins).real
+
+
 def pt2d_direct(g, alpha):
     """Brute-force 2-D phase transform: direct transforms, per-bin mask."""
     g = np.asarray(g, dtype=float)

@@ -1,4 +1,5 @@
-"""scripts/compare_trees.py: the tree comparison on a tiny matrix."""
+"""scripts/compare_trees.py: the tree comparison and the one-tree check on a
+tiny matrix."""
 from __future__ import annotations
 
 import importlib.util
@@ -19,7 +20,7 @@ Case = compare_trees.Case
 
 TINY = [Case("synth", ["synth", "--duration", "0.05"]),
         Case("pt", ["pt", "{in}/small.csv", "--alpha", "0.5", "--basis", "dct"]),
-        Case("missing", ["pt", "{in}/missing.csv", "--alpha", "0.5"])]
+        Case("missing", ["pt", "{in}/missing.csv", "--alpha", "0.5"], 2)]
 
 
 def small_inputs(directory: Path) -> Path:
@@ -40,12 +41,9 @@ def test_a_tree_matches_itself(tmp_path, capsys):
 
 def test_a_changed_exit_code_fails_the_comparison(tmp_path, capsys):
     # a tree whose phasekit exits 3 on every command and writes nothing
-    package = tmp_path / "broken" / "src" / "phasekit"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "__main__.py").write_text(
-        "import sys\nprint('broken', file=sys.stderr)\nsys.exit(3)\n")
-    assert compare_trees.compare(REPO, tmp_path / "broken", TINY[:1], tmp_path, tmp_path) == 1
+    broken = fake_tree(tmp_path / "broken",
+                       "import sys\nprint('broken', file=sys.stderr)\nsys.exit(3)\n")
+    assert compare_trees.compare(REPO, broken, TINY[:1], tmp_path, tmp_path) == 1
     assert capsys.readouterr().out == ("synth: exit 0 -> 3 CHANGED\n"
                                        "  out.csv: only in PARENT\n"
                                        "  stderr differs:\n"
@@ -67,13 +65,10 @@ def test_describe_reports_the_relative_change(tmp_path):
 
 def test_standard_output_is_compared(tmp_path, capsys):
     # a tree whose phasekit prints another version
-    package = tmp_path / "other" / "src" / "phasekit"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "__main__.py").write_text("print('phasekit 9')\n")
+    other = fake_tree(tmp_path / "other", "print('phasekit 9')\n")
     version = [Case("version", ["--version"])]
     assert compare_trees.compare(REPO, REPO, version, tmp_path, tmp_path / "same") == 0
-    assert compare_trees.compare(REPO, tmp_path / "other", version, tmp_path,
+    assert compare_trees.compare(REPO, other, version, tmp_path,
                                  tmp_path / "differs") == 0
     assert capsys.readouterr().out == (
         "version: exit 0\n  stdout: identical\n"
@@ -84,8 +79,68 @@ def test_standard_output_is_compared(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_version_to_a_full_device_exits_2(tmp_path, capsys):
-    case = Case("version-dev-full", ["--version"], stdout="/dev/full")
+    case = Case("version-dev-full", ["--version"], 2, stdout="/dev/full")
     assert case in compare_trees.matrix()
     assert compare_trees.compare(REPO, REPO, [case], tmp_path, tmp_path) == 0
     assert capsys.readouterr().out == ("version-dev-full: exit 2\n"
                                        "0 of 0 outputs identical; every exit code unchanged\n")
+
+
+def fake_tree(root: Path, main: str) -> Path:
+    """A tree whose phasekit runs ``main`` as its __main__."""
+    package = root / "src" / "phasekit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(main)
+    return root
+
+
+def test_check_passes_a_tree_that_keeps_the_contract(tmp_path, capsys):
+    inputs = small_inputs(tmp_path / "in")
+    assert compare_trees.check(REPO, TINY, inputs, tmp_path) == 0
+    assert capsys.readouterr().out == ("synth: exit 0\npt: exit 0\nmissing: exit 2\n"
+                                       "3 cases; every case passed\n")
+
+
+def test_check_fails_a_wrong_exit_code_and_a_traceback(tmp_path, capsys):
+    inputs = small_inputs(tmp_path / "in")
+    wrong = [Case("missing", TINY[2].argv)]  # expects exit 0
+    assert compare_trees.check(REPO, wrong, inputs, tmp_path / "wrong") == 1
+    tree = fake_tree(tmp_path / "raises", "raise SystemExit(int('x'))\n")
+    assert compare_trees.check(tree, TINY[:1], inputs, tmp_path / "raises") == 1
+    out = capsys.readouterr().out.splitlines()
+    # each failed case is followed by its standard error, indented
+    assert out[:2] == ["missing: exit 2", "  FAILED: exit 2, expected 0"]
+    assert out[2].startswith(f"    phasekit: cannot read signal from {inputs}/missing.csv")
+    assert out[3] == "1 cases; a case failed"
+    assert out[4:7] == ["synth: exit 1", "  FAILED: exit 1, expected 0",
+                        "  FAILED: a traceback on stderr"]
+    assert out[-1] == "1 cases; a case failed"
+
+
+def test_check_fails_output_that_differs_between_runs(tmp_path, capsys):
+    # a tree whose phasekit writes its process id to the -o file
+    tree = fake_tree(tmp_path / "pid", "import os, sys\n"
+                     "open(sys.argv[sys.argv.index('-o') + 1], 'w').write(str(os.getpid()))\n")
+    assert compare_trees.check(tree, TINY[:1], tmp_path, tmp_path) == 1
+    assert capsys.readouterr().out == ("synth: exit 0\n"
+                                       "  FAILED: differs between runs: out.csv\n"
+                                       "1 cases; a case failed\n")
+
+
+def test_no_scipy_hides_scipy(tmp_path, capsys):
+    imports_scipy = [Case("scipy", ["-c", "import scipy"])]
+    assert compare_trees.check(REPO, imports_scipy, tmp_path, tmp_path / "with") == 0
+    assert compare_trees.check(REPO, imports_scipy, tmp_path, tmp_path / "without",
+                               no_scipy=True) == 1
+    assert "  FAILED: a traceback on stderr" in capsys.readouterr().out.splitlines()
+    assert compare_trees.check(REPO, TINY, small_inputs(tmp_path / "in"), tmp_path / "cli",
+                               no_scipy=True) == 0
+
+
+def test_main_takes_two_trees_or_one_checked_tree(capsys):
+    for argv in ([], [str(REPO)], ["--check", str(REPO), str(REPO)],
+                 [str(REPO), str(REPO), "--no-scipy"]):
+        with pytest.raises(SystemExit):
+            compare_trees.main(argv)
+        assert "give PARENT and CHANGE, or --check TREE [--no-scipy]" in capsys.readouterr().err

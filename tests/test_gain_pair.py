@@ -3,8 +3,9 @@ pair = cos alpha_k + j sin alpha_k that each route reads
 (phasekit.phase._shift), and frac_differintegrate builds its gain in place.
 
 The outputs are pinned bit for bit against the gain formed as separate
-arrays: np.exp(-1j alpha) on the DFT basis, and on the DCT basis the DCT-2
-bins times cos and times sin as two real halves of the DCT-3, or for a
+arrays: np.exp(-1j alpha) on the DFT basis (on a kernel-route length, its
+N-point inverse is the kernel of one convolution), and on the DCT basis the
+DCT-2 bins times cos and times sin as two real halves of the DCT-3, or for a
 scalar pair cos x + sin q with the quadrature q resynthesized through one
 real irfft.  The tracemalloc peak of each route is bounded against a call
 in the same process that runs the same transforms, so the bound does not
@@ -40,12 +41,20 @@ def on_basis(x, basis, profile, pair=None):
     if _kernel_route(n) and scalar:
         return cos * x + sin * _periodic_convolve(x, _quadrature_kernel(period))
     if basis == "dft":
-        return apply_gain(x, complex(0.0, -1.0) if profile is None
-                          else np.exp(-1j * profile.bin_phases(n, basis)))
+        return dft_gain(x, complex(0.0, -1.0) if profile is None
+                        else np.exp(-1j * profile.bin_phases(n, basis)))
     bins = _dct2(x)
     if np.ndim(cos) == 0:
         return cos * x + sin * dct3_sine(bins)
     return dct3_halves(bins * cos, bins * sin)
+
+
+def dft_gain(x, gain):
+    """A DFT-basis gain as the route runs it: on a kernel-route length, one
+    convolution with the gain's N-point inverse as its kernel."""
+    if _kernel_route(x.size):
+        return _periodic_convolve(x, np.fft.irfft(gain, x.size))
+    return apply_gain(x, gain)
 
 
 def differintegrate_gain(x, mu, sample_rate):
@@ -55,7 +64,7 @@ def differintegrate_gain(x, mu, sample_rate):
     k = np.arange(1, n // 2 + 1)
     scale = np.float64(sample_rate) ** mu
     gain[1:] = (2.0 * np.pi * k / n) ** mu * np.exp(1j * mu * np.pi / 2.0) * scale
-    return apply_gain(x, gain)
+    return dft_gain(x, gain)
 
 
 def cases(n):

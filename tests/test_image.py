@@ -190,6 +190,31 @@ class TestAnalytic2d:
         quad = pk.pt2d(img, np.pi / 2).pixels
         assert np.max(np.abs(z.imag - quad)) < 1e-10
 
+    @pytest.mark.parametrize("shape, kind", [((512, 512), "normal"), ((8, 9), "zero"),
+                                             ((16, 15), "signed zeros")])
+    def test_bit_for_bit_the_complex_sum(self, shape, kind):
+        # the one preallocated array keeps the sign of every zero of g + 1j q
+        rng = np.random.default_rng(shape[0])
+        g = {"normal": rng.standard_normal(shape), "zero": np.zeros(shape),
+             "signed zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0)}[kind]
+        want = g + 1j * half_plane_one_shot(g, None)
+        z = pk.analytic2d(g)
+        assert z.dtype == want.dtype
+        assert np.array_equal(z.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory(self):
+        # the complex output (2 images) and the quadrature beside it; 3.06
+        # images when the complex sum was formed from 1j q
+        g = np.random.default_rng(8).standard_normal((512, 512))
+        pk.analytic2d(g)
+        tracemalloc.start()
+        try:
+            pk.analytic2d(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.02 * g.nbytes
+
     def test_constant_image_has_exactly_zero_quadrature(self):
         # the DC bin lies on the line, where the exact quadrature mask is 0
         z = pk.analytic2d(np.full((8, 8), 1.5))

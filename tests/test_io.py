@@ -947,6 +947,14 @@ class TestPgm:
         with pytest.raises(ValueError):
             pkio.write_pgm(tmp_path / "x.pgm", np.array([[300.0]]), maxval=255)
 
+    @pytest.mark.parametrize("pixels", [[[np.nan, 3.0]], [[3.0, np.nan]], [[np.inf, 3.0]]])
+    def test_rejects_non_finite_pixels_and_leaves_no_file(self, tmp_path, pixels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside"):
+                pkio.write_pgm(tmp_path / "x.pgm", np.array(pixels))
+        assert not (tmp_path / "x.pgm").exists()
+
     @pytest.mark.parametrize("maxval", [0, 65536])
     def test_rejects_bad_maxval(self, tmp_path, maxval):
         with pytest.raises(ValueError, match=f"bad maxval {maxval}"):
