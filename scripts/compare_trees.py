@@ -3,14 +3,13 @@
 or run it twice from one tree and check it.
 
     python3 scripts/compare_trees.py PARENT CHANGE
-    python3 scripts/compare_trees.py --check TREE [--no-scipy]
+    python3 scripts/compare_trees.py --check TREE
 
 PARENT, CHANGE and TREE are checkouts of phasekit; each command runs as
-``python -m phasekit`` with ``PYTHONPATH=TREE/src``, in a fresh directory
-per tree and command.  With ``--no-scipy`` it starts instead through a
-launcher that sets ``sys.modules['scipy'] = None`` before
-``phasekit.cli.run``, so any import of scipy fails as if it were not
-installed.  The inputs are the benchmark's seed-1 files, written
+``python -m phasekit`` would, through ``runpy``, with ``PYTHONPATH=TREE/src``,
+in a fresh directory per tree and command.  The launcher first sets
+``sys.modules['scipy'] = None``, so any import of scipy fails as if it were
+not installed: the package needs none.  The inputs are the benchmark's seed-1 files, written
 by ``perfbench/inputs.py`` of this repository (so both trees read the same
 bytes), plus a 3,001-sample CSV, a 65,537-sample CSV (a prime length, where
 a constant phase or a scalar delay is one convolution at a 5-smooth size with
@@ -92,9 +91,9 @@ def _perfbench_inputs():
     return module
 
 
-# the launcher of --no-scipy, and the prefix of an in-process case under it
+# the prefix of every case's Python code, and the launcher of a command
 NO_SCIPY = "import sys; sys.modules['scipy'] = None\n"
-CLI = "from phasekit.cli import run; run()"
+CLI = NO_SCIPY + "import runpy; runpy.run_module('phasekit', run_name='__main__', alter_sys=True)"
 
 
 @dataclass(frozen=True)
@@ -221,19 +220,18 @@ def matrix() -> list[Case]:
     return cases
 
 
-def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path,
-        no_scipy: bool = False) -> subprocess.CompletedProcess:
+def run(tree: Path, case: Case, inputs_dir: Path, cwd: Path) -> subprocess.CompletedProcess:
     """Run ``case`` from ``tree``'s src in a new directory ``cwd``, with
-    scipy hidden for ``no_scipy``; a command other than ``repro``,
-    ``--version`` and Python code writes ``out.csv`` unless it has ``-o``."""
+    scipy hidden; a command other than ``repro``, ``--version`` and Python
+    code writes ``out.csv`` unless it has ``-o``."""
     cwd.mkdir(parents=True)
     argv = [arg.replace("{in}", str(inputs_dir)) for arg in case.argv]
     if argv[0] == "-c":
-        argv = ["-c", NO_SCIPY + argv[1] if no_scipy else argv[1]]
+        argv = ["-c", NO_SCIPY + argv[1]]
     else:
         if "-o" not in argv and argv[0] not in ("repro", "--version"):
             argv += ["-o", "out.csv"]
-        argv = ["-c", NO_SCIPY + CLI, *argv] if no_scipy else ["-m", "phasekit", *argv]
+        argv = ["-c", CLI, *argv]
     env = {key: value for key, value in os.environ.items() if key != "PHASEKIT_OUTDIR"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     limit = None
@@ -342,14 +340,13 @@ def _same_bytes(a: Path, b: Path) -> bool:
     return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
 
 
-def check(tree: Path, cases: list[Case], inputs_dir: Path, work: Path,
-          no_scipy: bool = False) -> int:
+def check(tree: Path, cases: list[Case], inputs_dir: Path, work: Path) -> int:
     """Run every case twice from ``tree`` under ``work`` and print its exit
     code and faults; returns 1 if a case failed, else 0."""
     failed = 0
     for case in cases:
         dirs = [work / run_name / case.name for run_name in ("first", "second")]
-        runs = [run(tree, case, inputs_dir, cwd, no_scipy) for cwd in dirs]
+        runs = [run(tree, case, inputs_dir, cwd) for cwd in dirs]
         codes = {result.returncode for result in runs} - {case.exit_code}
         faults = [f"exit {code}, expected {case.exit_code}" for code in sorted(codes)]
         if any("Traceback (most recent call last)" in result.stderr for result in runs):
@@ -374,16 +371,14 @@ def main(argv=None) -> int:
                         help="the tree compared against, and the tree under review")
     parser.add_argument("--check", type=Path, metavar="TREE",
                         help="run the matrix twice from TREE alone and check each case")
-    parser.add_argument("--no-scipy", action="store_true",
-                        help="with --check: start each case with sys.modules['scipy'] = None")
     args = parser.parse_args(argv)
-    if len(args.trees) != (0 if args.check else 2) or (args.no_scipy and not args.check):
-        parser.error("give PARENT and CHANGE, or --check TREE [--no-scipy]")
+    if len(args.trees) != (0 if args.check else 2):
+        parser.error("give PARENT and CHANGE, or --check TREE")
     work = Path(tempfile.mkdtemp(prefix="compare_trees_"))
     try:
         write_inputs(work / "in")
         if args.check:
-            return check(args.check.resolve(), matrix(), work / "in", work, args.no_scipy)
+            return check(args.check.resolve(), matrix(), work / "in", work)
         parent, change = (tree.resolve() for tree in args.trees)
         return compare(parent, change, matrix(), work / "in", work)
     finally:

@@ -6,8 +6,8 @@ fractional derivatives/integrals multiply each positive bin by
 reciprocal-gamma power-law term.  Both parts are in per-sample units unless
 time is measured in seconds, which multiplies both by sample_rate^mu.  Both
 routes assume the signal's periodic extension, so accuracy claims hold on
-interior samples of smooth signals.  Every DFT gain here runs through
-:func:`phasekit.phase._dft_gain`.
+interior samples of smooth signals.  On a :func:`phasekit.phase._kernel_route`
+length the differintegration gain is one convolution with its kernel irfft(gain, N).
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .phase import PhaseProfile, _dft_gain, pt_dct, pt_dft
-from .spectral import Signal, _require_finite, _warn, as_signal
+from .phase import PhaseProfile, _kernel_route, _periodic_convolve, pt_dct, pt_dft
+from .spectral import Signal, _require_finite, _warn, apply_gain, as_signal
 
 
 def _rgamma(z: float) -> float:
@@ -99,12 +99,18 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
     # an overflowing scale, gain or mean term is reported by _require_finite,
     # not by numpy warnings or an OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
-        omega /= n
-        omega **= mu
+        np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
+        gain.real[1:] /= n  # no view of the gain is kept: the kernel route frees it
+        gain.real[1:] **= mu
         gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
         gain[1:] *= rate ** mu
-    out = _dft_gain(x, _require_finite(gain, "differintegration"))
+    _require_finite(gain, "differintegration")
+    if _kernel_route(n):
+        gain = np.fft.irfft(gain, n)  # rebound: the gain is freed before the convolution
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _require_finite(_periodic_convolve(x, gain), "spectral gain")
+    else:
+        out = apply_gain(x, gain)
 
     if include_dc_term:
         a0 = float(np.mean(x))

@@ -17,10 +17,10 @@ with a large prime factor (see :func:`_kernel_route`), where numpy.fft runs
 Bluestein's chirp-z, a constant or scalar-delay profile is one real
 convolution at a 5-smooth size (:func:`_periodic_convolve`) with the discrete
 Hilbert kernel or the periodic sinc, and every other DFT-basis gain one with
-the gain's N-point inverse as its kernel (:func:`_dft_gain`): one Bluestein,
-not two.  Both agree with the N-point gain to round-off; a per-bin DCT
-profile keeps the N-point route.  Both routes reduce a delay exactly into
-its period with :func:`_reduce`.
+the gain's N-point inverse as its kernel: one Bluestein, not two.  Both
+agree with the N-point gain to round-off; a per-bin DCT profile keeps the
+N-point route.  Both routes reduce a delay exactly into its period with
+:func:`_reduce`.
 """
 from __future__ import annotations
 
@@ -209,17 +209,6 @@ def _periodic_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.irfft(out, size)[:n]
 
 
-def _dft_gain(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """apply_gain(x, gain), or on a length that :func:`_kernel_route` selects
-    one convolution with the gain's kernel irfft(gain, N), the one Bluestein
-    left.  A non-finite result raises FloatingPointError."""
-    if not _kernel_route(x.size):
-        return apply_gain(x, gain)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _periodic_convolve(x, np.fft.irfft(gain, x.size))
-    return _require_finite(out, "spectral gain")
-
-
 def _quadrature_kernel(period: int) -> np.ndarray:
     """h[m], m = 0..L-1: the circular kernel of the gain -j on bins
     1..ceil(L/2)-1 (and +j on their negatives, 0 at DC and Nyquist).
@@ -288,7 +277,9 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     which is zero on DC and Nyquist as the N-point route's quadrature is, or
     the periodic sinc of the delay as :func:`_reduce` leaves it, as on the
     N-point route.  Every other profile takes the gain conj(pair): on the DFT
-    basis through :func:`_dft_gain`.  On the DCT basis a scalar
+    basis through ``apply_gain``, or on a route length as one convolution with
+    its kernel irfft(conj(pair), N), which replaces the gain before the
+    convolution allocates.  On the DCT basis a scalar
     pair (a constant or the quadrature) is cos x + sin q, q the DCT-2 bins X
     resynthesized on the sine basis by one ``irfft`` (:func:`_dct3`); a
     per-bin pair (per-bin phases or a delay) resynthesizes X pair in one
@@ -317,7 +308,10 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
             out = pair.real * x + pair.imag * quadrature
         elif basis == "dft":
             np.conjugate(pair, out=pair)
-            return Signal(_dft_gain(x, pair), sig.sample_rate)  # checks its own result
+            if not _kernel_route(n):
+                return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
+            pair = np.fft.irfft(pair, n)  # rebound: the gain is freed before the convolution
+            out = _periodic_convolve(x, pair)
         else:
             pair = _dct2(x) * pair  # rebound: the phases' pair is freed before the inverse
             out = _dct3_pair(pair)

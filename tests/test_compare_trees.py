@@ -128,19 +128,19 @@ def test_check_fails_output_that_differs_between_runs(tmp_path, capsys):
                                        "1 cases; a case failed\n")
 
 
-def test_no_scipy_hides_scipy(tmp_path, capsys):
-    imports_scipy = [Case("scipy", ["-c", "import scipy"])]
-    assert compare_trees.check(REPO, imports_scipy, tmp_path, tmp_path / "with") == 0
-    assert compare_trees.check(REPO, imports_scipy, tmp_path, tmp_path / "without",
-                               no_scipy=True) == 1
-    assert "  FAILED: a traceback on stderr" in capsys.readouterr().out.splitlines()
-    assert compare_trees.check(REPO, TINY, small_inputs(tmp_path / "in"), tmp_path / "cli",
-                               no_scipy=True) == 0
+def test_every_case_runs_with_scipy_hidden(tmp_path, capsys):
+    # Python code, and a command of a tree whose phasekit imports scipy
+    tree = fake_tree(tmp_path / "scipy", "import scipy\n")
+    assert compare_trees.check(REPO, [Case("code", ["-c", "import scipy"])], tmp_path,
+                               tmp_path / "code") == 1
+    assert compare_trees.check(tree, TINY[:1], tmp_path, tmp_path / "cli") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out.count("  FAILED: a traceback on stderr") == 2
+    assert sum("import of scipy halted" in line for line in out) == 2
 
 
 def test_main_takes_two_trees_or_one_checked_tree(capsys):
-    for argv in ([], [str(REPO)], ["--check", str(REPO), str(REPO)],
-                 [str(REPO), str(REPO), "--no-scipy"]):
+    for argv in ([], [str(REPO)], ["--check", str(REPO), str(REPO)]):
         with pytest.raises(SystemExit):
             compare_trees.main(argv)
-        assert "give PARENT and CHANGE, or --check TREE [--no-scipy]" in capsys.readouterr().err
+        assert "give PARENT and CHANGE, or --check TREE" in capsys.readouterr().err

@@ -51,7 +51,9 @@ def on_basis(x, basis, profile, pair=None):
 
 def dft_gain(x, gain):
     """A DFT-basis gain as the route runs it: on a kernel-route length, one
-    convolution with the gain's N-point inverse as its kernel."""
+    convolution with the gain's N-point inverse as its kernel.  The route
+    itself is checked against apply_gain and the O(N^2) oracle in
+    test_kernel_route.py; here it only carries the gain formed apart."""
     if _kernel_route(x.size):
         return _periodic_convolve(x, np.fft.irfft(gain, x.size))
     return apply_gain(x, gain)
@@ -157,6 +159,27 @@ def test_peak_above_the_same_transforms(name):
     x = np.random.default_rng(0).standard_normal(PEAK_N)
     extra = (traced_peak(lambda: route(x)) - traced_peak(lambda: baseline(x))) / (8 * PEAK_N)
     assert extra <= bound
+
+
+ROUTE_N = 65537  # prime: every DFT-basis gain runs on the kernel route
+ROUTE_PHASES = np.full(ROUTE_N // 2 + 1, 0.7)
+
+# call on x: on the kernel route a per-bin DFT gain and the differintegration
+# gain are freed once their kernel irfft(gain, N) is built, so each peak is
+# hilbert's, whose closed-form kernel has no gain array beside it (1.0 N
+# words more while the gain lived through the convolution)
+ROUTE_PEAK_CASES = {
+    "pt_dft per-bin": lambda x: pk.pt_dft(x, pk.PhaseProfile.per_bin(ROUTE_PHASES)),
+    "frac_differintegrate": lambda x: pk.frac_differintegrate(x, 0.5, include_dc_term=False),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_PEAK_CASES)
+def test_kernel_route_peak_frees_the_gain(name):
+    x = np.random.default_rng(0).standard_normal(ROUTE_N)
+    route = ROUTE_PEAK_CASES[name]
+    extra = (traced_peak(lambda: route(x)) - traced_peak(lambda: pk.hilbert(x))) / (8 * ROUTE_N)
+    assert extra <= 0.25
 
 
 # (call on x, bound): the whole traced peak of a one-sided DCT inverse in N

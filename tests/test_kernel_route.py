@@ -3,8 +3,8 @@ or a scalar delay runs as one convolution at a 5-smooth size with a
 closed-form periodic kernel, in the one core of every 1-D phase transform
 (phasekit.phase._shift); every other DFT-basis gain there (per-bin phases
 and delays, frac_differintegrate) is one such convolution with the gain's
-own N-point inverse as its kernel (phasekit.phase._dft_gain); a per-bin
-DCT-basis profile keeps the N-point inverse."""
+own N-point inverse as its kernel; a per-bin DCT-basis profile keeps the
+N-point inverse."""
 import warnings
 
 import numpy as np
