@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Run one CLI matrix from two source trees and compare what each wrote,
-or run it twice from one tree and check it.
+"""Run one CLI matrix from two source trees, FIRST then SECOND, and compare
+what each wrote; FIRST and SECOND the same tree check that tree alone.
 
-    python3 scripts/compare_trees.py PARENT CHANGE
-    python3 scripts/compare_trees.py --check TREE
+    python3 scripts/compare_trees.py FIRST SECOND
+    python3 scripts/compare_trees.py . .
 
-PARENT, CHANGE and TREE are checkouts of phasekit; each command runs as
+FIRST and SECOND are checkouts of phasekit; each command runs as
 ``python -m phasekit`` would, through ``runpy``, with ``PYTHONPATH=TREE/src``,
 in a fresh directory per tree and command.  The launcher first sets
 ``sys.modules['scipy'] = None``, so any import of scipy fails as if it were
@@ -37,14 +37,14 @@ the CLI contract gives it.
 For each command it prints the exit code of each tree, and for each output
 file "identical" or the largest |delta| / max|out| over its numbers (CSV,
 PGM and JSON; the header is compared as text); then, when a tree wrote to
-standard output, "identical" or each tree's lines; then each tree's standard
-error when they differ.  Exits 1 when an exit code changes, else 0.  Takes
+standard output, "identical" or each tree's lines; then each fault of the
+case; then, when they differ or the case failed, each tree's standard error.
+A case fails when a run of SECOND exits with another code than the case's
+own or prints a Python traceback to standard error, or when the exit code
+changed between FIRST and SECOND.  When the two are the same tree, both runs
+are runs of SECOND, and an output file or standard output that differs
+between them fails the case too.  Exits 1 when a case failed, else 0.  Takes
 about 30 s on a 2-vCPU machine.
-
-``--check`` prints each command's exit code and fails it, and exits 1, when
-either run exits with another code than the case's own, prints a Python
-traceback to standard error, or writes an output file or standard output
-that differs, byte for byte, between the two runs.
 """
 from __future__ import annotations
 
@@ -269,6 +269,10 @@ def _numbers(path: Path):
 
 def describe(old: Path, new: Path) -> str:
     """'identical', or how the output ``new`` differs from ``old``."""
+    if not new.exists():
+        return "only in FIRST"
+    if not old.exists():
+        return "only in SECOND"
     if old.read_bytes() == new.read_bytes():
         return "identical"
     try:
@@ -296,91 +300,57 @@ def _outputs(directory: Path) -> set[Path]:
     return {path.relative_to(directory) for path in directory.rglob("*") if path.is_file()}
 
 
-def compare(parent: Path, change: Path, cases: list[Case], inputs_dir: Path, work: Path) -> int:
-    """Run every case from both trees under ``work`` and print the report;
-    returns 1 if an exit code changed, else 0."""
-    changed, outputs, identical = 0, 0, 0
+def compare(first: Path, second: Path, cases: list[Case], inputs_dir: Path, work: Path) -> int:
+    """Run every case from ``first``, then from ``second``, under ``work``
+    and print the report; returns 1 if a case failed, else 0.  When the two
+    are the same tree, both runs are runs of ``second``."""
+    failed, outputs, identical = 0, 0, 0
     for case in cases:
-        old_dir, new_dir = work / "parent" / case.name, work / "change" / case.name
-        old = run(parent, case, inputs_dir, old_dir)
-        new = run(change, case, inputs_dir, new_dir)
-        if old.returncode == new.returncode:
-            print(f"{case.name}: exit {old.returncode}")
-        else:
-            changed = 1
-            print(f"{case.name}: exit {old.returncode} -> {new.returncode} CHANGED")
-        old_files, new_files = _outputs(old_dir), _outputs(new_dir)
-        for name in sorted(old_files | new_files):
-            if name not in new_files:
-                status = "only in PARENT"
-            elif name not in old_files:
-                status = "only in CHANGE"
-            else:
-                status = describe(old_dir / name, new_dir / name)
-            outputs += 1
-            identical += status == "identical"
-            print(f"  {name}: {status}")
+        old_dir, new_dir = work / "first" / case.name, work / "second" / case.name
+        old = run(first, case, inputs_dir, old_dir)
+        new = run(second, case, inputs_dir, new_dir)
+        print(f"{case.name}: exit {old.returncode}"
+              + ("" if old.returncode == new.returncode else f" -> {new.returncode}"))
+        statuses = {str(name): describe(old_dir / name, new_dir / name)
+                    for name in sorted(_outputs(old_dir) | _outputs(new_dir))}
         if old.stdout or new.stdout:  # None when it went to case.stdout
-            outputs += 1
-            if old.stdout == new.stdout:
-                identical += 1
-                print("  stdout: identical")
-            else:
-                print("  stdout differs:")
-                _print_lines(old.stdout, new.stdout)
-        if old.stderr != new.stderr:
-            print("  stderr differs:")
-            _print_lines(old.stderr, new.stderr)
-    print(f"{identical} of {outputs} outputs identical; "
-          + ("an exit code changed" if changed else "every exit code unchanged"))
-    return changed
-
-
-def _same_bytes(a: Path, b: Path) -> bool:
-    return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
-
-
-def check(tree: Path, cases: list[Case], inputs_dir: Path, work: Path) -> int:
-    """Run every case twice from ``tree`` under ``work`` and print its exit
-    code and faults; returns 1 if a case failed, else 0."""
-    failed = 0
-    for case in cases:
-        dirs = [work / run_name / case.name for run_name in ("first", "second")]
-        runs = [run(tree, case, inputs_dir, cwd) for cwd in dirs]
-        codes = {result.returncode for result in runs} - {case.exit_code}
-        faults = [f"exit {code}, expected {case.exit_code}" for code in sorted(codes)]
-        if any("Traceback (most recent call last)" in result.stderr for result in runs):
+            statuses["stdout"] = "identical" if old.stdout == new.stdout else "differs"
+        for name, status in statuses.items():
+            print(f"  {name}: {status}")
+        if statuses.get("stdout") == "differs":
+            _print_lines(old.stdout, new.stdout)
+        differ = [name for name, status in statuses.items() if status != "identical"]
+        outputs += len(statuses)
+        identical += len(statuses) - len(differ)
+        checked = (old, new) if first == second else (new,)
+        faults = [f"exit {code}, expected {case.exit_code}"
+                  for code in sorted({result.returncode for result in checked} - {case.exit_code})]
+        if any("Traceback (most recent call last)" in result.stderr for result in checked):
             faults.append("a traceback on stderr")
-        differ = sorted(str(name) for name in _outputs(dirs[0]) | _outputs(dirs[1])
-                        if not _same_bytes(dirs[0] / name, dirs[1] / name))
-        differ += ["stdout"] if runs[0].stdout != runs[1].stdout else []
-        if differ:
+        if old.returncode != new.returncode:
+            faults.append("the exit code changed")
+        if first == second and differ:
             faults.append("differs between runs: " + ", ".join(differ))
+        print("".join(f"  FAILED: {fault}\n" for fault in faults), end="")
+        if faults or old.stderr != new.stderr:
+            print("  stderr:")
+            _print_lines(old.stderr, new.stderr)
         failed |= bool(faults)
-        print(f"{case.name}: exit {runs[0].returncode}" + "".join(f"\n  FAILED: {fault}"
-                                                              for fault in faults))
-        if faults:
-            print("".join(f"    {line}\n" for line in runs[0].stderr.splitlines()), end="")
-    print(f"{len(cases)} cases; " + ("a case failed" if failed else "every case passed"))
+    print(f"{identical} of {outputs} outputs identical; "
+          + ("a case failed" if failed else "every case passed"))
     return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trees", nargs="*", type=Path, metavar="PARENT CHANGE",
-                        help="the tree compared against, and the tree under review")
-    parser.add_argument("--check", type=Path, metavar="TREE",
-                        help="run the matrix twice from TREE alone and check each case")
+    parser.add_argument("first", type=Path, metavar="FIRST", help="the tree compared against")
+    parser.add_argument("second", type=Path, metavar="SECOND",
+                        help="the tree under review; FIRST again checks that tree alone")
     args = parser.parse_args(argv)
-    if len(args.trees) != (0 if args.check else 2):
-        parser.error("give PARENT and CHANGE, or --check TREE")
     work = Path(tempfile.mkdtemp(prefix="compare_trees_"))
     try:
         write_inputs(work / "in")
-        if args.check:
-            return check(args.check.resolve(), matrix(), work / "in", work)
-        parent, change = (tree.resolve() for tree in args.trees)
-        return compare(parent, change, matrix(), work / "in", work)
+        return compare(args.first.resolve(), args.second.resolve(), matrix(), work / "in", work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -314,8 +314,10 @@ def _config_defaults(args) -> dict:
     Keys that name no flag of the subcommand are ignored, and so are the
     keys of a mutually exclusive group one of whose flags was given on the
     command line (given as argparse decides it: a value that is not the
-    flag's default), so an explicit flag wins over its whole group.  The
-    file is read as UTF-8 with surrogateescape, whatever the locale, like a CSV.
+    flag's default), so an explicit flag wins over its whole group; else
+    two keys of one group are an argument error, as two of its flags are.
+    The file is read as UTF-8 with surrogateescape, whatever the locale,
+    like a CSV.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -339,6 +341,11 @@ def _config_defaults(args) -> dict:
         if any(getattr(args, action.dest) is not action.default for action in group._group_actions):
             for action in group._group_actions:
                 defaults.pop(action.dest, None)
+        else:
+            keys = [action.dest for action in group._group_actions if action.dest in defaults]
+            if len(keys) > 1:
+                raise CliError(ARG_ERROR, f"config keys {' and '.join(keys)} are mutually "
+                                          "exclusive: set one of them")
     return defaults
 
 

@@ -535,6 +535,8 @@ def read_wav(path) -> Signal:
                 raise ValueError("truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
+            if len(body) < size:
+                raise ValueError("truncated data chunk")
             data = body
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
@@ -542,12 +544,15 @@ def read_wav(path) -> Signal:
     audio_format, channels, rate, _, _, bits = fmt
     if channels != 1:
         raise ValueError(f"only mono WAV is supported (got {channels} channels)")
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(float)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise ValueError(f"unsupported WAV format (format={audio_format}, bits={bits})")
+    if len(data) % (bits // 8):
+        raise ValueError(f"data chunk of {len(data)} bytes is not a whole number "
+                         f"of {bits // 8}-byte samples")
+    if audio_format == 1:
+        samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(float)
     return Signal(samples, float(rate))
 
 

@@ -809,6 +809,21 @@ class TestConfigAndEnvironment:
         assert header["basis"] == "dct" and names == ["t", "original", "transformed"]
         assert from_both.read_bytes() == from_flags.read_bytes()
 
+    @pytest.mark.parametrize("lines", [("alpha = 0.5", "alpha_sweep = 0:1:2"),
+                                       ("alpha = 0.5", "alpha_per_bin = missing.csv"),
+                                       ("alpha_per_bin = missing.csv", "alpha_sweep = 0:1:2")])
+    def test_two_keys_of_one_phase_group_in_config_are_an_argument_error(
+            self, gauss_csv, tmp_path, capsys, lines):
+        # as --alpha with --alpha-sweep on the command line is
+        config = tmp_path / "conf.txt"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["pt", str(gauss_csv), "--config", str(config), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        keys = [line.split(" = ")[0] for line in lines]
+        assert f"config keys {keys[0]} and {keys[1]} are mutually exclusive" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("command, line, message", [
         # a string flag's value reaches the same check as the flag
         (["pt"], "alpha_sweep = 5", "sweep must be start:step:stop"),

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import phasekit.io as pkio
 from phasekit import Image, Signal
+from phasekit.cli import main
 from oracles import csv_bytes
 
 # values whose '%.17g' text is easy to get wrong: signed zero, the smallest
@@ -829,6 +830,28 @@ class TestWav:
         path.write_bytes(wav_bytes(channels, bits))
         # the message leaves naming the file to the caller (cli._read)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pkio.read_wav(path)
+
+    @pytest.mark.parametrize("cut", [50, 51])
+    def test_rejects_a_data_chunk_shorter_than_its_header(self, tmp_path, capsys, cut):
+        path = tmp_path / "x.wav"
+        pkio.write_wav(path, Signal(np.zeros(100), 8000.0), encoding="pcm16")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="^truncated data chunk$"):
+            pkio.read_wav(path)
+        out = tmp_path / "out.csv"
+        assert main(["pt", str(path), "--alpha", "0.5", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "truncated data chunk" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rejects_a_data_chunk_of_part_of_a_sample(self, tmp_path):
+        path = tmp_path / "x.wav"
+        raw = bytearray(wav_bytes(1, 16) + b"\0")  # 17 data bytes, all of them present
+        struct.pack_into("<I", raw, 40, 17)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^data chunk of 17 bytes is not a whole number "
+                                             "of 2-byte samples$"):
             pkio.read_wav(path)
 
     # the byte-rate field, rate * bytes per sample, is also an unsigned 32-bit word
