@@ -100,6 +100,20 @@ def fake_tree(root: Path, main: str) -> Path:
     return root
 
 
+def test_check_passes_a_tree_that_keeps_the_contract(tmp_path, capsys):
+    # a tree given twice whose phasekit writes the same -o file on every run
+    # and exits with the code each case expects
+    tree = fake_tree(tmp_path / "same", "import sys\n"
+                     "if 'missing' in ' '.join(sys.argv): raise SystemExit(2)\n"
+                     "open(sys.argv[sys.argv.index('-o') + 1], 'w').write('t,x\\n0,1\\n')\n")
+    inputs = small_inputs(tmp_path / "in")
+    assert compare_trees.compare(tree, tree, TINY, inputs, tmp_path) == 0
+    assert capsys.readouterr().out == ("synth: exit 0\n  out.csv: identical\n"
+                                       "pt: exit 0\n  out.csv: identical\n"
+                                       "missing: exit 2\n"
+                                       "2 of 2 outputs identical; every case passed\n")
+
+
 def test_check_fails_a_wrong_exit_code_and_a_traceback(tmp_path, capsys):
     inputs = small_inputs(tmp_path / "in")
     wrong = [Case("missing", TINY[2].argv)]  # expects exit 0
