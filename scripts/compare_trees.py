@@ -14,16 +14,18 @@ by ``perfbench/inputs.py`` of this repository (so both trees read the same
 bytes), plus a 3,001-sample CSV, a 65,537-sample CSV (a prime length, where
 a constant phase or a scalar delay is one convolution at a 5-smooth size with
 a closed-form kernel, and every other DFT gain one with its own kernel),
-per-bin phase files for both, and the benchmark's
-hostile inputs.  The matrix covers ``pt`` (``--alpha``, ``--alpha-per-bin``,
-``--alpha-sweep``) and ``delay`` on both bases, both also on the float32 WAV
+per-bin phase files for both, a headerless CSV that starts with a UTF-8
+byte-order mark, and the benchmark's hostile inputs.  The matrix covers
+``pt`` (``--alpha``, ``--alpha-per-bin``, ``--alpha-sweep``) and ``delay``
+on both bases, both also on the float32 WAV
 (whose output is rich in 17th-digit ties), delays of 600,200,000.25 and of
 2^52 samples (0.25 and -80 plus whole periods of the small CSV on both
 bases) and of 1e308 samples (on both CSVs and bases),
 ``pt --alpha``, ``--alpha-per-bin``, ``--alpha-sweep`` and
 ``delay`` on both bases and ``differint`` on the prime-length CSV,
 ``differint`` (physical on the record, normalized with and without the
-mean term on the small CSV), ``wpt`` on both CSVs,
+mean term on the small CSV), ``pt`` on the byte-order-marked CSV,
+``wpt`` on both CSVs,
 ``image-pt --preview`` (on the benchmark's 1024x1024 PGM, a 301x517 PGM and a
 700x206 CSV grid, each of several blocks of the 2-D transform, the last two
 of partial ones, and a 16x16 ramp PGM of one block), ``synth``, ``repro 1``-``5``,
@@ -116,9 +118,10 @@ def _pcm_wav(channels: int, bits: int) -> bytes:
 
 def write_inputs(directory: Path) -> None:
     """The seed-1 benchmark inputs, the small and the prime-length CSV and
-    per-bin phases for each, an odd PGM and a CSV grid of several blocks of
-    the 2-D transform, a 16x16 ramp PGM of one block, and a stereo and an
-    8-bit PCM WAV, which the reader rejects."""
+    per-bin phases for each, a headerless 4-row CSV that starts with a UTF-8
+    byte-order mark (as a spreadsheet's "CSV UTF-8" does), an odd PGM and a
+    CSV grid of several blocks of the 2-D transform, a 16x16 ramp PGM of one
+    block, and a stereo and an 8-bit PCM WAV, which the reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):
@@ -135,6 +138,7 @@ def write_inputs(directory: Path) -> None:
     for basis, bins in (("dft", PRIME_N // 2 + 1), ("dct", PRIME_N)):
         inputs.write_signal_csv(directory / f"phases_prime_{basis}.csv",
                                 rng.uniform(-math.pi, math.pi, bins), 1.0)
+    (directory / "bom.csv").write_bytes(b"\xef\xbb\xbf0,1\n0.5,2\n1,3\n1.5,4\n")
     inputs.write_pgm(directory / "odd.pgm",
                      inputs.make_image(inputs.rng_for(1, "compare-image"), ODD_IMAGE))
     grid = inputs.make_image(inputs.rng_for(1, "compare-grid"), GRID_IMAGE) / 255.0 - 0.5
@@ -188,6 +192,7 @@ def matrix() -> list[Case]:
         Case("differint-small-normalized-dc", ["differint", "{in}/small.csv", "--order", order,
                                                "--scaling", "normalized"]),
         Case("differint-prime", ["differint", "{in}/prime.csv", "--order", order]),
+        Case("pt-bom", ["pt", "{in}/bom.csv", "--alpha", "1"]),
         Case("wpt-small", ["wpt", "{in}/small.csv", "--alpha", alpha]),
         Case("wpt-prime", ["wpt", "{in}/prime.csv", "--alpha", alpha]),
         Case("image-pt", ["image-pt", "{in}/image.pgm", "--alpha", repr(p.image_alpha),

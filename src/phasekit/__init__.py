@@ -49,7 +49,6 @@ from .image import (
     HalfPlaneMask,
     pt2d,
     analytic2d,
-    kernel2d_closed_form,
 )
 
 __all__ = [
@@ -63,5 +62,5 @@ __all__ = [
     "frac_delay_dft", "frac_delay_dct", "frac_differintegrate",
     "MorseWavelet", "ScaleGrid", "Scalogram", "morse_spectrum", "awt",
     "cpsi_delta", "wavelet_analytic_signal", "wpt", "wqt",
-    "HalfPlaneMask", "pt2d", "analytic2d", "kernel2d_closed_form",
+    "HalfPlaneMask", "pt2d", "analytic2d",
 ]

@@ -309,13 +309,13 @@ def _config_value(action, key: str, raw: str):
 def _config_defaults(args) -> dict:
     """Flag defaults from a key=value config file, typed like the flags.
 
-    Only the subcommand's own flags can be set; each value goes through
-    that flag's type, choices or store_true, so it is checked like the flag.
-    Keys that name no flag of the subcommand are ignored, and so are the
-    keys of a mutually exclusive group one of whose flags was given on the
-    command line (given as argparse decides it: a value that is not the
-    flag's default), so an explicit flag wins over its whole group; else
-    two keys of one group are an argument error, as two of its flags are.
+    Only the subcommand's own flags can be set.  Keys that name no flag of
+    the subcommand are ignored, and so are the keys of a mutually exclusive
+    group one of whose flags was given on the command line (given as
+    argparse decides it: a value that is not the flag's default), so an
+    explicit flag wins over its whole group; else two keys of one group are
+    an argument error, as two of its flags are.  Only then does each kept
+    value go through its flag's type, choices or store_true, like the flag.
     The file is read as UTF-8 with surrogateescape, whatever the locale,
     like a CSV.
     """
@@ -328,7 +328,7 @@ def _config_defaults(args) -> dict:
         raise CliError(IO_ERROR, f"cannot read config {path}: {exc}")
     flags = {action.dest: action for action in args.parser._actions
              if action.option_strings and action.dest not in ("config", "help")}
-    defaults = {}
+    raws = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
@@ -336,17 +336,17 @@ def _config_defaults(args) -> dict:
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
         if key in flags:
-            defaults[key] = _config_value(flags[key], key, raw.strip())
+            raws[key] = raw.strip()
     for group in args.parser._mutually_exclusive_groups:
         if any(getattr(args, action.dest) is not action.default for action in group._group_actions):
             for action in group._group_actions:
-                defaults.pop(action.dest, None)
+                raws.pop(action.dest, None)
         else:
-            keys = [action.dest for action in group._group_actions if action.dest in defaults]
+            keys = [action.dest for action in group._group_actions if action.dest in raws]
             if len(keys) > 1:
                 raise CliError(ARG_ERROR, f"config keys {' and '.join(keys)} are mutually "
                                           "exclusive: set one of them")
-    return defaults
+    return {key: _config_value(flags[key], key, raw) for key, raw in raws.items()}
 
 
 class _Stopped(BaseException):

@@ -6,8 +6,8 @@ fractional derivatives/integrals multiply each positive bin by
 reciprocal-gamma power-law term.  Both parts are in per-sample units unless
 time is measured in seconds, which multiplies both by sample_rate^mu.  Both
 routes assume the signal's periodic extension, so accuracy claims hold on
-interior samples of smooth signals.  On a :func:`phasekit.phase._kernel_route`
-length the differintegration gain is one convolution with its kernel irfft(gain, N).
+interior samples of smooth signals.  This module builds the differintegration
+gain; :func:`phasekit.phase._shift` runs it and chooses its route, as for every PT.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .phase import PhaseProfile, _kernel_route, _periodic_convolve, pt_dct, pt_dft
-from .spectral import Signal, _require_finite, _warn, apply_gain, as_signal
+from .phase import PhaseProfile, _shift, pt_dct, pt_dft
+from .spectral import Signal, _require_finite, _warn, as_signal
 
 
 def _rgamma(z: float) -> float:
@@ -33,6 +33,22 @@ def _rgamma(z: float) -> float:
     if g == 0.0:
         return math.copysign(math.inf, g)
     return 1.0 / g
+
+
+def _differintegration_pair(n: int, mu: float, rate) -> np.ndarray:
+    """The conjugate of the gain (2 pi k / N)^mu e^{j mu pi/2} rate^mu on bins
+    0..N//2 (0 at DC), conjugated last, so that ``_shift``'s conjugate gives
+    back the gain bit for bit, signs of zero included."""
+    gain = np.zeros(n // 2 + 1, dtype=complex)
+    # an overflowing scale or gain is reported by _require_finite, not by
+    # numpy warnings or an OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
+        gain.real[1:] /= n
+        gain.real[1:] **= mu
+        gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
+        gain[1:] *= rate ** mu
+    return np.conjugate(_require_finite(gain, "differintegration"), out=gain)
 
 
 def frac_delay_dft(signal, delay) -> Signal:
@@ -95,22 +111,7 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
     n = x.size
     rate = np.float64(sig.sample_rate) if physical else 1.0  # the time unit of both parts
 
-    gain = np.zeros(n // 2 + 1, dtype=complex)
-    # an overflowing scale, gain or mean term is reported by _require_finite,
-    # not by numpy warnings or an OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.arange(1, n // 2 + 1), 2.0 * np.pi, out=gain.real[1:])
-        gain.real[1:] /= n  # no view of the gain is kept: the kernel route frees it
-        gain.real[1:] **= mu
-        gain[1:] *= np.exp(1j * mu * np.pi / 2.0)
-        gain[1:] *= rate ** mu
-    _require_finite(gain, "differintegration")
-    if _kernel_route(n):
-        gain = np.fft.irfft(gain, n)  # rebound: the gain is freed before the convolution
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _require_finite(_periodic_convolve(x, gain), "spectral gain")
-    else:
-        out = apply_gain(x, gain)
+    out = _shift(sig, "dft", lambda size: _differintegration_pair(size, mu, rate)).samples
 
     if include_dc_term:
         a0 = float(np.mean(x))

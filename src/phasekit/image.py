@@ -117,25 +117,3 @@ def analytic2d(image) -> np.ndarray:
     z.real += img.pixels
     np.add(q, 0.0, out=z.imag)  # and q + 0, which turns -0 into +0
     return z
-
-
-def kernel2d_closed_form(m: int, n: int) -> float:
-    """Infinite-extent 2-D quadrature kernel h[m, n].
-
-    Supported only on the main diagonal and the axes:
-    h[0,0] = 0, h[m,m] = 1/(pi m), h[m,0] = -cos(pi m)/(pi m),
-    h[0,n] = -cos(pi n)/(pi n), zero elsewhere.  This is the limit shape of
-    the circular kernel idft2d(H) as the image grows; it is used for sign
-    checks, never as the computational path.
-    """
-    m = int(m)
-    n = int(n)
-    if m == 0 and n == 0:
-        return 0.0
-    if m == n:
-        return 1.0 / (np.pi * m)
-    if n == 0:
-        return -np.cos(np.pi * m) / (np.pi * m)
-    if m == 0:
-        return -np.cos(np.pi * n) / (np.pi * n)
-    return 0.0

@@ -448,7 +448,8 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
 
     The '# key = value' pairs come from the comment lines before the first
     data row; the first non-comment, non-blank row is the names row unless
-    it parses as numbers.  The rest of the file goes to one ``np.loadtxt``
+    it parses as numbers; a UTF-8 byte-order mark that starts the file is
+    dropped.  The rest of the file goes to one ``np.loadtxt``
     call as a stream of stripped lines, which skips blank and comment lines;
     the file is read once, front to back, so a pipe works too.  A large
     regular file is parsed in two halves instead, with the same result.
@@ -458,8 +459,8 @@ def _read_csv(path) -> tuple[dict, list[str] | None, np.ndarray]:
     start = 0  # bytes of the lines read so far
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
+            body = (line if start else line.removeprefix("\ufeff")).strip()  # a byte-order mark
             start += len(line.encode("utf-8", "surrogateescape"))
-            body = line.strip()
             if body.startswith("#"):
                 key, eq, value = body.lstrip("#").partition("=")
                 if eq:
@@ -515,7 +516,7 @@ def read_signal_csv(path) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# WAV: minimal RIFF reader/writer for mono 16-bit PCM and 32-bit float
+# WAV: minimal RIFF reader for mono 16-bit PCM and 32-bit float
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> Signal:
@@ -554,32 +555,6 @@ def read_wav(path) -> Signal:
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(float)
     return Signal(samples, float(rate))
-
-
-def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
-    """Write a mono WAV file as 16-bit PCM or 32-bit float."""
-    x = signal.samples
-    if encoding == "pcm16":
-        clipped = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = clipped.tobytes()
-        audio_format, bits = 1, 16
-    elif encoding == "float32":
-        payload = x.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-    else:
-        raise ValueError(f"unknown WAV encoding {encoding!r}")
-    block = bits // 8
-    rate = int(signal.sample_rate)
-    if rate != signal.sample_rate or rate * block > 0xFFFFFFFF:
-        raise ValueError(f"WAV sample rate {signal.sample_rate!r} is not a whole number "
-                         "of Hz that fits the header")
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, audio_format, 1, rate, rate * block, block, bits,
-        b"data", len(payload))
-    with output_file(path) as fh:
-        fh.write(header + payload)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ extension), which differ whenever those extensions disagree.
 
 Every 1-D phase transform, the Hilbert transform, the analytic signal, the
 cosine quadrature and the fractional delays included, is one call into one
-core, :func:`_shift`, the one place that decides how a profile runs.  On the
+core, :func:`_shift`, the one place that decides how a profile runs; the
+fractional differintegration passes it its gain the same way.  On the
 N-point DFT route a constant profile equals its per-bin equivalent bit for
 bit.  On the N-point DCT route a constant profile is, by linearity,
 cos(alpha) x + sin(alpha) q with the quadrature q resynthesized by one real
@@ -264,11 +265,14 @@ def _delay_kernel(period: int, delay: float) -> np.ndarray:
     return np.roll(kernel, shift + first)
 
 
-def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
+def _shift(signal, basis: str, profile=None) -> Signal:
     """The one core of every 1-D phase transform: the gain
     e^{-j alpha_k} = cos alpha_k - j sin alpha_k on the positive frequencies
     of ``signal`` on ``basis`` "dft" or "dct", every route reading the one
     complex array pair = cos alpha_k + j sin alpha_k, exactly 1j for ``profile=None``.
+    On the DFT basis ``profile`` may be a builder ``pair(N)`` of any gain's
+    conjugate on bins 0..N//2 (the differintegration's): called here, it leaves
+    the only reference to the pair here, so the kernel route can free it.
 
     On a length that :func:`_kernel_route` selects, a scalar profile (a
     constant, the quadrature or a scalar delay) is one convolution with a
@@ -289,10 +293,13 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
     sig = as_signal(signal)
     x, n = sig.samples, len(sig)
     period = _basis(n, basis)[1]
-    route = _kernel_route(n) and (
-        profile is None or (profile.kind != "per_bin" and np.size(profile.value) == 1))
+    kernel_route = _kernel_route(n)
+    route = kernel_route and (profile is None or (
+        not callable(profile) and profile.kind != "per_bin" and np.size(profile.value) == 1))
     if profile is None:
         pair = np.array(1j)
+    elif callable(profile):
+        pair = profile(n)
     elif not (route and profile.kind == "delay"):
         alphas = profile.bin_phases(n, basis)
         pair = np.empty(np.shape(alphas), dtype=complex)
@@ -308,7 +315,7 @@ def _shift(signal, basis: str, profile: PhaseProfile | None = None) -> Signal:
             out = pair.real * x + pair.imag * quadrature
         elif basis == "dft":
             np.conjugate(pair, out=pair)
-            if not _kernel_route(n):
+            if not kernel_route:
                 return Signal(apply_gain(x, pair), sig.sample_rate)  # checks its own result
             pair = np.fft.irfft(pair, n)  # rebound: the gain is freed before the convolution
             out = _periodic_convolve(x, pair)

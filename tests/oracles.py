@@ -248,6 +248,28 @@ def half_plane_one_shot(g, alpha):
     return np.fft.irfftn(spectrum, g.shape, axes=(0, 1))
 
 
+def kernel2d_closed_form(m: int, n: int) -> float:
+    """Infinite-extent 2-D quadrature kernel h[m, n].
+
+    Supported only on the main diagonal and the axes:
+    h[0,0] = 0, h[m,m] = 1/(pi m), h[m,0] = -cos(pi m)/(pi m),
+    h[0,n] = -cos(pi n)/(pi n), zero elsewhere.  This is the limit shape of
+    the circular kernel idft2d(H) as the image grows: a reference for sign
+    checks.
+    """
+    m = int(m)
+    n = int(n)
+    if m == 0 and n == 0:
+        return 0.0
+    if m == n:
+        return 1.0 / (np.pi * m)
+    if n == 0:
+        return -np.cos(np.pi * m) / (np.pi * m)
+    if m == 0:
+        return -np.cos(np.pi * n) / (np.pi * n)
+    return 0.0
+
+
 def circular_convolve(x, kernel):
     """Direct O(N^2) circular convolution."""
     x = np.asarray(x)

@@ -131,7 +131,7 @@ class TestDelayCommand:
 
     def test_wav_input(self, tmp_path):
         x = np.sin(2 * np.pi * 5 * np.arange(200) / 100.0)
-        pkio.write_wav(tmp_path / "tone.wav", pk.Signal(x, 100.0))
+        (tmp_path / "tone.wav").write_bytes(wav_bytes(bits=32, samples=x, rate=100))
         out = tmp_path / "delayed.csv"
         assert main(["delay", str(tmp_path / "tone.wav"), "--samples", "0.5",
                      "-o", str(out)]) == 0
@@ -536,7 +536,7 @@ class TestErrorPaths:
 
     def test_failed_write_leaves_special_and_untouched_files(self, gauss_csv, tmp_path):
         # a device and a directory are not removed; neither is a file the
-        # writer never opened (a sample rate that fits no WAV header)
+        # writer never opened (columns of two lengths)
         targets = [tmp_path]
         if os.path.exists("/dev/full"):
             targets.append(Path("/dev/full"))
@@ -545,8 +545,8 @@ class TestErrorPaths:
             assert target.exists()
         kept = tmp_path / "kept.wav"
         kept.write_bytes(b"old")
-        with pytest.raises(ValueError, match="whole number of Hz"):
-            cli._write(kept, pkio.write_wav, pk.Signal(np.zeros(4), 0.5))
+        with pytest.raises(ValueError, match="columns must share one length"):
+            cli._write(kept, pkio.write_columns_csv, {}, ["a", "b"], [np.ones(3), np.ones(2)])
         assert kept.read_bytes() == b"old"
 
     def test_truncated_wav_is_io_error_without_traceback(self, tmp_path):
@@ -807,6 +807,17 @@ class TestConfigAndEnvironment:
         header, names, _ = pkio.read_columns_csv(from_both)
         assert header["alpha"] == "0.5" and "alpha_sweep" not in header
         assert header["basis"] == "dct" and names == ["t", "original", "transformed"]
+        assert from_both.read_bytes() == from_flags.read_bytes()
+
+    def test_config_key_its_group_ignores_is_not_type_checked(self, gauss_csv, tmp_path):
+        # --alpha-sweep on the command line drops the config's alpha unread,
+        # so a value that is no float is not an argument error
+        config = tmp_path / "conf.txt"
+        config.write_text("alpha = foo\n")
+        from_both, from_flags = tmp_path / "b.csv", tmp_path / "f.csv"
+        assert main(["pt", str(gauss_csv), "--alpha-sweep", "0:1:2", "--config", str(config),
+                     "-o", str(from_both)]) == 0
+        assert main(["pt", str(gauss_csv), "--alpha-sweep", "0:1:2", "-o", str(from_flags)]) == 0
         assert from_both.read_bytes() == from_flags.read_bytes()
 
     @pytest.mark.parametrize("lines", [("alpha = 0.5", "alpha_sweep = 0:1:2"),

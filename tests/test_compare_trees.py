@@ -193,15 +193,26 @@ def stub_compare(monkeypatch) -> list:
     return calls
 
 
+def workflow_python_commands() -> list[list[str]]:
+    """The words of each 'python ...' command line that a step of the CI
+    workflow runs, the runner's variables left as literal text."""
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    lines = (line.strip().removeprefix("run:").strip() for line in workflow.splitlines())
+    return [shlex.split(line) for line in lines if line.startswith("python ")]
+
+
+def test_every_workflow_python_file_exists():
+    # CI has never run, so a renamed or deleted script would go unseen
+    files = [words[1] for words in workflow_python_commands() if not words[1].startswith("-")]
+    assert "scripts/compare_trees.py" in files
+    assert [name for name in files if not (REPO / name).is_file()] == []
+
+
 def test_every_workflow_command_line_is_accepted(monkeypatch):
     # every run of the script in CI, its arguments with the runner's
     # variables as literal paths
-    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
-    commands = []
-    for line in workflow.splitlines():
-        command = line.strip().removeprefix("run:").strip()
-        if command.startswith("python scripts/compare_trees.py "):
-            commands.append(shlex.split(command)[2:])
+    commands = [words[2:] for words in workflow_python_commands()
+                if words[1] == "scripts/compare_trees.py"]
     assert len(commands) == 2
     calls = stub_compare(monkeypatch)
     monkeypatch.chdir(REPO)

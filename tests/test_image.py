@@ -7,7 +7,8 @@ import pytest
 import phasekit as pk
 import phasekit.image
 from phasekit.image import _signed_bin_sums
-from oracles import circular_convolve_2d, half_plane_half_mask, half_plane_one_shot, pt2d_direct
+from oracles import (circular_convolve_2d, half_plane_half_mask, half_plane_one_shot,
+                     kernel2d_closed_form, pt2d_direct)
 
 # 1000x1001 and 1024x1024 end on a partial block of rows or of columns at the
 # library's block size; the small shapes run on blocks of BLOCK_VALUES values
@@ -224,14 +225,14 @@ class TestAnalytic2d:
 
 class TestKernel2dClosedForm:
     def test_pinned_values(self):
-        assert pk.kernel2d_closed_form(0, 0) == 0.0
-        assert pk.kernel2d_closed_form(1, 1) == pytest.approx(1 / np.pi)
-        assert pk.kernel2d_closed_form(2, 2) == pytest.approx(1 / (2 * np.pi))
-        assert pk.kernel2d_closed_form(1, 0) == pytest.approx(1 / np.pi)
-        assert pk.kernel2d_closed_form(2, 0) == pytest.approx(-1 / (2 * np.pi))
-        assert pk.kernel2d_closed_form(0, 1) == pytest.approx(1 / np.pi)
-        assert pk.kernel2d_closed_form(1, 2) == 0.0
-        assert pk.kernel2d_closed_form(-3, 2) == 0.0
+        assert kernel2d_closed_form(0, 0) == 0.0
+        assert kernel2d_closed_form(1, 1) == pytest.approx(1 / np.pi)
+        assert kernel2d_closed_form(2, 2) == pytest.approx(1 / (2 * np.pi))
+        assert kernel2d_closed_form(1, 0) == pytest.approx(1 / np.pi)
+        assert kernel2d_closed_form(2, 0) == pytest.approx(-1 / (2 * np.pi))
+        assert kernel2d_closed_form(0, 1) == pytest.approx(1 / np.pi)
+        assert kernel2d_closed_form(1, 2) == 0.0
+        assert kernel2d_closed_form(-3, 2) == 0.0
 
     def test_sign_pattern_matches_circular_kernel(self):
         # the finite circular kernel inherits the closed form's sign pattern
@@ -241,7 +242,7 @@ class TestKernel2dClosedForm:
         kernel = np.fft.ifft2(mask).real
         for m in range(-5, 6):
             for n in range(-5, 6):
-                closed = pk.kernel2d_closed_form(m, n)
+                closed = kernel2d_closed_form(m, n)
                 sampled = kernel[m % size, n % size]
                 if closed != 0.0:
                     assert np.sign(sampled) == np.sign(closed)
