@@ -28,7 +28,7 @@ mean term on the small CSV), ``pt`` on the byte-order-marked CSV,
 ``wpt`` on both CSVs,
 ``image-pt --preview`` (on the benchmark's 1024x1024 PGM, a 301x517 PGM and a
 700x206 CSV grid, each of several blocks of the 2-D transform, the last two
-of partial ones, and a 16x16 ramp PGM of one block), ``synth``, ``repro 1``-``5``,
+of partial ones, a 257x1 CSV grid, and a 16x16 ramp PGM of one block), ``synth``, ``repro 1``-``5``,
 ``analytic_signal`` in process on 4,096 and 4,099 samples (no subcommand
 reaches it), and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
@@ -82,6 +82,9 @@ DELAY_2P52 = "4503599627370496"  # 2^52 = -80 plus whole periods of 3,001 and of
 # column falls in the last, partial block of columns
 ODD_IMAGE = (301, 517)
 GRID_IMAGE = (700, 206)
+# a one-column CSV grid: each 16-byte complex row of the half spectrum lies
+# over an 8-byte real row of the result that reuses its bytes, the tightest layout
+COLUMN_IMAGE = (257, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,8 +123,8 @@ def write_inputs(directory: Path) -> None:
     """The seed-1 benchmark inputs, the small and the prime-length CSV and
     per-bin phases for each, a headerless 4-row CSV that starts with a UTF-8
     byte-order mark (as a spreadsheet's "CSV UTF-8" does), an odd PGM and a
-    CSV grid of several blocks of the 2-D transform, a 16x16 ramp PGM of one
-    block, and a stereo and an 8-bit PCM WAV, which the reader rejects."""
+    CSV grid of several blocks of the 2-D transform, a one-column CSV grid, a
+    16x16 ramp PGM of one block, and a stereo and an 8-bit PCM WAV, which the reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):
@@ -143,6 +146,8 @@ def write_inputs(directory: Path) -> None:
                      inputs.make_image(inputs.rng_for(1, "compare-image"), ODD_IMAGE))
     grid = inputs.make_image(inputs.rng_for(1, "compare-grid"), GRID_IMAGE) / 255.0 - 0.5
     np.savetxt(directory / "grid.csv", grid, fmt="%.17g", delimiter=",")
+    column = inputs.make_image(inputs.rng_for(1, "compare-column"), COLUMN_IMAGE) / 255.0 - 0.5
+    np.savetxt(directory / "column.csv", column, fmt="%.17g", delimiter=",")
     inputs.write_pgm(directory / "ramp.pgm", np.arange(256, dtype=np.uint8).reshape(16, 16))
     (directory / "stereo.wav").write_bytes(_pcm_wav(2, 16))
     (directory / "pcm8.wav").write_bytes(_pcm_wav(1, 8))
@@ -201,6 +206,8 @@ def matrix() -> list[Case]:
                               "--preview", "preview.pgm"]),
         Case("image-pt-grid", ["image-pt", "{in}/grid.csv", "--alpha", "0.7",
                                "--preview", "preview.pgm"]),
+        Case("image-pt-column", ["image-pt", "{in}/column.csv", "--alpha", "0.7",
+                                 "--preview", "preview.pgm"]),
         Case("image-pt-ramp", ["image-pt", "{in}/ramp.pgm", "--alpha", "0.5",
                                "--preview", "preview.pgm"]),
         *(Case(f"synth-{kind}", ["synth", "--case", kind]) for kind in ("fourier", "am", "pm")),

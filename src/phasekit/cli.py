@@ -162,8 +162,9 @@ def cmd_wpt(args) -> int:
 
 def cmd_image_pt(args) -> int:
     img = _read(pkio.read_image, args.input, "image")
-    out = pt2d(img, args.alpha)
     header = _header(args, input=args.input, alpha=args.alpha, rows=img.rows, cols=img.cols)
+    out = pt2d(img, args.alpha)
+    del img  # the preview's rescaled copy reuses the input's pages
     _write(_out_path(args, "pt2d"), pkio.write_grid_csv, header, out.pixels)
     if args.preview:
         _write(args.preview, pkio.write_pgm, pkio.pgm_preview(out.pixels))

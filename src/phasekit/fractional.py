@@ -117,10 +117,13 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
         a0 = float(np.mean(x))
         t = np.arange(n) / rate
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dc = a0 * t ** (-mu) * _rgamma(1.0 - mu)
+            np.power(t, -mu, out=t)  # a0 t^{-mu} / Gamma(1 - mu) in t's own bytes
+            t *= a0
+            t *= _rgamma(1.0 - mu)
             if mu > 0:
-                dc[0] = 0.0
-            out = out + dc
+                t[0] = 0.0
+            t += out
+        out = t
         # means at the round-off floor are not worth a warning
         if mu > 0 and abs(a0) > 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))):
             _warn("mean term of a fractional derivative diverges at t = 0; "

@@ -219,6 +219,25 @@ class TestImagePtCommand:
         assert np.max(np.abs(pkio.read_grid_csv(out).pixels - pixels)) < 1e-10
 
 
+    def test_peak_memory(self, tmp_path, monkeypatch):
+        # the input image, then the half spectrum whose bytes the result
+        # reuses, and after the input is released the preview's rescaled
+        # copy in its place: 2.69 float images, 3.29 while the input lived
+        # through the preview and the result was its own array
+        monkeypatch.setattr(pkio, "_SPLIT_VALUES", 1 << 40)  # no forked writer
+        pixels = np.random.default_rng(10).integers(0, 256, (512, 512))
+        pkio.write_pgm(tmp_path / "in.pgm", pixels, maxval=255)
+        argv = ["image-pt", str(tmp_path / "in.pgm"), "--alpha", "0.7",
+                "-o", str(tmp_path / "out.csv"), "--preview", str(tmp_path / "out.pgm")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8 * pixels.size * 8
+
+
 class TestSynthCommand:
     def test_fourier_case(self, tmp_path):
         out = tmp_path / "s.csv"

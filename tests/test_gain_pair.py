@@ -1,6 +1,7 @@
 """Every 1-D phase transform holds its gain once, as one complex array
 pair = cos alpha_k + j sin alpha_k that each route reads
-(phasekit.phase._shift), and frac_differintegrate builds its gain in place.
+(phasekit.phase._shift), and frac_differintegrate builds its gain and its
+mean term in place.
 
 The outputs are pinned bit for bit against the gain formed as separate
 arrays: np.exp(-1j alpha) on the DFT basis (on a kernel-route length, its
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import phasekit as pk
+from phasekit.fractional import _rgamma
 from phasekit.phase import (_delay_kernel, _kernel_route, _periodic_convolve,
                             _quadrature_kernel, _reduce)
 from phasekit.spectral import _dct2, _dct3_pair, apply_gain
@@ -199,3 +201,39 @@ def test_one_sided_dct_peak(name):
     call, bound = ONE_SIDED_PEAKS[name]
     x = np.random.default_rng(0).standard_normal(PEAK_N)
     assert traced_peak(lambda: call(x)) / (8 * PEAK_N) <= bound
+
+
+def mean_term_apart(sig, mu, physical):
+    """The differintegral as its oscillatory part plus the mean term formed as
+    its own array, a0 t^{-mu} / Gamma(1 - mu) with t = n / rate."""
+    out = pk.frac_differintegrate(sig, mu, physical=physical, include_dc_term=False).samples
+    t = np.arange(sig.samples.size) / (np.float64(sig.sample_rate) if physical else 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0^{-mu} times 1/Gamma(0) at t = 0
+        dc = float(np.mean(sig.samples)) * t ** (-mu) * _rgamma(1.0 - mu)
+    if mu > 0:
+        dc[0] = 0.0
+    return out + dc
+
+
+@pytest.mark.filterwarnings("ignore:mean term of a fractional derivative:RuntimeWarning")
+@pytest.mark.parametrize("n", LENGTHS)
+def test_mean_term_in_place_equals_it_formed_apart(n):
+    # the exponents 2, 1, 0.5 and -1 are the ones numpy's ** maps to square,
+    # a copy, sqrt and reciprocal; np.power(t, -mu, out=t) must match them too
+    x = np.random.default_rng(n).standard_normal(n) - 1.3
+    for mu in (-2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7):
+        for physical in (True, False):
+            sig = pk.Signal(x, 7.0)
+            got = pk.frac_differintegrate(sig, mu, physical=physical).samples
+            want = mean_term_apart(sig, mu, physical)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mu, physical)
+
+
+def test_mean_term_peak():
+    # the mean term is built in the bytes of its time axis t and the sum
+    # lands there too: 0.13 N words above the call without it (1.0 when
+    # a0 t^{-mu}, its product with 1/Gamma(1 - mu) and the sum were arrays)
+    x = np.random.default_rng(0).standard_normal(PEAK_N) + 0.7
+    with_dc = traced_peak(lambda: pk.frac_differintegrate(x, -0.5))
+    without = traced_peak(lambda: pk.frac_differintegrate(x, -0.5, include_dc_term=False))
+    assert (with_dc - without) / (8 * PEAK_N) <= 0.5
