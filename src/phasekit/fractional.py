@@ -122,8 +122,7 @@ def frac_differintegrate(signal, order: float, physical: bool = True,
             t *= _rgamma(1.0 - mu)
             if mu > 0:
                 t[0] = 0.0
-            t += out
-        out = t
+            out = np.add(t, out, out=t)
         # means at the round-off floor are not worth a warning
         if mu > 0 and abs(a0) > 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))):
             _warn("mean term of a fractional derivative diverges at t = 0; "

@@ -67,10 +67,10 @@ class HalfPlaneMask:
 
 
 def _half_plane_gain(g: np.ndarray, alpha: float | None) -> np.ndarray:
-    """irfftn(rfftn(g) * H) bit for bit, H the half mask of ``alpha``, in one half spectrum
-    whose bytes the result reuses: each 1-D FFT runs on blocks of rows or columns of about
-    ``_BLOCK_VALUES`` float64 words, H is built a block at a time, and a non-finite result
-    raises FloatingPointError."""
+    """irfftn(rfftn(g) * H) bit for bit, H the half mask of ``alpha``, in one half spectrum whose
+    bytes the result reuses: each 1-D FFT runs on blocks of rows or columns of about
+    ``_BLOCK_VALUES`` float64 words, H is built a block at a time, and a non-finite result raises
+    FloatingPointError."""
     (rows, cols), half = g.shape, g.shape[1] // 2 + 1
     step_r, step_c = max(1, _BLOCK_VALUES // cols), max(1, _BLOCK_VALUES // (2 * rows))
     by_rows = [slice(r, r + step_r) for r in range(0, rows, step_r)]
