@@ -28,7 +28,8 @@ mean term on the small CSV), ``pt`` on the byte-order-marked CSV,
 ``wpt`` on both CSVs,
 ``image-pt --preview`` (on the benchmark's 1024x1024 PGM, a 301x517 PGM and a
 700x206 CSV grid, each of several blocks of the 2-D transform, the last two
-of partial ones, a 257x1 CSV grid, and a 16x16 ramp PGM of one block), ``synth``, ``repro 1``-``5``,
+of partial ones, a 257x1 CSV grid, and a 16x16 ramp PGM of one block),
+``synth``, ``repro 1``-``5``,
 ``analytic_signal`` in process on 4,096 and 4,099 samples (no subcommand
 reaches it), and the hostile inputs (a truncated, a stereo and an 8-bit WAV, an
 overflowing CSV, a missing file, a bad sweep), ``--version``, and failed writes: to ``/dev/full`` where it
@@ -124,7 +125,8 @@ def write_inputs(directory: Path) -> None:
     per-bin phases for each, a headerless 4-row CSV that starts with a UTF-8
     byte-order mark (as a spreadsheet's "CSV UTF-8" does), an odd PGM and a
     CSV grid of several blocks of the 2-D transform, a one-column CSV grid, a
-    16x16 ramp PGM of one block, and a stereo and an 8-bit PCM WAV, which the reader rejects."""
+    16x16 ramp PGM of one block, and a stereo and an 8-bit PCM WAV, which the
+    reader rejects."""
     inputs = _perfbench_inputs()
     data = inputs.cli_inputs(1)
     for workload in ("cli-record", "cli-wide"):

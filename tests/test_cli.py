@@ -218,7 +218,6 @@ class TestImagePtCommand:
                      "-o", str(out)]) == 0
         assert np.max(np.abs(pkio.read_grid_csv(out).pixels - pixels)) < 1e-10
 
-
     def test_peak_memory(self, tmp_path, monkeypatch):
         # the input image, then the half spectrum whose bytes the result
         # reuses, and after the input is released the preview's rescaled

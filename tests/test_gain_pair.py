@@ -231,7 +231,7 @@ def test_mean_term_in_place_equals_it_formed_apart(n):
 
 def test_mean_term_peak():
     # the mean term is built in the bytes of its time axis t and the sum
-    # lands there too: 0.13 N words above the call without it (1.0 when
+    # lands there too: 0.12 N words above the call without it (1.0 when
     # a0 t^{-mu}, its product with 1/Gamma(1 - mu) and the sum were arrays)
     x = np.random.default_rng(0).standard_normal(PEAK_N) + 0.7
     with_dc = traced_peak(lambda: pk.frac_differintegrate(x, -0.5))
